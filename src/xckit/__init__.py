@@ -14,7 +14,7 @@ from .attribution import (
     integrated_gradients,
     modified_integrated_gradients,
 )
-from .autodiff import Tensor, build_model, forward, forward_array, model_to_spec
+from .autodiff import build_model, forward_array, model_to_spec
 from .errors import ParseError, PlacementFailure, XckitError
 from .geometry import Box3D, GridMeta, enlarge, iou_3d, membership_mask, project_to_bev
 from .matching import (
@@ -89,7 +89,6 @@ __all__ = [
     "ScoredSample",
     "SyntheticFrame",
     "TP",
-    "Tensor",
     "XcConfig",
     "XcScores",
     "XckitError",
@@ -102,7 +101,6 @@ __all__ = [
     "cross_validate",
     "enlarge",
     "evaluate_feature",
-    "forward",
     "forward_array",
     "frame_attributions",
     "generate_benchmark",

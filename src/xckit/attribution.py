@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ModelGraph, Tensor, input_gradient_array
+from .autodiff import ModelGraph, input_gradient_array
 from .errors import ShapeMismatch, ZeroSteps
 
 
@@ -43,16 +43,11 @@ class AttributionMap:
     steps: Optional[int] = None
 
 
-def _input_array(input) -> np.ndarray:
-    arr = input.data if isinstance(input, Tensor) else np.asarray(input)
-    return arr.astype(np.float64)
-
-
 def backprop_saliency(
     model: ModelGraph, input, output_index: int, target: Optional[AttributionTarget] = None
 ) -> AttributionMap:
     """Raw gradient of output[output_index] with respect to the input."""
-    x = _input_array(input)
+    x = np.asarray(input).astype(np.float64)
     grad = input_gradient_array(model, x, output_index)
     return AttributionMap(values=grad, method="saliency", target=target)
 
@@ -60,8 +55,7 @@ def backprop_saliency(
 def _resolve_baseline(x, baseline):
     if baseline is None:
         return np.zeros_like(x)
-    b = baseline.data if isinstance(baseline, Tensor) else np.asarray(baseline)
-    b = b.astype(np.float64)
+    b = np.asarray(baseline).astype(np.float64)
     if b.shape != x.shape:
         raise ShapeMismatch(f"baseline shape {b.shape} != input shape {x.shape}")
     return b
@@ -99,7 +93,7 @@ def integrated_gradients(
     b + (k - 0.5)/steps * (x - b). Summing over all elements approximates
     F(x) - F(b), and the approximation tightens as steps grows.
     """
-    x = _input_array(input)
+    x = np.asarray(input).astype(np.float64)
     b = _resolve_baseline(x, baseline)
     avg = _average_path_gradient(model, x, b, output_index, steps)
     return AttributionMap(
@@ -119,7 +113,7 @@ def modified_integrated_gradients(
     target: Optional[AttributionTarget] = None,
 ) -> AttributionMap:
     """Averaged path gradient without the (input - baseline) multiplication."""
-    x = _input_array(input)
+    x = np.asarray(input).astype(np.float64)
     b = _resolve_baseline(x, baseline)
     avg = _average_path_gradient(model, x, b, output_index, steps)
     return AttributionMap(

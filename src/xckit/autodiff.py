@@ -9,8 +9,6 @@ the dtype of the input array, so tests can drive the same graph at float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,37 +19,6 @@ from .errors import (
     UnknownLayerKind,
     XckitError,
 )
-
-
-class Tensor:
-    """A float32 value grid with a fixed shape.
-
-    Values are validated to be finite on construction. The underlying array
-    is available as ``.data`` (row-major float32).
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise XckitError("tensor contains non-finite values")
-        self.data = arr
-
-    @property
-    def shape(self):
-        return tuple(self.data.shape)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
-
-@dataclass
-class GradientResult:
-    """Gradient of one scalar model output with respect to the model input."""
-
-    input_grad: Tensor
-    output_value: float
 
 
 def _as_f32(values, shape, what):
@@ -278,9 +245,11 @@ def build_model(spec: dict) -> ModelGraph:
     seed = spec.get("seed")
     rng = np.random.default_rng(seed) if seed is not None else None
 
-    def draw(shape, fan_in, what):
+    def param(entry, key, shape, fan_in, tag):
+        if key in entry:
+            return _as_f32(entry[key], shape, tag)
         if rng is None:
-            raise XckitError(f"{what}: no inline parameters and no init seed given")
+            raise XckitError(f"{tag}: no inline parameters and no init seed given")
         return _init_array(rng, shape, fan_in)
 
     layers = []
@@ -289,32 +258,14 @@ def build_model(spec: dict) -> ModelGraph:
         tag = f"layers.{idx} ({kind})"
         if kind == "dense":
             n_in, n_out = int(entry["in_features"]), int(entry["out_features"])
-            w = (
-                _as_f32(entry["weight"], (n_in, n_out), tag)
-                if "weight" in entry
-                else draw((n_in, n_out), n_in, tag)
-            )
-            b = (
-                _as_f32(entry["bias"], (n_out,), tag)
-                if "bias" in entry
-                else draw((n_out,), n_in, tag)
-            )
-            layers.append(_Dense(w, b))
+            layers.append(_Dense(param(entry, "weight", (n_in, n_out), n_in, tag),
+                                 param(entry, "bias", (n_out,), n_in, tag)))
         elif kind == "conv2d":
             cin, cout = int(entry["in_channels"]), int(entry["out_channels"])
             kh, kw = (int(k) for k in entry["kernel"])
             fan_in = kh * kw * cin
-            w = (
-                _as_f32(entry["weight"], (kh, kw, cin, cout), tag)
-                if "weight" in entry
-                else draw((kh, kw, cin, cout), fan_in, tag)
-            )
-            b = (
-                _as_f32(entry["bias"], (cout,), tag)
-                if "bias" in entry
-                else draw((cout,), fan_in, tag)
-            )
-            layers.append(_Conv2d(w, b))
+            layers.append(_Conv2d(param(entry, "weight", (kh, kw, cin, cout), fan_in, tag),
+                                  param(entry, "bias", (cout,), fan_in, tag)))
         elif kind == "relu":
             layers.append(_ReLU())
         elif kind == "sigmoid":
@@ -341,20 +292,14 @@ def model_to_spec(model: ModelGraph) -> dict:
     for layer in model.layers:
         entry = {"kind": layer.kind}
         if layer.kind == "dense":
-            entry["in_features"] = int(layer.weight.shape[0])
-            entry["out_features"] = int(layer.weight.shape[1])
-            entry["weight"] = layer.weight.tolist()
-            entry["bias"] = layer.bias.tolist()
+            entry["in_features"], entry["out_features"] = (int(d) for d in layer.weight.shape)
         elif layer.kind == "conv2d":
-            kh, kw, cin, cout = layer.weight.shape
-            entry["in_channels"] = int(cin)
-            entry["out_channels"] = int(cout)
-            entry["kernel"] = [int(kh), int(kw)]
-            entry["weight"] = layer.weight.tolist()
-            entry["bias"] = layer.bias.tolist()
+            kh, kw, cin, cout = (int(d) for d in layer.weight.shape)
+            entry.update(in_channels=cin, out_channels=cout, kernel=[kh, kw])
         elif layer.kind == "bias":
-            entry["size"] = int(layer.values.shape[0])
-            entry["values"] = layer.values.tolist()
+            entry.update(size=int(layer.values.shape[0]), values=layer.values.tolist())
+        if layer.kind in ("dense", "conv2d"):
+            entry.update(weight=layer.weight.tolist(), bias=layer.bias.tolist())
         layers.append(entry)
     return {"input_shape": list(model.input_shape), "layers": layers}
 
@@ -364,6 +309,8 @@ def _check_input(model, arr):
         raise ShapeMismatch(
             f"input shape {tuple(arr.shape)} != model input {model.input_shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise XckitError("input contains non-finite values")
 
 
 def _forward_batch(model, x):
@@ -373,14 +320,6 @@ def _forward_batch(model, x):
         x, cache = layer.forward(x)
         caches.append(cache)
     return x, caches
-
-
-def forward(model: ModelGraph, input: Tensor) -> Tensor:
-    """Evaluate the model on one input tensor."""
-    arr = input.data if isinstance(input, Tensor) else np.asarray(input, np.float32)
-    _check_input(model, arr)
-    y, _ = _forward_batch(model, arr[None])
-    return Tensor(y[0])
 
 
 def forward_array(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
@@ -431,24 +370,8 @@ def _backward_batch(model, caches, g):
     return g, grads
 
 
-def input_gradient(model: ModelGraph, input: Tensor, target: int) -> GradientResult:
-    """Exact reverse-mode gradient of output[target] w.r.t. every input element."""
-    arr = input.data if isinstance(input, Tensor) else np.asarray(input, np.float32)
-    _check_input(model, arr)
-    if not 0 <= int(target) < model.n_outputs:
-        raise TargetOutOfRange(f"target {target} outside [0, {model.n_outputs})")
-    y, caches = _forward_batch(model, arr[None])
-    seed = np.zeros_like(y)
-    seed.reshape(1, -1)[0, int(target)] = 1.0
-    dx, _ = _backward_batch(model, caches, seed)
-    return GradientResult(
-        input_grad=Tensor(dx[0]),
-        output_value=float(y.reshape(-1)[int(target)]),
-    )
-
-
 def input_gradient_array(model: ModelGraph, arr: np.ndarray, target: int) -> np.ndarray:
-    """Like input_gradient but dtype-preserving and without wrapping."""
+    """Exact reverse-mode gradient of output[target] w.r.t. the input, in its dtype."""
     arr = np.asarray(arr)
     _check_input(model, arr)
     if not 0 <= int(target) < model.n_outputs:

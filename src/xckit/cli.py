@@ -12,7 +12,8 @@ Artifact layout for a frame store (written by `synth`, read downstream):
 
 Exit codes: 0 success, 2 usage problems, 1 data problems (bad files, failed
 invariants). A JSON config given via --config overrides any flag of that
-subcommand; XCKIT_JOBS is the fallback for --jobs.
+subcommand; XCKIT_JOBS is the fallback for --jobs. `pipeline` calls the
+other subcommands' handlers directly, with Namespaces built by _stage_args.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -45,11 +46,17 @@ from .io_formats import (
     write_xcam,
 )
 from .matching import DEFAULT_IOU_THRESH, MatchConfig, categorize
-from .meta import DEFAULT_FEATURES, MetaTrainConfig, build_feature_dataset, cross_validate
+from .meta import (
+    DEFAULT_FEATURES,
+    MetaTrainConfig,
+    build_feature_dataset,
+    cross_validate,
+    split_groups,
+)
 from .metrics import evaluate_feature, render_table
 from .synth import (
-    BENCHMARK_A_THRESH,
     SceneSpec,
+    SyntheticFrame,
     build_toy_model,
     frame_attributions,
     generate_benchmark,
@@ -62,6 +69,9 @@ EVAL_FEATURES = (
     "n_points",
     "random",
 )
+
+
+DEFAULT_IOU_SPEC = ",".join(f"{label}={t}" for label, t in DEFAULT_IOU_THRESH.items())
 
 
 class UsageError(Exception):
@@ -78,9 +88,11 @@ def _parse_iou_spec(text: str) -> Dict[str, float]:
             out[label.strip()] = float(val)
         except ValueError:
             raise UsageError(f"--iou threshold for {label.strip()!r} is not a number")
-    if not out:
-        raise UsageError("--iou needs at least one label=thresh entry")
     return out
+
+
+def _match_config(args) -> MatchConfig:
+    return MatchConfig(score_thresh=args.score_thresh, iou_thresh=_parse_iou_spec(args.iou))
 
 
 def _resolve_jobs(value: Optional[int]) -> int:
@@ -98,23 +110,50 @@ def _resolve_jobs(value: Optional[int]) -> int:
     return value
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Values in --config override flags, per the interface contract."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _load_config(path) -> dict:
     with open(path) as f:
         try:
             cfg = json.load(f)
         except json.JSONDecodeError as e:
-            raise ParseError(e.lineno, f"bad config: {e.msg}")
+            raise ParseError(e.lineno, f"bad JSON in {path}: {e.msg}")
     if not isinstance(cfg, dict):
-        raise UsageError("--config must hold a JSON object")
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise UsageError(f"config key {key!r} is not a flag of this subcommand")
-        setattr(args, attr, val)
+        raise UsageError(f"{path} must hold a JSON object")
+    return cfg
+
+
+def _typed(key: str, value, kind=str, choices=None):
+    """``value`` as argparse stores it for a flag of type ``kind``: a string is
+    converted, an int may stand for a float, anything else must have the type."""
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            raise UsageError(f"{key}: invalid {kind.__name__} value {value!r}")
+    elif kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise UsageError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise UsageError(f"{key} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _stage_args(command: str, values: dict, args=None) -> argparse.Namespace:
+    """``args`` (by default the subcommand's flag defaults) with ``values`` on top,
+    each checked against its flag's ``type`` and ``choices`` (None only where
+    None is the default). Config files and `pipeline` both come through here."""
+    stage = build_parser().stages[command]
+    flags = {a.dest: a for a in stage._actions if a.dest != "help"}
+    if args is None:
+        args = argparse.Namespace(**{dest: a.default for dest, a in flags.items()})
+    for key, value in values.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise UsageError(f"config key {key!r} is not a flag of {command}")
+        if not (value is None and flag.default is None and not flag.required):
+            value = _typed(key, value, flag.type or str, flag.choices)
+        setattr(args, flag.dest, value)
+    return args
 
 
 # --- frame store helpers ---
@@ -146,20 +185,26 @@ def write_frame_store(out_dir, spec, frames, manifest) -> None:
     write_ground_truths(os.path.join(out_dir, "gts.jsonl"), gt_records)
 
 
+def _records_by_frame(preds_path, gts_path) -> Dict[str, tuple]:
+    """{frame id: (preds, gts)} from a detection stream and a ground-truth stream."""
+    by_frame: Dict[str, tuple] = {}
+    for rec in read_detections(preds_path):
+        by_frame.setdefault(rec.frame_id, ([], []))[0].append(rec.detection)
+    for fid, gt in read_ground_truths(gts_path):
+        by_frame.setdefault(fid, ([], []))[1].append(gt)
+    return by_frame
+
+
 def read_frame_store(store_dir):
     """Returns (spec, ordered frame ids, {fid: (pseudo, preds, gts)})."""
     spec = load_scene_spec(os.path.join(store_dir, "scene.json"))
-    by_frame: Dict[str, dict] = {}
-    for rec in read_detections(os.path.join(store_dir, "preds.jsonl")):
-        by_frame.setdefault(rec.frame_id, {"preds": [], "gts": []})["preds"].append(
-            rec.detection
-        )
-    for fid, gt in read_ground_truths(os.path.join(store_dir, "gts.jsonl")):
-        by_frame.setdefault(fid, {"preds": [], "gts": []})["gts"].append(gt)
+    by_frame = _records_by_frame(
+        os.path.join(store_dir, "preds.jsonl"), os.path.join(store_dir, "gts.jsonl")
+    )
     frames_dir = os.path.join(store_dir, "frames")
     for name in os.listdir(frames_dir):
         if name.endswith(".xcam"):
-            by_frame.setdefault(name[:-5], {"preds": [], "gts": []})
+            by_frame.setdefault(name[:-5], ([], []))
     fids = sorted(by_frame)
     out = {}
     for fid in fids:
@@ -167,7 +212,7 @@ def read_frame_store(store_dir):
         if not os.path.exists(pseudo_path):
             raise XckitError(f"frame {fid} has records but no pseudo image")
         pseudo = read_xcam(pseudo_path).values.astype(np.float32)
-        out[fid] = (pseudo, by_frame[fid]["preds"], by_frame[fid]["gts"])
+        out[fid] = (pseudo, *by_frame[fid])
     return spec, fids, out
 
 
@@ -189,17 +234,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-class _FrameShim:
-    """Adapts store contents to frame_attributions' field expectations."""
-
-    __slots__ = ("pseudo_image", "preds", "model")
-
-    def __init__(self, pseudo_image, preds, model):
-        self.pseudo_image = pseudo_image
-        self.preds = preds
-        self.model = model
-
-
 def _cmd_attribute(args) -> int:
     spec, fids, store = read_frame_store(args.frames)
     model_path = args.model or os.path.join(args.frames, "model.json")
@@ -208,14 +242,14 @@ def _cmd_attribute(args) -> int:
     jobs = _resolve_jobs(args.jobs)
 
     def one_frame(fid):
-        pseudo, preds, _ = store[fid]
+        pseudo, preds, gts = store[fid]
         for pred in preds:
             if pred.anchor_index is None:
                 raise XckitError(
                     f"frame {fid}: prediction lacks anchor_index; cannot pick its output"
                 )
-        shim = _FrameShim(pseudo, preds, model)
-        return frame_attributions(shim, method=args.method, steps=args.steps)
+        frame = SyntheticFrame(pseudo_image=pseudo, gts=gts, preds=preds, model=model)
+        return frame_attributions(frame, method=args.method, steps=args.steps)
 
     if jobs == 1:
         per_frame = [one_frame(fid) for fid in fids]
@@ -234,10 +268,7 @@ def _cmd_attribute(args) -> int:
 def _cmd_xc(args) -> int:
     spec, fids, store = read_frame_store(args.frames)
     xc_cfg = XcConfig(a_thresh=args.a_thresh, margin_m=args.margin)
-    match_cfg = MatchConfig(
-        score_thresh=args.score_thresh,
-        iou_thresh=_parse_iou_spec(args.iou) if args.iou else dict(DEFAULT_IOU_THRESH),
-    )
+    match_cfg = _match_config(args)
     triples = []
     for fid in fids:
         pseudo, preds, gts = store[fid]
@@ -255,22 +286,12 @@ def _cmd_xc(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    by_frame: Dict[str, dict] = {}
-    for rec in read_detections(args.preds):
-        by_frame.setdefault(rec.frame_id, {"preds": [], "gts": []})["preds"].append(
-            rec.detection
-        )
-    for fid, gt in read_ground_truths(args.gts):
-        by_frame.setdefault(fid, {"preds": [], "gts": []})["gts"].append(gt)
-    cfg = MatchConfig(
-        score_thresh=args.score_thresh,
-        iou_thresh=_parse_iou_spec(args.iou) if args.iou else dict(DEFAULT_IOU_THRESH),
-    )
+    by_frame = _records_by_frame(args.preds, args.gts)
+    cfg = _match_config(args)
     counts = {"TP": 0, "FP": 0, "Ignore": 0}
     with open(args.out, "w") as f:
         for fid in sorted(by_frame):
-            entry = by_frame[fid]
-            outcome = categorize(entry["preds"], entry["gts"], cfg)
+            outcome = categorize(*by_frame[fid], cfg)
             for i, (tag, gt_idx) in enumerate(zip(outcome.tags, outcome.matched_gt)):
                 counts[tag] += 1
                 f.write(
@@ -286,43 +307,19 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _group_predicates(tokens: List[str], rows):
-    """Build (name, predicate) pairs from --group-by tokens."""
-    groups = [("", None)]  # overall row first
-    want_class = "class" in tokens
-    want_points = "points100" in tokens
-    unknown = set(tokens) - {"class", "points100", ""}
-    if unknown:
-        raise UsageError(f"unknown --group-by tokens: {sorted(unknown)}")
-    labels = sorted({r.pred_label for r in rows})
-    if want_class and want_points:
-        for lab in labels:
-            for name, pred in (
-                (f"{lab},<100", lambda r, lab=lab: r.pred_label == lab and r.n_points < 100),
-                (f"{lab},>=100", lambda r, lab=lab: r.pred_label == lab and r.n_points >= 100),
-            ):
-                groups.append((name, pred))
-    elif want_class:
-        for lab in labels:
-            groups.append((lab, lambda r, lab=lab: r.pred_label == lab))
-    elif want_points:
-        groups.append(("<100", lambda r: r.n_points < 100))
-        groups.append((">=100", lambda r: r.n_points >= 100))
-    return groups
-
-
 def _cmd_eval(args) -> int:
     rows = read_feature_csv(args.features)
-    tokens = [t.strip() for t in (args.group_by or "").split(",") if t.strip()]
-    groups = _group_predicates(tokens, rows)
+    tokens = [t.strip() for t in args.group_by.split(",") if t.strip()]
+    try:
+        groups = split_groups(rows, tokens)
+    except XckitError as e:
+        raise UsageError(f"--group-by: {e}")
     reports = []
     for feature in EVAL_FEATURES:
-        for name, pred in groups:
+        for name, members in groups:
             try:
                 reports.append(
-                    evaluate_feature(
-                        rows, feature, group=pred, group_name=name, rng_seed=args.seed
-                    )
+                    evaluate_feature(members, feature, group_name=name, rng_seed=args.seed)
                 )
             except XckitError:
                 # a group can be single-class or empty; skip its row
@@ -363,94 +360,58 @@ def _cmd_train_meta(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    with open(args.config) as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(e.lineno, f"bad pipeline config: {e.msg}")
-    if not isinstance(cfg, dict):
-        raise UsageError("pipeline config must be a JSON object")
+    cfg = _load_config(args.config)
     out_dir = cfg.get("out")
-    if not out_dir:
+    if not out_dir or not isinstance(out_dir, str):
         raise UsageError("pipeline config needs an 'out' directory")
-    os.makedirs(out_dir, exist_ok=True)
+
+    def section(name):
+        sec = cfg.get(name, {})
+        if not isinstance(sec, dict):
+            raise UsageError(f"pipeline config section {name!r} must be a JSON object")
+        return sec
 
     try:
-        spec = scene_spec_from_dict(cfg.get("scene", {}))
+        spec = scene_spec_from_dict(section("scene"))
     except (TypeError, ValueError, KeyError) as e:
         raise UsageError(f"bad scene section in pipeline config: {e}")
+    n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
+    os.makedirs(out_dir, exist_ok=True)
     store_dir = os.path.join(out_dir, "store")
     attribs_dir = os.path.join(out_dir, "attribs")
     features_csv = os.path.join(out_dir, "features.csv")
-    table_txt = os.path.join(out_dir, "table.txt")
-    tags_jsonl = os.path.join(out_dir, "tags.jsonl")
-    report_txt = os.path.join(out_dir, "meta_report.txt")
 
-    n_frames = int(cfg.get("n_frames", 20))
     frames, manifest = generate_benchmark(spec, n_frames)
     write_frame_store(store_dir, spec, frames, manifest)
 
-    att = cfg.get("attribute", {})
-    rc = main(
-        [
-            "attribute",
-            "--frames", store_dir,
-            "--out", attribs_dir,
-            "--method", att.get("method", "backprop"),
-            "--steps", str(att.get("steps", 32)),
-            "--jobs", str(att.get("jobs", 1)),
-        ]
-    )
-    if rc:
-        return rc
-
-    xc_cfg = cfg.get("xc", {})
-    rc = main(
-        [
-            "xc",
-            "--frames", store_dir,
-            "--attribs", attribs_dir,
-            "--a-thresh", str(xc_cfg.get("a_thresh", manifest["a_thresh"])),
-            "--margin", str(xc_cfg.get("margin", 0.2)),
-            "--out", features_csv,
-        ]
-    )
-    if rc:
-        return rc
-
-    rc = main(
-        [
-            "match",
-            "--preds", os.path.join(store_dir, "preds.jsonl"),
-            "--gts", os.path.join(store_dir, "gts.jsonl"),
-            "--out", tags_jsonl,
-        ]
-    )
-    if rc:
-        return rc
-
-    ev = cfg.get("eval", {})
-    rc = main(
-        [
-            "eval",
-            "--features", features_csv,
-            "--group-by", ev.get("group_by", ""),
-            "--seed", str(ev.get("seed", 0)),
-            "--out", table_txt,
-        ]
-    )
-    if rc:
-        return rc
-
-    tm = cfg.get("train_meta", {})
+    att = section("attribute")
+    _cmd_attribute(_stage_args("attribute", {
+        "frames": store_dir, "out": attribs_dir, "method": att.get("method", "backprop"),
+        "steps": att.get("steps", 32), "jobs": att.get("jobs", 1),
+    }))
+    xc = section("xc")
+    _cmd_xc(_stage_args("xc", {
+        "frames": store_dir, "attribs": attribs_dir, "out": features_csv,
+        "a_thresh": xc.get("a_thresh", manifest["a_thresh"]), "margin": xc.get("margin", 0.2),
+    }))
+    _cmd_match(_stage_args("match", {
+        "preds": os.path.join(store_dir, "preds.jsonl"),
+        "gts": os.path.join(store_dir, "gts.jsonl"),
+        "out": os.path.join(out_dir, "tags.jsonl"),
+    }))
+    ev = section("eval")
+    _cmd_eval(_stage_args("eval", {
+        "features": features_csv, "out": os.path.join(out_dir, "table.txt"),
+        "group_by": ev.get("group_by", ""), "seed": ev.get("seed", 0),
+    }))
+    tm = section("train_meta")
     if tm.get("enabled", True):
-        argv = ["train-meta", "--features", features_csv,
-                "--seed", str(tm.get("seed", 0)), "--out", report_txt]
-        if tm.get("subset"):
-            argv += ["--subset", ",".join(tm["subset"])]
-        rc = main(argv)
-        if rc:
-            return rc
+        subset = tm.get("subset")
+        _cmd_train_meta(_stage_args("train-meta", {
+            "features": features_csv, "out": os.path.join(out_dir, "meta_report.txt"),
+            "seed": tm.get("seed", 0),
+            "subset": ",".join(map(str, subset)) if isinstance(subset, list) else subset,
+        }))
     print(f"pipeline complete -> {out_dir}")
     return 0
 
@@ -487,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-thresh", type=float, default=0.1)
     p.add_argument("--margin", type=float, default=0.2)
     p.add_argument("--score-thresh", type=float, default=0.1)
-    p.add_argument("--iou", default=None,
+    p.add_argument("--iou", default=DEFAULT_IOU_SPEC,
                    help="per-class IoU thresholds, e.g. car=0.5,pedestrian=0.25")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
@@ -497,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", required=True)
     p.add_argument("--gts", required=True)
     p.add_argument("--score-thresh", type=float, default=0.1)
-    p.add_argument("--iou", default="car=0.5,pedestrian=0.25,cyclist=0.25")
+    p.add_argument("--iou", default=DEFAULT_IOU_SPEC)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_match)
@@ -524,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_pipeline)
 
+    parser.stages = sub.choices  # subcommand name -> its parser, for _stage_args
     return parser
 
 
@@ -531,8 +493,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "pipeline":
-            _apply_config(args)
+        if args.command != "pipeline" and args.config:
+            args = _stage_args(args.command, _load_config(args.config), args)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -178,18 +178,13 @@ def intersection_area(a: BevPolygon, b: BevPolygon) -> float:
     if len(subject) < 3:
         return 0.0
     pts = np.asarray(subject)
-    area = abs(_signed_area_any(pts))
+    area = abs(_signed_area(pts))
     return 0.0 if area < _SLIVER_AREA else area
 
 
 def _edge_cross(p, q, sp, sq):
     t = sp / (sp - sq)
     return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-
-def _signed_area_any(pts) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:

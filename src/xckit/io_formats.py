@@ -24,7 +24,7 @@ import csv
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
@@ -89,7 +89,12 @@ def read_xcam(path) -> AttributionMap:
     offset += 4
     if len(raw) < offset + meta_len:
         raise TruncatedPayload(f"metadata block truncated ({len(raw) - offset}/{meta_len})")
-    meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError or JSONDecodeError
+        meta = None
+    if not isinstance(meta, dict):
+        raise XckitError(f"{path}: metadata at byte offset {offset} is not a UTF-8 JSON object")
     target = None
     if "target" in meta:
         target = AttributionTarget(
@@ -159,13 +164,22 @@ def read_detections(path) -> Iterator[DetectionRecord]:
                     raise ParseError(line_no, f"missing field {key!r}")
             if not isinstance(row["scores"], dict):
                 raise ParseError(line_no, "scores must be an object")
+            try:
+                scores = {str(k): float(v) for k, v in row["scores"].items()}
+                n_points = int(row["n_points"])
+                distance = None if row.get("distance") is None else float(row["distance"])
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ParseError(line_no, f"scores, n_points and distance must be numbers: {e}")
+            anchor = row.get("anchor_index")
+            if anchor is not None and type(anchor) is not int:
+                raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}")
             det = Detection(
                 box=_box_from_list(row["box"], line_no),
                 label=str(row["label"]),
-                scores={str(k): float(v) for k, v in row["scores"].items()},
-                n_points=int(row["n_points"]),
-                distance=None if row.get("distance") is None else float(row["distance"]),
-                anchor_index=row.get("anchor_index"),
+                scores=scores,
+                n_points=n_points,
+                distance=distance,
+                anchor_index=anchor,
             )
             yield DetectionRecord(frame_id=str(row["frame_id"]), detection=det)
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import metrics as _metrics
-from .attribution import AttributionMap
 from .autodiff import ModelGraph, build_model, forward_batch, param_gradients
 from .errors import (
     ConstantFeature,
@@ -29,7 +28,7 @@ from .errors import (
     XckitError,
 )
 from .geometry import GridMeta
-from .matching import IGNORE, Detection, GroundTruth, MatchConfig, categorize
+from .matching import IGNORE, MatchConfig, categorize
 from .metrics import MetricReport, ScoredSample, aupr, auroc
 from .xc import XcConfig, xc_scores
 
@@ -141,23 +140,35 @@ def build_feature_dataset(
 
 
 def split_groups(
-    rows: Sequence[FeatureRow],
-    labels: Sequence[str] = ("car", "pedestrian", "cyclist"),
-    point_split: int = POINT_SPLIT,
-) -> Dict[Tuple[str, str], List[FeatureRow]]:
-    """Partition rows into (label) x (point-count bucket) subsets.
+    rows: Sequence[FeatureRow], by: Sequence[str] = (), point_split: int = POINT_SPLIT
+) -> List[Tuple[str, List[FeatureRow]]]:
+    """Named row groups for evaluation: all rows (named ""), then the ``by`` splits.
 
-    The boundary count goes to the ">=" bucket. Labels outside ``labels``
-    get their own keys so the result is always a partition.
+    ``by`` may hold "class" (one group per label present, in sorted order)
+    and "points100" (below / at-or-above ``point_split`` points; the boundary
+    count goes to the ">=" bucket). With both, each label is split by point
+    count, named like "car,<100". Groups keep the input row order and may be
+    empty.
     """
-    all_labels = list(labels) + sorted({r.pred_label for r in rows} - set(labels))
-    out: Dict[Tuple[str, str], List[FeatureRow]] = {
-        (lab, bucket): [] for lab in all_labels for bucket in (f"<{point_split}", f">={point_split}")
-    }
-    for r in rows:
-        bucket = f"<{point_split}" if r.n_points < point_split else f">={point_split}"
-        out[(r.pred_label, bucket)].append(r)
-    return out
+    unknown = set(by) - {"class", "points100"}
+    if unknown:
+        raise XckitError(f"unknown grouping keys: {sorted(unknown)}")
+    groups = [("", list(rows))]
+    if not by:
+        return groups
+    labels = sorted({r.pred_label for r in rows}) if "class" in by else [None]
+    buckets = [(None, None)]
+    if "points100" in by:
+        buckets = [(f"<{point_split}", False), (f">={point_split}", True)]
+    for lab in labels:
+        for bucket, large in buckets:
+            members = [
+                r for r in rows
+                if (lab is None or r.pred_label == lab)
+                and (large is None or (r.n_points >= point_split) == large)
+            ]
+            groups.append((",".join(p for p in (lab, bucket) if p is not None), members))
+    return groups
 
 
 def feature_matrix(rows: Sequence[FeatureRow], feature_subset: Sequence[str]):

@@ -40,8 +40,8 @@ from .attribution import (
     integrated_gradients,
     modified_integrated_gradients,
 )
-from .autodiff import ModelGraph, Tensor, build_model, forward
-from .errors import PlacementFailure, XckitError
+from .autodiff import ModelGraph, build_model, forward_array
+from .errors import PlacementFailure, UnknownLabel, XckitError
 from .geometry import Box3D, GridMeta, enlarge, membership_mask, project_to_bev, wrap_angle
 from .matching import DEFAULT_IOU_THRESH, Detection, GroundTruth
 from .meta import FeatureRow
@@ -135,6 +135,8 @@ def n_anchors(grid: GridMeta) -> int:
 
 
 def output_index(anchor_index: int, class_name: str) -> int:
+    if class_name not in CLASSES:
+        raise UnknownLabel(f"the toy detector has no output for class {class_name!r}")
     return anchor_index * len(CLASSES) + CLASSES.index(class_name)
 
 
@@ -333,7 +335,7 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
 
     # phase 3: score the frame with the model and assemble detections
     pseudo = img.astype(np.float32)
-    outputs = forward(model, Tensor(pseudo)).data
+    outputs = forward_array(model, pseudo)
     sigma_pts = _points_sigma(spec)
     preds: List[Detection] = []
     for label, is_fp, anchor, box, _ in placed:

@@ -11,7 +11,7 @@ from xckit.attribution import (
     integrated_gradients,
     modified_integrated_gradients,
 )
-from xckit.autodiff import Tensor, build_model, forward_array, input_gradient_array
+from xckit.autodiff import build_model, forward_array, input_gradient_array
 from xckit.errors import ShapeMismatch, ZeroSteps
 
 
@@ -198,9 +198,9 @@ class TestSaliency:
         assert np.array_equal(sal.values, input_gradient_array(m, x, 2))
         assert sal.method == "saliency"
 
-    def test_accepts_tensor_input(self):
+    def test_accepts_list_input(self):
         m = linear_model()
-        sal = backprop_saliency(m, Tensor([1.0, 2.0, 3.0]), 0)
+        sal = backprop_saliency(m, [1.0, 2.0, 3.0], 0)
         assert sal.values.dtype == np.float64
 
 

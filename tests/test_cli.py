@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import xckit
 from xckit.cli import build_parser, main
 from xckit.io_formats import read_feature_csv, write_feature_csv
 from xckit.meta import FeatureRow
@@ -39,6 +42,66 @@ def oracle_rows(n=60, seed=0):
             )
         )
     return rows
+
+
+def run_subprocess(argv, cwd):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xckit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "xckit.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def edit_first_pred(store, **fields):
+    path = os.path.join(store, "preds.jsonl")
+    lines = open(path).read().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+def corrupt_pseudo_metadata(store):
+    # the metadata JSON ends the file; a 0xff byte inside it is not UTF-8
+    path = os.path.join(store, "frames", "000000.xcam")
+    raw = bytearray(open(path, "rb").read())
+    raw[-2] = 0xFF
+    open(path, "wb").write(bytes(raw))
+
+
+def match_argv(store):
+    return ["match", "--preds", os.path.join(store, "preds.jsonl"),
+            "--gts", os.path.join(store, "gts.jsonl"), "--out", "tags.jsonl"]
+
+
+def attribute_argv(store):
+    return ["attribute", "--frames", store, "--out", "attribs", "--jobs", "1"]
+
+
+def synth_bad_config_argv(store):
+    with open("cfg.json", "w") as f:
+        json.dump({"frames": "abc"}, f)
+    return ["synth", "--out", "s", "--config", "cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "mutate, argv, code, needle",
+    [
+        (lambda s: edit_first_pred(s, scores={"car": "abc"}), match_argv, 1, "line 1"),
+        (lambda s: edit_first_pred(s, anchor_index="3"), attribute_argv, 1, "line 1"),
+        (corrupt_pseudo_metadata, attribute_argv, 1, "byte offset"),
+        (lambda s: edit_first_pred(s, label="truck"), attribute_argv, 1, "UnknownLabel"),
+        (lambda s: None, synth_bad_config_argv, 2, "frames"),
+    ],
+    ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
+         "unknown-label", "config-value-wrong-type"],
+)
+def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
+    store = make_store(tmp_path, frames=1)
+    mutate(store)
+    monkeypatch.chdir(tmp_path)
+    proc = run_subprocess(argv(store), cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
 
 
 class TestParserDefaults:
@@ -290,6 +353,13 @@ class TestPipeline:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scene": {}}))
         assert run(["pipeline", "--config", str(cfg)]) == 2
+
+    def test_pipeline_bad_stage_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "pipe"), "scene": {"rng_seed": 7},
+                                   "n_frames": 4, "attribute": {"steps": "abc"}}))
+        proc = run_subprocess(["pipeline", "--config", str(cfg)], cwd=tmp_path)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
     def test_pipeline_bad_json_is_data_error(self, tmp_path):
         cfg = tmp_path / "c.json"

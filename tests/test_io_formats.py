@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xckit.attribution import AttributionMap, AttributionTarget
-from xckit.autodiff import Tensor, forward
+from xckit.autodiff import forward_array
 from xckit.errors import BadMagic, ParseError, TruncatedPayload, VersionUnsupported, XckitError
 from xckit.geometry import Box3D
 from xckit.io_formats import (
@@ -175,6 +175,21 @@ class TestDetectionStream:
         assert exc.value.line_no == 2
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("scores", {"car": "abc"}), ("n_points", "many"), ("distance", "far"),
+        ("anchor_index", "3"), ("anchor_index", True), ("anchor_index", 1.5),
+    ])
+    def test_bad_field_value_names_line(self, tmp_path, field, value):
+        p = tmp_path / "d.jsonl"
+        rng = np.random.default_rng(4)
+        write_detections(p, [DetectionRecord(frame_id="a", detection=make_detection(rng))] * 2)
+        lines = p.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_detections(p))
+        assert exc.value.line_no == 2
+
     def test_bad_json_names_line(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"frame_id": "a"}\nnot json at all\n')
@@ -313,8 +328,8 @@ class TestModelJson:
         p = tmp_path / "model.json"
         save_model(p, grid_model)
         back = load_model(p)
-        x = Tensor(np.random.default_rng(0).uniform(0, 1, (40, 40, 4)).astype(np.float32))
-        assert np.array_equal(forward(grid_model, x).data, forward(back, x).data)
+        x = np.random.default_rng(0).uniform(0, 1, (40, 40, 4)).astype(np.float32)
+        assert np.array_equal(forward_array(grid_model, x), forward_array(back, x))
 
     def test_params_bit_equal(self, tmp_path):
         model = build_toy_model(SceneSpec().grid)

@@ -9,6 +9,7 @@ from xckit.errors import (
     InsufficientRows,
     MissingAttribution,
     SingleClassTrainingSet,
+    XckitError,
 )
 from xckit.geometry import Box3D, GridMeta
 from xckit.matching import Detection, GroundTruth
@@ -98,15 +99,28 @@ class TestBuildFeatureDataset:
 class TestSplitGroups:
     def test_boundary_100(self):
         rows = [mkrow(True, pts=99), mkrow(True, pts=100), mkrow(False, pts=101)]
-        groups = split_groups(rows)
-        assert len(groups[("car", "<100")]) == 1
-        assert len(groups[("car", ">=100")]) == 2
+        groups = dict(split_groups(rows, ["class", "points100"]))
+        assert len(groups["car,<100"]) == 1
+        assert len(groups["car,>=100"]) == 2
 
-    def test_six_groups_present(self):
-        groups = split_groups([])
-        assert set(groups) == {
-            (lab, b) for lab in ("car", "pedestrian", "cyclist") for b in ("<100", ">=100")
-        }
+    def test_group_names_and_order(self):
+        rows = [mkrow(True, label=lab) for lab in ("pedestrian", "car", "cyclist")]
+        names = [name for name, _ in split_groups(rows, ["class", "points100"])]
+        assert names == [""] + [
+            f"{lab},{b}" for lab in ("car", "cyclist", "pedestrian") for b in ("<100", ">=100")
+        ]
+        assert [n for n, _ in split_groups(rows, ["class"])] == ["", "car", "cyclist", "pedestrian"]
+        assert [n for n, _ in split_groups(rows, ["points100"])] == ["", "<100", ">=100"]
+        assert split_groups(rows) == [("", rows)]
+
+    def test_rows_keep_input_order(self):
+        rows = [mkrow(True, top=t / 10, pts=150) for t in (3, 1, 2)]
+        groups = dict(split_groups(rows, ["points100"]))
+        assert groups[">=100"] == rows and groups["<100"] == []
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(XckitError):
+            split_groups([], ["color"])
 
     def test_partition_sums(self):
         rng = np.random.default_rng(3)
@@ -115,8 +129,9 @@ class TestSplitGroups:
                   label=str(rng.choice(["car", "pedestrian", "cyclist"])))
             for _ in range(10)
         ]
-        groups = split_groups(rows)
-        assert sum(len(v) for v in groups.values()) == 10
+        (overall, everything), *groups = split_groups(rows, ["class", "points100"])
+        assert overall == "" and len(everything) == 10
+        assert sum(len(members) for _, members in groups) == 10
 
 
 class TestNormalize:

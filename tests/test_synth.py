@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xckit.attribution import aggregate_signed
-from xckit.autodiff import Tensor, forward
+from xckit.autodiff import forward_array
 from xckit.errors import PlacementFailure, XckitError
 from xckit.geometry import enlarge, iou_3d, membership_mask, project_to_bev
 from xckit.matching import DEFAULT_IOU_THRESH, MatchConfig, TP, FP, categorize
@@ -82,7 +82,7 @@ class TestGenerateFrame:
     def test_scores_reproduce_under_forward(self):
         for seed in (0, 5, 9):
             frame = generate_frame(SceneSpec(rng_seed=seed))
-            out = forward(frame.model, Tensor(frame.pseudo_image)).data
+            out = forward_array(frame.model, frame.pseudo_image)
             for pred in frame.preds:
                 for cls, stored in pred.scores.items():
                     idx = output_index(pred.anchor_index, cls)
@@ -163,13 +163,13 @@ class TestToyModel:
     def test_output_count(self):
         grid = SceneSpec().grid
         model = build_toy_model(grid)
-        y = forward(model, Tensor(np.zeros((grid.height, grid.width, 4), np.float32)))
+        y = forward_array(model, np.zeros((grid.height, grid.width, 4), np.float32))
         assert y.shape == (n_anchors(grid) * len(CLASSES),)
 
     def test_blank_image_low_scores(self):
         grid = SceneSpec().grid
         model = build_toy_model(grid)
-        y = forward(model, Tensor(np.zeros((grid.height, grid.width, 4), np.float32))).data
+        y = forward_array(model, np.zeros((grid.height, grid.width, 4), np.float32))
         assert (y < 0.5).all()
 
 
