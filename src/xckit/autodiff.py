@@ -1,9 +1,11 @@
-"""Minimal reverse-mode differentiation engine for small feed-forward grid models.
+"""Forward pass and input gradient for small feed-forward grid models.
 
-Supports the layer set needed by the toy detectors and the meta-classifier:
-dense, conv2d (stride 1, zero padding), relu, sigmoid, flatten, and a
-standalone bias layer. Parameters are stored as float32; computation follows
-the dtype of the input array, so tests can drive the same graph at float64.
+Attribution needs one thing from a detector: the gradient of one output with
+respect to its input grid. This engine computes exactly that, for the layer
+set of the toy detectors: conv2d (stride 1, zero padding), relu, sigmoid and
+dense (which flattens its input). It computes no parameter gradients.
+Parameters are stored as float32; computation follows the dtype of the input
+array, so tests can drive the same graph at float64.
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    EmptyBatch,
-    ShapeMismatch,
-    TargetOutOfRange,
-    UnknownLayerKind,
-    XckitError,
-)
+from .errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitError
 
 
 def _as_f32(values, shape, what):
@@ -34,6 +30,7 @@ def _as_f32(values, shape, what):
     return arr
 
 
+# backward returns (dx, ()): perfbench/child.py's layer timings unpack two values
 class _Dense:
     kind = "dense"
 
@@ -50,24 +47,16 @@ class _Dense:
         return (self.weight.shape[1],)
 
     def forward(self, x):
-        # x: (B, ...) flattened to (B, n_in); implicit flatten keeps
-        # conv -> dense graphs composable without an explicit flatten layer
+        # x: (B, ...) flattened to (B, n_in), so a dense head can follow a conv
         b = x.shape[0]
         flat = x.reshape(b, -1)
         w = self.weight.astype(x.dtype, copy=False)
         y = flat @ w + self.bias.astype(x.dtype, copy=False)
-        return y, (flat, x.shape)
+        return y, x.shape
 
-    def backward(self, g, cache):
-        flat, in_shape = cache
+    def backward(self, g, in_shape):
         w = self.weight.astype(g.dtype, copy=False)
-        dx = (g @ w.T).reshape(in_shape)
-        dw = flat.T @ g
-        db = g.sum(axis=0, dtype=np.float64).astype(g.dtype)
-        return dx, {"weight": dw, "bias": db}
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
+        return (g @ w.T).reshape(in_shape), ()
 
 
 class _Conv2d:
@@ -103,27 +92,19 @@ class _Conv2d:
             for j in range(kw):
                 y += xp[:, i : i + h, j : j + w_, :] @ wk[i, j]
         y += self.bias.astype(x.dtype, copy=False)
-        return y, xp
+        return y, x.shape
 
-    def backward(self, g, cache):
-        xp = cache
-        b, h, w_, cout = g.shape
-        kh, kw, cin, _ = self.weight.shape
+    def backward(self, g, in_shape):
+        b, h, w_, cin = in_shape
+        kh, kw = self.weight.shape[:2]
+        ph, pw = kh // 2, kw // 2
         wk = self.weight.astype(g.dtype, copy=False)
-        dxp = np.zeros_like(xp)
-        dw = np.zeros((kh, kw, cin, cout), dtype=g.dtype)
+        dxp = np.zeros((b, h + 2 * ph, w_ + 2 * pw, cin), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
-                xs = xp[:, i : i + h, j : j + w_, :]
                 dxp[:, i : i + h, j : j + w_, :] += g @ wk[i, j].T
-                dw[i, j] = np.einsum("bhwc,bhwo->co", xs, g)
-        ph, pw = kh // 2, kw // 2
         dx = dxp[:, ph : ph + h, pw : pw + w_, :] if (ph or pw) else dxp
-        db = g.sum(axis=(0, 1, 2), dtype=np.float64).astype(g.dtype)
-        return dx, {"weight": dw, "bias": db}
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
+        return dx, ()
 
 
 class _ReLU:
@@ -137,10 +118,7 @@ class _ReLU:
 
     def backward(self, g, cache):
         # subgradient 0 at the kink
-        return g * (cache > 0), {}
-
-    def params(self):
-        return {}
+        return g * (cache > 0), ()
 
 
 class _Sigmoid:
@@ -154,57 +132,11 @@ class _Sigmoid:
         return y, y
 
     def backward(self, g, cache):
-        return g * cache * (1.0 - cache), {}
-
-    def params(self):
-        return {}
-
-
-class _Flatten:
-    kind = "flatten"
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
-
-    def forward(self, x):
-        return x.reshape(x.shape[0], -1), x.shape
-
-    def backward(self, g, cache):
-        return g.reshape(cache), {}
-
-    def params(self):
-        return {}
-
-
-class _Bias:
-    """Adds a learned offset along the last axis."""
-
-    kind = "bias"
-
-    def __init__(self, values):
-        self.values = values
-
-    def out_shape(self, in_shape):
-        if in_shape[-1] != self.values.shape[0]:
-            raise ShapeMismatch(
-                f"bias of size {self.values.shape[0]} cannot broadcast over {in_shape}"
-            )
-        return in_shape
-
-    def forward(self, x):
-        return x + self.values.astype(x.dtype, copy=False), None
-
-    def backward(self, g, cache):
-        axes = tuple(range(g.ndim - 1))
-        db = g.sum(axis=axes, dtype=np.float64).astype(g.dtype)
-        return g, {"values": db}
-
-    def params(self):
-        return {"values": self.values}
+        return g * cache * (1.0 - cache), ()
 
 
 class ModelGraph:
-    """An immutable feed-forward layer chain with named parameters."""
+    """An immutable feed-forward layer chain."""
 
     def __init__(self, input_shape, layers):
         self.input_shape = tuple(int(d) for d in input_shape)
@@ -218,14 +150,6 @@ class ModelGraph:
     def n_outputs(self):
         return int(np.prod(self.output_shape))
 
-    def parameters(self):
-        """Named parameter arrays (live views; do not mutate while sharing)."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out[f"layers.{i}.{name}"] = arr
-        return out
-
 
 def _init_array(rng, shape, fan_in):
     bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
@@ -236,8 +160,8 @@ def build_model(spec: dict) -> ModelGraph:
     """Build a validated ModelGraph from a structured layer description.
 
     ``spec`` maps ``input_shape`` to a list of ``layers`` entries. Each
-    parameterized entry either carries inline arrays (``weight``/``bias``/
-    ``values``) or is initialized from ``spec["seed"]`` with
+    dense or conv2d entry either carries inline ``weight``/``bias`` arrays
+    or is initialized from ``spec["seed"]`` with
     uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws in layer order.
     """
     if "input_shape" not in spec or "layers" not in spec:
@@ -270,16 +194,6 @@ def build_model(spec: dict) -> ModelGraph:
             layers.append(_ReLU())
         elif kind == "sigmoid":
             layers.append(_Sigmoid())
-        elif kind == "flatten":
-            layers.append(_Flatten())
-        elif kind == "bias":
-            size = int(entry["size"])
-            v = (
-                _as_f32(entry["values"], (size,), tag)
-                if "values" in entry
-                else np.zeros(size, dtype=np.float32)
-            )
-            layers.append(_Bias(v))
         else:
             raise UnknownLayerKind(f"layers.{idx}: unknown kind {kind!r}")
 
@@ -296,8 +210,6 @@ def model_to_spec(model: ModelGraph) -> dict:
         elif layer.kind == "conv2d":
             kh, kw, cin, cout = (int(d) for d in layer.weight.shape)
             entry.update(in_channels=cin, out_channels=cout, kernel=[kh, kw])
-        elif layer.kind == "bias":
-            entry.update(size=int(layer.values.shape[0]), values=layer.values.tolist())
         if layer.kind in ("dense", "conv2d"):
             entry.update(weight=layer.weight.tolist(), bias=layer.bias.tolist())
         layers.append(entry)
@@ -313,7 +225,7 @@ def _check_input(model, arr):
         raise XckitError("input contains non-finite values")
 
 
-def _forward_batch(model, x):
+def _forward(model, x):
     """Run a (B, *input_shape) array through the graph, tracking caches."""
     caches = []
     for layer in model.layers:
@@ -329,19 +241,8 @@ def forward_array(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(arr)
     _check_input(model, arr)
-    y, _ = _forward_batch(model, arr[None])
+    y, _ = _forward(model, arr[None])
     return y[0]
-
-
-def forward_batch(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
-    """Evaluate a (B, *input_shape) array in one pass; returns (B, *output_shape)."""
-    arr = np.asarray(arr)
-    if tuple(arr.shape[1:]) != model.input_shape:
-        raise ShapeMismatch(
-            f"batch sample shape {tuple(arr.shape[1:])} != model input {model.input_shape}"
-        )
-    y, _ = _forward_batch(model, arr)
-    return y
 
 
 def relu_preactivations(model: ModelGraph, arr: np.ndarray) -> list:
@@ -360,14 +261,11 @@ def relu_preactivations(model: ModelGraph, arr: np.ndarray) -> list:
     return pre
 
 
-def _backward_batch(model, caches, g):
-    """Backpropagate an output-space gradient; returns (dx, param grads)."""
-    grads = {}
-    for i in range(len(model.layers) - 1, -1, -1):
-        g, pgrads = model.layers[i].backward(g, caches[i])
-        for name, arr in pgrads.items():
-            grads[f"layers.{i}.{name}"] = arr
-    return g, grads
+def _backward(model, caches, g):
+    """Backpropagate an output-space gradient to the input."""
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        g, _ = layer.backward(g, cache)
+    return g
 
 
 def input_gradient_array(model: ModelGraph, arr: np.ndarray, target: int) -> np.ndarray:
@@ -376,53 +274,8 @@ def input_gradient_array(model: ModelGraph, arr: np.ndarray, target: int) -> np.
     _check_input(model, arr)
     if not 0 <= int(target) < model.n_outputs:
         raise TargetOutOfRange(f"target {target} outside [0, {model.n_outputs})")
-    y, caches = _forward_batch(model, arr[None])
+    y, caches = _forward(model, arr[None])
     seed = np.zeros_like(y)
     seed.reshape(1, -1)[0, int(target)] = 1.0
-    dx, _ = _backward_batch(model, caches, seed)
-    return dx[0]
+    return _backward(model, caches, seed)[0]
 
-
-def param_gradients(model: ModelGraph, batch, loss: str = "bce_with_logits") -> dict:
-    """Mean-over-batch parameter gradients for a logit-producing model.
-
-    ``batch`` is a pair (inputs, targets): inputs of shape (B, *input_shape),
-    targets in {0, 1}. The only supported loss applies the sigmoid internally,
-    so the graph must end at logits with a single output per sample.
-    """
-    if loss not in ("bce_with_logits", "binary-cross-entropy-with-logits"):
-        raise XckitError(f"unsupported loss {loss!r}")
-    inputs, targets = batch
-    x = np.asarray(inputs, dtype=np.float32)
-    y = np.asarray(targets, dtype=np.float32).reshape(-1)
-    if x.shape[0] == 0:
-        raise EmptyBatch("empty training batch")
-    if tuple(x.shape[1:]) != model.input_shape:
-        raise ShapeMismatch(
-            f"batch sample shape {tuple(x.shape[1:])} != model input {model.input_shape}"
-        )
-    if x.shape[0] != y.shape[0]:
-        raise ShapeMismatch("inputs and targets disagree on batch size")
-    if model.n_outputs != 1:
-        raise ShapeMismatch("bce_with_logits needs a single-output model")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise XckitError("targets must be 0 or 1")
-
-    has_conv = any(layer.kind == "conv2d" for layer in model.layers)
-    b = x.shape[0]
-    if not has_conv:
-        z, caches = _forward_batch(model, x)
-        z_flat = z.reshape(b)
-        dz = ((1.0 / (1.0 + np.exp(-z_flat)) - y) / b).astype(z.dtype)
-        _, grads = _backward_batch(model, caches, dz.reshape(z.shape))
-        return {k: v.astype(np.float32) for k, v in grads.items()}
-
-    # conv graphs: accumulate per sample (attribution-scale images; rare path)
-    total = {}
-    for i in range(b):
-        z, caches = _forward_batch(model, x[i : i + 1])
-        dz = (1.0 / (1.0 + np.exp(-float(z.reshape(-1)[0]))) - y[i]) / b
-        _, grads = _backward_batch(model, caches, np.full_like(z, dz))
-        for k, v in grads.items():
-            total[k] = total.get(k, 0.0) + v.astype(np.float64)
-    return {k: v.astype(np.float32) for k, v in total.items()}

@@ -31,6 +31,7 @@ from .attribution import AttributionMap
 from .errors import ParseError, XckitError
 from .io_formats import (
     DetectionRecord,
+    load_json,
     load_model,
     load_scene_spec,
     read_detections,
@@ -111,11 +112,7 @@ def _resolve_jobs(value: Optional[int]) -> int:
 
 
 def _load_config(path) -> dict:
-    with open(path) as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(e.lineno, f"bad JSON in {path}: {e.msg}")
+    cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise UsageError(f"{path} must hold a JSON object")
     return cfg
@@ -371,10 +368,7 @@ def _cmd_pipeline(args) -> int:
             raise UsageError(f"pipeline config section {name!r} must be a JSON object")
         return sec
 
-    try:
-        spec = scene_spec_from_dict(section("scene"))
-    except (TypeError, ValueError, KeyError) as e:
-        raise UsageError(f"bad scene section in pipeline config: {e}")
+    spec = scene_spec_from_dict(section("scene"))
     n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
     os.makedirs(out_dir, exist_ok=True)
     store_dir = os.path.join(out_dir, "store")

@@ -17,10 +17,6 @@ class TargetOutOfRange(XckitError):
     pass
 
 
-class EmptyBatch(XckitError):
-    pass
-
-
 class ZeroSteps(XckitError):
     pass
 

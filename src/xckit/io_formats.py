@@ -97,6 +97,10 @@ def read_xcam(path) -> AttributionMap:
         raise XckitError(f"{path}: metadata at byte offset {offset} is not a UTF-8 JSON object")
     target = None
     if "target" in meta:
+        if not isinstance(meta["target"], dict):
+            raise XckitError(
+                f"{path}: metadata at byte offset {offset} has a target that is not an object"
+            )
         target = AttributionTarget(
             box_index=meta["target"].get("box_index"),
             class_index=meta["target"].get("class_index"),
@@ -149,9 +153,9 @@ def write_detections(path, records: Iterable[DetectionRecord]) -> None:
             f.write(json.dumps(row) + "\n")
 
 
-def read_detections(path) -> Iterator[DetectionRecord]:
-    """Stream records one line at a time; malformed lines carry their number."""
-    with open(path) as f:
+def _jsonl_records(path, fields) -> Iterator[tuple]:
+    """(line number, record) per non-blank line; each record is an object holding ``fields``."""
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -159,29 +163,39 @@ def read_detections(path) -> Iterator[DetectionRecord]:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(line_no, f"bad record: {e.msg}")
-            for key in ("frame_id", "box", "label", "scores", "n_points"):
+            except UnicodeDecodeError:
+                raise ParseError(line_no, "record is not UTF-8")
+            if not isinstance(row, dict):
+                raise ParseError(line_no, "record must be a JSON object")
+            for key in fields:
                 if key not in row:
                     raise ParseError(line_no, f"missing field {key!r}")
-            if not isinstance(row["scores"], dict):
-                raise ParseError(line_no, "scores must be an object")
-            try:
-                scores = {str(k): float(v) for k, v in row["scores"].items()}
-                n_points = int(row["n_points"])
-                distance = None if row.get("distance") is None else float(row["distance"])
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ParseError(line_no, f"scores, n_points and distance must be numbers: {e}")
-            anchor = row.get("anchor_index")
-            if anchor is not None and type(anchor) is not int:
-                raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}")
-            det = Detection(
-                box=_box_from_list(row["box"], line_no),
-                label=str(row["label"]),
-                scores=scores,
-                n_points=n_points,
-                distance=distance,
-                anchor_index=anchor,
-            )
-            yield DetectionRecord(frame_id=str(row["frame_id"]), detection=det)
+            yield line_no, row
+
+
+def read_detections(path) -> Iterator[DetectionRecord]:
+    """Stream records one line at a time; malformed lines carry their number."""
+    for line_no, row in _jsonl_records(path, ("frame_id", "box", "label", "scores", "n_points")):
+        if not isinstance(row["scores"], dict):
+            raise ParseError(line_no, "scores must be an object")
+        try:
+            scores = {str(k): float(v) for k, v in row["scores"].items()}
+            n_points = int(row["n_points"])
+            distance = None if row.get("distance") is None else float(row["distance"])
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError(line_no, f"scores, n_points and distance must be numbers: {e}")
+        anchor = row.get("anchor_index")
+        if anchor is not None and type(anchor) is not int:
+            raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}")
+        det = Detection(
+            box=_box_from_list(row["box"], line_no),
+            label=str(row["label"]),
+            scores=scores,
+            n_points=n_points,
+            distance=distance,
+            anchor_index=anchor,
+        )
+        yield DetectionRecord(frame_id=str(row["frame_id"]), detection=det)
 
 
 def write_ground_truths(path, records: Iterable[tuple]) -> None:
@@ -197,20 +211,10 @@ def write_ground_truths(path, records: Iterable[tuple]) -> None:
 
 
 def read_ground_truths(path) -> Iterator[tuple]:
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(line_no, f"bad record: {e.msg}")
-            for key in ("frame_id", "box", "label"):
-                if key not in row:
-                    raise ParseError(line_no, f"missing field {key!r}")
-            yield str(row["frame_id"]), GroundTruth(
-                box=_box_from_list(row["box"], line_no), label=str(row["label"])
-            )
+    for line_no, row in _jsonl_records(path, ("frame_id", "box", "label")):
+        yield str(row["frame_id"]), GroundTruth(
+            box=_box_from_list(row["box"], line_no), label=str(row["label"])
+        )
 
 
 # --- feature dataset CSV ---
@@ -281,14 +285,25 @@ def read_feature_csv(path) -> List[FeatureRow]:
 
 # --- config / model JSON ---
 
+def load_json(path):
+    """Parse a UTF-8 JSON file; bad bytes or syntax raise errors naming the file."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise XckitError(f"{path}: byte offset {e.start} is not UTF-8")
+    except json.JSONDecodeError as e:
+        raise ParseError(e.lineno, f"bad JSON in {path}: {e.msg}")
+
+
 def save_model(path, model: ModelGraph) -> None:
     with open(path, "w") as f:
         json.dump(model_to_spec(model), f)
 
 
 def load_model(path) -> ModelGraph:
-    with open(path) as f:
-        return build_model(json.load(f))
+    return build_model(load_json(path))
 
 
 def scene_spec_to_dict(spec: SceneSpec) -> dict:
@@ -313,25 +328,33 @@ def scene_spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
+_SCENE_FIELDS = {
+    "grid": lambda v: GridMeta(**v),
+    "n_objects": lambda v: {str(k): int(n) for k, n in v.items()},
+    "size_ranges": lambda v: {
+        k: tuple(tuple(float(x) for x in r) for r in ranges) for k, ranges in v.items()
+    },
+    "concentration_profile": lambda v: ConcentrationProfile(**v),
+    "fp_rate": float,
+    "points_correlation": float,
+    "points_base": int,
+    "points_delta": int,
+    "rng_seed": int,
+}
+
+
 def scene_spec_from_dict(d: dict) -> SceneSpec:
+    """SceneSpec from its dict form; absent fields keep their defaults.
+
+    A field value of the wrong type or shape raises XckitError naming the field.
+    """
     kwargs = {}
-    if "grid" in d:
-        kwargs["grid"] = GridMeta(**d["grid"])
-    if "n_objects" in d:
-        kwargs["n_objects"] = {str(k): int(v) for k, v in d["n_objects"].items()}
-    if "size_ranges" in d:
-        kwargs["size_ranges"] = {
-            k: tuple(tuple(float(x) for x in r) for r in v)
-            for k, v in d["size_ranges"].items()
-        }
-    if "concentration_profile" in d:
-        kwargs["concentration_profile"] = ConcentrationProfile(**d["concentration_profile"])
-    for key in ("fp_rate", "points_correlation"):
+    for key, convert in _SCENE_FIELDS.items():
         if key in d:
-            kwargs[key] = float(d[key])
-    for key in ("points_base", "points_delta", "rng_seed"):
-        if key in d:
-            kwargs[key] = int(d[key])
+            try:
+                kwargs[key] = convert(d[key])
+            except (AttributeError, TypeError, ValueError, KeyError) as e:
+                raise XckitError(f"bad scene spec field {key!r}: {e}")
     return SceneSpec(**kwargs)
 
 
@@ -341,11 +364,10 @@ def save_scene_spec(path, spec: SceneSpec) -> None:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    with open(path) as f:
-        d = json.load(f)
+    d = load_json(path)
     if not isinstance(d, dict):
-        raise ParseError(1, "scene spec must be a JSON object")
+        raise ParseError(1, f"{path}: scene spec must be a JSON object")
     try:
         return scene_spec_from_dict(d)
-    except (TypeError, ValueError, KeyError) as e:
-        raise ParseError(1, f"bad scene spec: {e}")
+    except XckitError as e:
+        raise ParseError(1, f"{path}: {e}")

@@ -2,11 +2,12 @@
 
 The dataset joins, for every kept prediction, its top class score, the four
 concentration scores, and baseline features (point count, distance). The
-meta-classifier is a two-layer MLP (d -> 3 -> 1, relu then sigmoid) trained
-with Adam on binary cross entropy. Cross-validation follows a fixed recipe:
-z-score with training-fold statistics, 4x duplication with uniform feature
-noise on the training folds only, 5 folds, 5 repeats, 25 metric triples
-averaged.
+meta-classifier is a two-layer MLP (d -> 3 -> 1, relu then sigmoid) that
+holds its own float32 weights and computes its own binary-cross-entropy
+gradients; Adam updates the weights in float64. Cross-validation follows a
+fixed recipe: z-score with training-fold statistics, 4x duplication with
+uniform feature noise on the training folds only, 5 folds, 5 repeats, 25
+metric triples averaged.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import metrics as _metrics
-from .autodiff import ModelGraph, build_model, forward_batch, param_gradients
+from .autodiff import _init_array
 from .errors import (
     ConstantFeature,
     InsufficientRows,
     MissingAttribution,
+    ShapeMismatch,
     SingleClassTrainingSet,
     XckitError,
 )
@@ -215,39 +217,47 @@ def augment(X: np.ndarray, y: np.ndarray, cfg: MetaTrainConfig, rng) -> tuple:
 
 @dataclass
 class MetaClassifier:
-    """Trained MLP plus the preprocessing needed to score new rows."""
+    """Trained MLP plus the preprocessing needed to score new rows.
 
-    model: ModelGraph
+    Float32 weights: W1 (d, hidden), b1 (hidden,), W2 (hidden, 1), b2 (1,).
+    """
+
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
     feature_names: Tuple[str, ...]
     stats: Optional[NormalizationStats] = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Sigmoid scores in [0, 1] for an (n, d) feature matrix."""
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.W1.shape[0]:
+            raise ShapeMismatch(f"expected (n, {self.W1.shape[0]}) features, got {X.shape}")
         if self.stats is not None:
             X, _ = normalize(X, self.stats)
-        logits = forward_batch(self.model, X.astype(np.float32)).reshape(-1)
+        hidden = np.maximum(X.astype(np.float32) @ self.W1 + self.b1, 0)
+        logits = (hidden @ self.W2 + self.b2).reshape(-1)
         return 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
 
 
-def _adam_init(model):
-    return {
-        name: (np.zeros_like(p, dtype=np.float64), np.zeros_like(p, dtype=np.float64))
-        for name, p in model.parameters().items()
-    }
+def _bce_gradients(params, X32, y32):
+    """Mean binary-cross-entropy-with-logits gradients (dW1, db1, dW2, db2).
 
-
-def _adam_step(model, grads, state, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    params = model.parameters()
-    for name, g in grads.items():
-        m, v = state[name]
-        g64 = g.astype(np.float64)
-        m[...] = b1 * m + (1 - b1) * g64
-        v[...] = b2 * v + (1 - b2) * g64 * g64
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p = params[name]
-        p[...] = (p.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+    ``params`` is (W1, b1, W2, b2); inputs, targets and results are float32.
+    """
+    W1, b1, W2, b2 = params
+    pre = X32 @ W1 + b1
+    hidden = np.maximum(pre, 0)
+    z = (hidden @ W2 + b2).reshape(-1)
+    dz = ((1.0 / (1.0 + np.exp(-z)) - y32) / X32.shape[0]).reshape(-1, 1)
+    dpre = (dz @ W2.T) * (pre > 0)  # relu subgradient 0 at the kink
+    return (
+        X32.T @ dpre,
+        dpre.sum(axis=0, dtype=np.float64).astype(np.float32),
+        hidden.T @ dz,
+        dz.sum(axis=0, dtype=np.float64).astype(np.float32),
+    )
 
 
 def train_mlp(
@@ -261,6 +271,8 @@ def train_mlp(
 
     ``X`` must already be normalized/augmented as desired; this function
     only shuffles, batches, and optimizes. Deterministic for a given seed.
+    Weights are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) in the order
+    W1, b1, W2, b2, as ``autodiff.build_model`` draws a dense-relu-dense spec.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -269,33 +281,40 @@ def train_mlp(
     classes = np.unique(y)
     if classes.size < 2:
         raise SingleClassTrainingSet(f"training labels are all {classes[0] if classes.size else '?'}")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise XckitError("targets must be 0 or 1")
 
     ss = np.random.SeedSequence(rng_seed)
     init_seed, shuffle_seed = ss.generate_state(2)
-    d = X.shape[1]
-    model = build_model(
-        {
-            "input_shape": [d],
-            "seed": int(init_seed),
-            "layers": [
-                {"kind": "dense", "in_features": d, "out_features": cfg.hidden_width},
-                {"kind": "relu"},
-                {"kind": "dense", "in_features": cfg.hidden_width, "out_features": 1},
-            ],
-        }
+    init_rng = np.random.default_rng(int(init_seed))
+    d, width = X.shape[1], cfg.hidden_width
+    params = (
+        _init_array(init_rng, (d, width), d),
+        _init_array(init_rng, (width,), d),
+        _init_array(init_rng, (width, 1), width),
+        _init_array(init_rng, (1,), width),
     )
+    moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
     rng = np.random.default_rng(shuffle_seed)
-    state = _adam_init(model)
-    X32 = X.astype(np.float32)
+    X32, y32 = X.astype(np.float32), y.astype(np.float32)
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            grads = param_gradients(model, (X32[idx], y[idx]))
+            grads = _bce_gradients(params, X32[idx], y32[idx])
             t += 1
-            _adam_step(model, grads, state, t, cfg.learning_rate)
-    return MetaClassifier(model=model, feature_names=tuple(feature_names))
+            for p, g, (m, v) in zip(params, grads, moments):
+                g64 = g.astype(np.float64)
+                m[...] = beta1 * m + (1 - beta1) * g64
+                v[...] = beta2 * v + (1 - beta2) * g64 * g64
+                m_hat = m / (1 - beta1**t)
+                v_hat = v / (1 - beta2**t)
+                p[...] = (p.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(
+                    np.float32
+                )
+    return MetaClassifier(*params, feature_names=tuple(feature_names))
 
 
 def _subset_seed_key(feature_subset: Sequence[str]) -> List[int]:

@@ -73,34 +73,34 @@ def near_relu_kink(model, x, flat_index, h=1e-3):
     return False
 
 
-def fd_param_gradient(model, batch, name, h=1e-4):
-    """Central-difference gradient of the mean logistic loss w.r.t. one parameter."""
+def fd_param_gradient(params, batch, index, h=1e-4):
+    """Central-difference gradient of a relu MLP's mean logistic loss w.r.t. params[index].
+
+    ``params`` is (W1, b1, W2, b2) of the d -> hidden -> 1 network; the loss
+    is evaluated by the float64 forward pass below, on float64 copies.
+    """
     inputs, targets = batch
-    arr = model.parameters()[name]
-    grad = np.zeros(arr.shape, dtype=np.float64)
-    flat_param = arr.reshape(-1)
-    g_flat = grad.reshape(-1)
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64).reshape(-1)
+    work = [np.array(p, dtype=np.float64) for p in params]
 
     def loss_value():
-        total = 0.0
-        for x, y in zip(inputs, targets):
-            z = float(autodiff.forward_array(model, np.asarray(x, np.float64)).reshape(-1)[0])
-            # log(1 + e^z) - y*z, stabilized
-            total += max(z, 0.0) + math.log1p(math.exp(-abs(z))) - y * z
-        return total / len(inputs)
+        w1, b1, w2, b2 = work
+        z = (np.maximum(x @ w1 + b1, 0.0) @ w2 + b2).reshape(-1)
+        # log(1 + e^z) - y*z, stabilized
+        return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
 
+    flat_param = work[index].reshape(-1)
+    grad = np.zeros(flat_param.size, dtype=np.float64)
     for i in range(flat_param.size):
         orig = flat_param[i]
-        p_up = np.float32(float(orig) + h)
-        p_dn = np.float32(float(orig) - h)
-        flat_param[i] = p_up
+        flat_param[i] = orig + h
         up = loss_value()
-        flat_param[i] = p_dn
+        flat_param[i] = orig - h
         dn = loss_value()
         flat_param[i] = orig
-        # divide by the step that was actually applied after f32 rounding
-        g_flat[i] = (up - dn) / (float(p_up) - float(p_dn))
-    return grad
+        grad[i] = (up - dn) / (2.0 * h)
+    return grad.reshape(work[index].shape)
 
 
 def oracle_xc(values, box, grid, a_thresh, margin):

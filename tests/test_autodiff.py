@@ -1,23 +1,10 @@
-"""Engine tests: forward shapes and values, exact gradients, batch semantics."""
+"""Engine tests: forward shapes and values, exact input gradients, spec round-trips."""
 
 import numpy as np
 import pytest
 
-from xckit.autodiff import (
-    ModelGraph,
-    build_model,
-    forward_array,
-    input_gradient_array,
-    model_to_spec,
-    param_gradients,
-)
-from xckit.errors import (
-    EmptyBatch,
-    ShapeMismatch,
-    TargetOutOfRange,
-    UnknownLayerKind,
-    XckitError,
-)
+from xckit.autodiff import build_model, forward_array, input_gradient_array, model_to_spec
+from xckit.errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitError
 
 import oracles
 
@@ -49,7 +36,6 @@ def seeded_convnet(seed, h=8, w=8, c=2):
                 {"kind": "relu"},
                 {"kind": "conv2d", "in_channels": 3, "out_channels": 2, "kernel": [3, 3]},
                 {"kind": "relu"},
-                {"kind": "flatten"},
                 {"kind": "dense", "in_features": h * w * 2, "out_features": 4},
             ],
         }
@@ -130,25 +116,14 @@ class TestForward:
             want = float(np.sum(window * w[..., 0].astype(np.float64))) + 0.25
             assert y[yy, xx, 0] == pytest.approx(want, abs=1e-5)
 
-    def test_bias_layer(self):
-        m = build_model(
-            {
-                "input_shape": [3],
-                "layers": [{"kind": "bias", "size": 3, "values": [1.0, -1.0, 0.5]}],
-            }
-        )
-        y = forward_array(m, f32([0.0, 0.0, 0.0]))
-        assert np.array_equal(y, np.array([1.0, -1.0, 0.5], np.float32))
-
     def test_forward_is_pure(self):
         m = seeded_convnet(5)
         x = np.random.default_rng(0).normal(size=(8, 8, 2)).astype(np.float32)
-        before = {k: v.copy() for k, v in m.parameters().items()}
+        before = model_to_spec(m)
         y1 = forward_array(m, x).copy()
         y2 = forward_array(m, x)
         assert np.array_equal(y1, y2)
-        for k, v in m.parameters().items():
-            assert np.array_equal(before[k], v)
+        assert model_to_spec(m) == before
 
 
 class TestValidation:
@@ -256,91 +231,6 @@ class TestInputGradient:
         assert np.array_equal(g1, g2)
 
 
-class TestParamGradients:
-    def test_logistic_neuron_bias_gradient(self):
-        # single logit z = b with target 1: dL/db = sigmoid(b) - 1
-        for b in (-1.0, 0.0, 0.7):
-            m = build_model(
-                {
-                    "input_shape": [1],
-                    "layers": [
-                        {"kind": "dense", "in_features": 1, "out_features": 1,
-                         "weight": [[0.0]], "bias": [b]}
-                    ],
-                }
-            )
-            grads = param_gradients(m, (np.zeros((1, 1), np.float32), np.array([1.0])))
-            want = 1.0 / (1.0 + np.exp(-b)) - 1.0
-            assert grads["layers.0.bias"][0] == pytest.approx(want, abs=1e-6)
-
-    def test_mlp_matches_fd(self):
-        m = build_model(
-            {
-                "input_shape": [4],
-                "seed": 21,
-                "layers": [
-                    {"kind": "dense", "in_features": 4, "out_features": 3},
-                    {"kind": "relu"},
-                    {"kind": "dense", "in_features": 3, "out_features": 1},
-                ],
-            }
-        )
-        rng = np.random.default_rng(8)
-        xs = rng.normal(size=(6, 4)).astype(np.float32)
-        ys = rng.integers(0, 2, size=6).astype(np.float64)
-        grads = param_gradients(m, (xs, ys))
-        for name in ("layers.0.weight", "layers.0.bias", "layers.2.weight", "layers.2.bias"):
-            fd = oracles.fd_param_gradient(m, (xs, ys), name)
-            assert np.allclose(grads[name], fd, rtol=1e-2, atol=2e-4), name
-
-    def test_duplicated_batch_same_mean_gradient(self):
-        m = build_model(
-            {
-                "input_shape": [3],
-                "seed": 4,
-                "layers": [
-                    {"kind": "dense", "in_features": 3, "out_features": 2},
-                    {"kind": "relu"},
-                    {"kind": "dense", "in_features": 2, "out_features": 1},
-                ],
-            }
-        )
-        rng = np.random.default_rng(14)
-        xs = rng.normal(size=(5, 3)).astype(np.float32)
-        ys = rng.integers(0, 2, size=5).astype(np.float64)
-        g1 = param_gradients(m, (xs, ys))
-        g2 = param_gradients(m, (np.tile(xs, (2, 1)), np.tile(ys, 2)))
-        for k in g1:
-            assert np.allclose(g1[k], g2[k], rtol=1e-5, atol=1e-7), k
-
-    def test_conv_model_param_gradients_match_fd(self):
-        m = build_model(
-            {
-                "input_shape": [4, 4, 1],
-                "seed": 3,
-                "layers": [
-                    {"kind": "conv2d", "in_channels": 1, "out_channels": 2, "kernel": [3, 3]},
-                    {"kind": "relu"},
-                    {"kind": "dense", "in_features": 32, "out_features": 1},
-                ],
-            }
-        )
-        rng = np.random.default_rng(5)
-        xs = rng.normal(size=(3, 4, 4, 1)).astype(np.float32)
-        ys = np.array([1.0, 0.0, 1.0])
-        grads = param_gradients(m, (xs, ys))
-        fd = oracles.fd_param_gradient(m, (xs, ys), "layers.0.weight")
-        assert np.allclose(grads["layers.0.weight"], fd, rtol=1e-2, atol=2e-4)
-
-    def test_empty_batch_raises(self):
-        with pytest.raises(EmptyBatch):
-            param_gradients(tiny_linear(), (np.zeros((0, 2), np.float32), np.zeros(0)))
-
-    def test_bad_sample_shape_raises(self):
-        with pytest.raises(ShapeMismatch):
-            param_gradients(tiny_linear(), (np.zeros((2, 3), np.float32), np.zeros(2)))
-
-
 class TestSpecRoundTrip:
     def test_model_to_spec_rebuilds_identically(self):
         m = seeded_convnet(17)
@@ -349,10 +239,7 @@ class TestSpecRoundTrip:
         assert np.array_equal(forward_array(m, x), forward_array(m2, x))
 
     def test_seeded_init_reproducible(self):
-        a = seeded_convnet(23).parameters()
-        b = seeded_convnet(23).parameters()
-        for k in a:
-            assert np.array_equal(a[k], b[k])
+        assert model_to_spec(seeded_convnet(23)) == model_to_spec(seeded_convnet(23))
 
     def test_init_bound_respected(self):
         m = build_model(
@@ -362,6 +249,6 @@ class TestSpecRoundTrip:
                 "layers": [{"kind": "dense", "in_features": 16, "out_features": 8}],
             }
         )
-        w = m.parameters()["layers.0.weight"]
+        w = np.asarray(model_to_spec(m)["layers"][0]["weight"], np.float32)
         assert np.all(np.abs(w) <= 0.25 + 1e-7)
         assert w.std() > 0.05

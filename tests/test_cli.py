@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -67,6 +68,31 @@ def corrupt_pseudo_metadata(store):
     open(path, "wb").write(bytes(raw))
 
 
+def replace_first_line(store, name, first):
+    path = os.path.join(store, name)
+    lines = open(path, "rb").read().splitlines()
+    open(path, "wb").write(b"\n".join([first] + lines[1:]) + b"\n")
+
+
+def set_pseudo_target(store, target):
+    # rewrite the metadata block that ends the first pseudo image
+    path = os.path.join(store, "frames", "000000.xcam")
+    raw = open(path, "rb").read()
+    h, w, c = struct.unpack_from("<III", raw, 6)
+    end = 18 + 4 * h * w * c
+    blob = json.dumps({"method": "pseudo-image", "target": target}).encode()
+    open(path, "wb").write(raw[:end] + struct.pack("<I", len(blob)) + blob)
+
+
+def writes(name, data, argv):
+    """An ``argv`` callable that first writes ``data`` to ``name`` in the working directory."""
+    def build(store):
+        with open(name, "wb") as f:
+            f.write(data)
+        return argv
+    return build
+
+
 def match_argv(store):
     return ["match", "--preds", os.path.join(store, "preds.jsonl"),
             "--gts", os.path.join(store, "gts.jsonl"), "--out", "tags.jsonl"]
@@ -76,10 +102,9 @@ def attribute_argv(store):
     return ["attribute", "--frames", store, "--out", "attribs", "--jobs", "1"]
 
 
-def synth_bad_config_argv(store):
-    with open("cfg.json", "w") as f:
-        json.dump({"frames": "abc"}, f)
-    return ["synth", "--out", "s", "--config", "cfg.json"]
+SYNTH_CONFIG = ["synth", "--out", "s", "--config", "cfg.json"]
+SYNTH_SPEC = ["synth", "--out", "s", "--frames", "1", "--spec", "spec.json"]
+PIPELINE = ["pipeline", "--config", "cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -89,10 +114,25 @@ def synth_bad_config_argv(store):
         (lambda s: edit_first_pred(s, anchor_index="3"), attribute_argv, 1, "line 1"),
         (corrupt_pseudo_metadata, attribute_argv, 1, "byte offset"),
         (lambda s: edit_first_pred(s, label="truck"), attribute_argv, 1, "UnknownLabel"),
-        (lambda s: None, synth_bad_config_argv, 2, "frames"),
+        (lambda s: None, writes("cfg.json", b'{"frames": "abc"}', SYNTH_CONFIG), 2, "frames"),
+        (lambda s: replace_first_line(s, "preds.jsonl", b"5"), match_argv, 1, "line 1"),
+        (lambda s: replace_first_line(s, "gts.jsonl", b"null"), match_argv, 1, "line 1"),
+        (lambda s: replace_first_line(s, "preds.jsonl", b"\xff{}"), match_argv, 1, "line 1"),
+        (lambda s: None, writes("cfg.json", b'\xff{"frames": 1}', SYNTH_CONFIG), 1, "cfg.json"),
+        (lambda s: None, writes("spec.json", b'\xff{}', SYNTH_SPEC), 1, "spec.json"),
+        (lambda s: None, writes("spec.json", b"{bad", SYNTH_SPEC), 1, "spec.json"),
+        (lambda s: None, writes("spec.json", b'{"n_objects": [1]}', SYNTH_SPEC), 1, "n_objects"),
+        (lambda s: None, writes("cfg.json", b'{"out": "run", "scene": {"n_objects": [1]}}',
+                                PIPELINE), 1, "n_objects"),
+        (lambda s: set_pseudo_target(s, 5), attribute_argv, 1, "byte offset"),
+        (lambda s: open(os.path.join(s, "model.json"), "w").write("{bad"), attribute_argv, 1,
+         "model.json"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
-         "unknown-label", "config-value-wrong-type"],
+         "unknown-label", "config-value-wrong-type", "detection-not-object",
+         "ground-truth-not-object", "detection-not-utf8", "config-not-utf8",
+         "scene-spec-not-utf8", "scene-spec-bad-json", "scene-spec-wrong-nested-type",
+         "pipeline-scene-wrong-nested-type", "xcam-target-not-object", "model-bad-json"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

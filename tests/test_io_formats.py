@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xckit.attribution import AttributionMap, AttributionTarget
-from xckit.autodiff import forward_array
+from xckit.autodiff import forward_array, model_to_spec
 from xckit.errors import BadMagic, ParseError, TruncatedPayload, VersionUnsupported, XckitError
 from xckit.geometry import Box3D
 from xckit.io_formats import (
@@ -336,10 +336,7 @@ class TestModelJson:
         p = tmp_path / "model.json"
         save_model(p, model)
         back = load_model(p)
-        for (na, pa), (nb, pb) in zip(
-            sorted(model.parameters().items()), sorted(back.parameters().items())
-        ):
-            assert na == nb and np.array_equal(pa, pb)
+        assert model_to_spec(back) == model_to_spec(model)
 
 
 class TestSceneSpecJson:

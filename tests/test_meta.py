@@ -1,4 +1,6 @@
-"""Feature dataset assembly, preprocessing, MLP training, cross-validation."""
+"""Feature dataset assembly, preprocessing, MLP gradients and training, cross-validation."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from xckit.errors import (
     ConstantFeature,
     InsufficientRows,
     MissingAttribution,
+    ShapeMismatch,
     SingleClassTrainingSet,
     XckitError,
 )
@@ -15,6 +18,7 @@ from xckit.geometry import Box3D, GridMeta
 from xckit.matching import Detection, GroundTruth
 from xckit.meta import (
     DEFAULT_FEATURES,
+    _bce_gradients,
     FeatureRow,
     MetaTrainConfig,
     NormalizationStats,
@@ -29,6 +33,7 @@ from xckit.meta import (
 from xckit.metrics import ScoredSample, auroc
 
 import gen
+import oracles
 
 
 def mkrow(is_tp, top=0.5, xsp=0.5, xcp=0.5, xsm=0.5, xcm=0.5, pts=50, label="car"):
@@ -201,6 +206,46 @@ def separable_set(rng, n=200, margin_shift=1.0):
     return X, y
 
 
+def random_mlp(rng, d, width):
+    return tuple(
+        rng.normal(scale=0.7, size=shape).astype(np.float32)
+        for shape in ((d, width), (width,), (width, 1), (1,))
+    )
+
+
+class TestMlpGradients:
+    def test_logistic_neuron_bias_gradient(self):
+        # with W2 = 0 the logit is b2; target 1 gives dL/db2 = sigmoid(b2) - 1
+        for b in (-1.0, 0.0, 0.7):
+            params = (np.ones((1, 3), np.float32), np.zeros(3, np.float32),
+                      np.zeros((3, 1), np.float32), np.array([b], np.float32))
+            grads = _bce_gradients(params, np.zeros((1, 1), np.float32), np.ones(1, np.float32))
+            want = 1.0 / (1.0 + np.exp(-b)) - 1.0
+            assert grads[3][0] == pytest.approx(want, abs=1e-6)
+            assert not np.any(grads[0]) and not np.any(grads[2])
+
+    def test_matches_fd(self):
+        rng = np.random.default_rng(8)
+        params = random_mlp(rng, 4, 3)
+        xs = rng.normal(size=(6, 4)).astype(np.float32)
+        ys = rng.integers(0, 2, size=6).astype(np.float32)
+        grads = _bce_gradients(params, xs, ys)
+        for index, name in enumerate(("W1", "b1", "W2", "b2")):
+            assert grads[index].dtype == np.float32 and grads[index].shape == params[index].shape
+            fd = oracles.fd_param_gradient(params, (xs, ys), index)
+            assert np.allclose(grads[index], fd, rtol=1e-4, atol=1e-6), name
+
+    def test_duplicated_batch_same_mean_gradient(self):
+        rng = np.random.default_rng(14)
+        params = random_mlp(rng, 3, 2)
+        xs = rng.normal(size=(5, 3)).astype(np.float32)
+        ys = rng.integers(0, 2, size=5).astype(np.float32)
+        g1 = _bce_gradients(params, xs, ys)
+        g2 = _bce_gradients(params, np.tile(xs, (2, 1)), np.tile(ys, 2))
+        for a, b in zip(g1, g2):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-7)
+
+
 class TestTrainMlp:
     def test_separable_high_train_accuracy(self):
         # sized so the fixed 12-epoch budget yields enough optimizer steps
@@ -255,6 +300,33 @@ class TestTrainMlp:
         a = train_mlp(X, y, rng_seed=7).predict(X)
         b = train_mlp(X, y, rng_seed=7).predict(X)
         assert np.array_equal(a, b)
+
+    def test_weights_and_scores_pinned(self):
+        # digests recorded from the earlier implementation, which trained the
+        # same MLP through the generic layer graph; the float32 ops and their
+        # order are unchanged, so weights and scores must match bit for bit
+        rng = np.random.default_rng(2024)
+        X = rng.normal(size=(123, 4))
+        y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.8, size=123) > 0).astype(float)
+        clf = train_mlp(X, y, rng_seed=5)
+        h = hashlib.sha256()
+        for arr in (clf.W1, clf.b1, clf.W2, clf.b2):
+            assert arr.dtype == np.float32
+            h.update(arr.tobytes())
+        assert h.hexdigest() == "071c2d4835ad838cf1bac66af7a385f1ae5636d51f385f351735db52b7499bb3"
+        scores = hashlib.sha256(clf.predict(X).tobytes()).hexdigest()
+        assert scores == "2fc4e7399bdb995be6b0e7493f648ad38bfd9a5f509d8ef867bb7c39f288f347"
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(SingleClassTrainingSet):
+            train_mlp(np.zeros((0, 2)), np.zeros(0))
+
+    def test_predict_rejects_wrong_feature_count(self):
+        rng = np.random.default_rng(3)
+        X, y = separable_set(rng, n=32)
+        clf = train_mlp(X, y, rng_seed=0)
+        with pytest.raises(ShapeMismatch):
+            clf.predict(np.zeros((4, X.shape[1] + 1)))
 
 
 def informative_rows(rng, n=600, tp_rate=0.3):

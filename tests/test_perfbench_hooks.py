@@ -1,7 +1,9 @@
-"""The pipeline benchmark wraps xckit functions by module attribute.
+"""The pipeline benchmark wraps xckit functions by module attribute and
+times the engine's layers through their forward/backward interface.
 
-Installing and removing its patches here makes a rename or move of any
-wrapped function fail the suite, not only the traced benchmark run.
+Installing and removing its patches, and running its layer timings once,
+here makes a rename of a wrapped function or a change to the layer
+interface fail the suite, not only the traced benchmark run.
 """
 
 import os
@@ -12,6 +14,7 @@ sys.path.insert(0, PERFBENCH)
 
 import child  # noqa: E402
 from tracer import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def test_benchmark_patches_install_and_restore():
@@ -25,3 +28,16 @@ def test_benchmark_patches_install_and_restore():
     finally:
         tracer.restore()
     assert xckit.cli.categorize is original
+
+
+def test_layer_microbench_runs_on_engine_layers(tmp_path):
+    from xckit.cli import main
+
+    store = str(tmp_path / "store")
+    assert main(["synth", "--out", store, "--frames", "1", "--seed", "0"]) == 0
+    per_sample = child.layer_microbench(Tracer(), WORKLOADS["readme-ig32"], store, samples=1)
+    # the keys the traced benchmark run reads back
+    for kind in ("conv2d", "dense"):
+        for phase in ("fwd", "bwd"):
+            for tag in ("b1", "bsteps"):
+                assert per_sample[(kind, phase, tag)]
