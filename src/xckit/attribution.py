@@ -9,8 +9,10 @@ Three methods are provided:
   the final (input - baseline) multiplication, so a zero-signal cell can
   still receive attribution from the model's sensitivity to it.
 
-All attribution values are kept at float64; the path average accumulates in
-float64 regardless of parameter storage.
+All three share one path engine: the maps of every target on an input come
+from the same chunked forward passes over the path points. Attribution
+values are kept at float64; the path average accumulates in float64
+regardless of parameter storage.
 """
 
 from __future__ import annotations
@@ -43,15 +45,6 @@ class AttributionMap:
     steps: Optional[int] = None
 
 
-def backprop_saliency(
-    model: ModelGraph, input, output_index: int, target: Optional[AttributionTarget] = None
-) -> AttributionMap:
-    """Raw gradient of output[output_index] with respect to the input."""
-    x = np.asarray(input).astype(np.float64)
-    grad = input_gradient_array(model, x, output_index)
-    return AttributionMap(values=grad, method="saliency", target=target)
-
-
 def _resolve_baseline(x, baseline):
     if baseline is None:
         return np.zeros_like(x)
@@ -61,67 +54,83 @@ def _resolve_baseline(x, baseline):
     return b
 
 
-def _average_path_gradient(model, x, baseline, output_index, steps, offset=0.5):
-    """Mean gradient along the straight path baseline -> x.
+# Path points per chunk: as many float64 inputs as fit in this many bytes
+# (5 at 40x40x4), so memory stays flat however many steps a map takes.
+CHUNK_BYTES = 256 * 1024
 
-    Evaluation points are baseline + (k - 1 + offset)/steps * (x - baseline)
-    for k = 1..steps; offset 0.5 is the midpoint rule. float64 throughout.
+
+def _path_maps(model, input, output_index, target, method, steps, baseline, offset):
+    """Maps for one target or a sequence of them, from one shared path.
+
+    The path points are b + (k - 1 + offset)/steps * (x - b) for k = 1..steps
+    (offset 0.5 is the midpoint rule; steps 1, offset 1 is the input itself).
+    Each chunk of points gets one forward pass, shared by every target, and
+    each target's gradients are summed in step order. The mean gradient is
+    multiplied by (x - b) for integrated gradients only.
     """
     if steps < 1:
         raise ZeroSteps(f"steps must be >= 1, got {steps}")
-    dx = x - baseline
-    acc = np.zeros_like(x)
-    for k in range(1, steps + 1):
-        alpha = (k - 1 + offset) / steps
-        point = baseline + alpha * dx
-        acc += input_gradient_array(model, point, output_index)
-    return acc / steps
+    single = np.ndim(output_index) == 0
+    indices = [output_index] if single else list(output_index)
+    if single or target is None:
+        targets = [target] * len(indices)
+    else:
+        targets = list(target)
+        if len(targets) != len(indices):
+            raise ShapeMismatch(f"{len(targets)} targets for {len(indices)} output indices")
+    x = np.asarray(input).astype(np.float64)
+    b = _resolve_baseline(x, baseline)
+    dx = x - b
+    alphas = ((np.arange(steps) + offset) / steps).reshape((steps,) + (1,) * x.ndim)
+    per_chunk = max(1, CHUNK_BYTES // x.nbytes)
+    acc = np.zeros((len(indices),) + x.shape)
+    for start in range(0, steps, per_chunk):
+        grads = input_gradient_array(model, b + alphas[start : start + per_chunk] * dx, indices)
+        for k in range(grads.shape[1]):
+            acc += grads[:, k]
+    avg = acc / steps
+    maps = [
+        AttributionMap(
+            values=a * dx if method == "integrated-gradients" else a,
+            method=method,
+            target=t,
+            steps=None if method == "saliency" else steps,
+        )
+        for a, t in zip(avg, targets)
+    ]
+    return maps[0] if single else maps
+
+
+def backprop_saliency(model: ModelGraph, input, output_index, target=None):
+    """Raw gradient of output[output_index] with respect to the input.
+
+    ``output_index`` may be a sequence; then ``target`` is None or one
+    target per index, and one map per index is returned.
+    """
+    return _path_maps(model, input, output_index, target, "saliency", 1, None, 1.0)
 
 
 def integrated_gradients(
-    model: ModelGraph,
-    input,
-    output_index: int,
-    steps: int = 32,
-    baseline=None,
-    target: Optional[AttributionTarget] = None,
-) -> AttributionMap:
+    model: ModelGraph, input, output_index, steps: int = 32, baseline=None, target=None
+):
     """Midpoint-rule integrated gradients against a zero (or given) baseline.
 
     The attribution for element i is
     (x_i - b_i) * (1/steps) * sum_k dF/dx_i evaluated at
     b + (k - 0.5)/steps * (x - b). Summing over all elements approximates
     F(x) - F(b), and the approximation tightens as steps grows.
+    ``output_index`` and ``target`` take sequences as in backprop_saliency.
     """
-    x = np.asarray(input).astype(np.float64)
-    b = _resolve_baseline(x, baseline)
-    avg = _average_path_gradient(model, x, b, output_index, steps)
-    return AttributionMap(
-        values=avg * (x - b),
-        method="integrated-gradients",
-        target=target,
-        steps=steps,
-    )
+    return _path_maps(model, input, output_index, target, "integrated-gradients",
+                      steps, baseline, 0.5)
 
 
 def modified_integrated_gradients(
-    model: ModelGraph,
-    input,
-    output_index: int,
-    steps: int = 32,
-    baseline=None,
-    target: Optional[AttributionTarget] = None,
-) -> AttributionMap:
+    model: ModelGraph, input, output_index, steps: int = 32, baseline=None, target=None
+):
     """Averaged path gradient without the (input - baseline) multiplication."""
-    x = np.asarray(input).astype(np.float64)
-    b = _resolve_baseline(x, baseline)
-    avg = _average_path_gradient(model, x, b, output_index, steps)
-    return AttributionMap(
-        values=avg,
-        method="modified-integrated-gradients",
-        target=target,
-        steps=steps,
-    )
+    return _path_maps(model, input, output_index, target, "modified-integrated-gradients",
+                      steps, baseline, 0.5)
 
 
 def aggregate_signed(map: AttributionMap):

@@ -4,8 +4,9 @@ Attribution needs one thing from a detector: the gradient of one output with
 respect to its input grid. This engine computes exactly that, for the layer
 set of the toy detectors: conv2d (stride 1, zero padding), relu, sigmoid and
 dense (which flattens its input). It computes no parameter gradients.
-Parameters are stored as float32; computation follows the dtype of the input
-array, so tests can drive the same graph at float64.
+Parameters are stored as float32. A float64 input runs on float64 copies made
+once when the layer is built, so no call casts and ``--jobs`` threads share
+them read-only; any other input runs on the float32 arrays.
 """
 
 from __future__ import annotations
@@ -30,13 +31,23 @@ def _as_f32(values, shape, what):
     return arr
 
 
-# backward returns (dx, ()): perfbench/child.py's layer timings unpack two values
-class _Dense:
-    kind = "dense"
+class _Affine:
+    """Weight and bias of a dense or conv2d layer, plus float64 copies made once."""
 
-    def __init__(self, weight, bias):
-        self.weight = weight  # (in_features, out_features)
-        self.bias = bias  # (out_features,)
+    def __init__(self, weight, bias, *derived):
+        self.weight = weight  # dense (in, out); conv2d (kh, kw, in, out)
+        self.bias = bias  # (out,)
+        arrays = (weight, bias, *derived)
+        self._arrays = {np.dtype(np.float32): arrays,
+                        np.dtype(np.float64): tuple(a.astype(np.float64) for a in arrays)}
+
+    def _params(self, dtype):
+        return self._arrays.get(dtype, self._arrays[np.dtype(np.float32)])
+
+
+# backward returns (dx, ()): perfbench/child.py's layer timings unpack two values
+class _Dense(_Affine):
+    kind = "dense"
 
     def out_shape(self, in_shape):
         n_in = int(np.prod(in_shape))
@@ -50,23 +61,23 @@ class _Dense:
         # x: (B, ...) flattened to (B, n_in), so a dense head can follow a conv
         b = x.shape[0]
         flat = x.reshape(b, -1)
-        w = self.weight.astype(x.dtype, copy=False)
-        y = flat @ w + self.bias.astype(x.dtype, copy=False)
+        w, bias = self._params(x.dtype)
+        y = flat @ w + bias
         return y, x.shape
 
     def backward(self, g, in_shape):
-        w = self.weight.astype(g.dtype, copy=False)
+        w, _ = self._params(g.dtype)
         return (g @ w.T).reshape(in_shape), ()
 
 
-class _Conv2d:
+class _Conv2d(_Affine):
     """3x3-style convolution, stride 1, zero ("same") padding, NHWC layout."""
 
     kind = "conv2d"
 
     def __init__(self, weight, bias):
-        self.weight = weight  # (kh, kw, in_channels, out_channels)
-        self.bias = bias  # (out_channels,)
+        # contiguous W[i, j].T for backward, whose matmuls are faster on it
+        super().__init__(weight, bias, np.ascontiguousarray(weight.transpose(0, 1, 3, 2)))
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[2] != self.weight.shape[2]:
@@ -85,24 +96,24 @@ class _Conv2d:
     def forward(self, x):
         b, h, w_, _ = x.shape
         kh, kw, _, cout = self.weight.shape
-        wk = self.weight.astype(x.dtype, copy=False)
+        wk, bias, _ = self._params(x.dtype)
         xp = self._pad(x)
         y = np.zeros((b, h, w_, cout), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
                 y += xp[:, i : i + h, j : j + w_, :] @ wk[i, j]
-        y += self.bias.astype(x.dtype, copy=False)
+        y += bias
         return y, x.shape
 
     def backward(self, g, in_shape):
         b, h, w_, cin = in_shape
         kh, kw = self.weight.shape[:2]
         ph, pw = kh // 2, kw // 2
-        wk = self.weight.astype(g.dtype, copy=False)
+        _, _, wt = self._params(g.dtype)
         dxp = np.zeros((b, h + 2 * ph, w_ + 2 * pw, cin), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i : i + h, j : j + w_, :] += g @ wk[i, j].T
+                dxp[:, i : i + h, j : j + w_, :] += g @ wt[i, j]
         dx = dxp[:, ph : ph + h, pw : pw + w_, :] if (ph or pw) else dxp
         return dx, ()
 
@@ -156,6 +167,12 @@ def _init_array(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
+_LAYER_FIELDS = {
+    "dense": ("in_features", "out_features"),
+    "conv2d": ("in_channels", "out_channels", "kernel"),
+}
+
+
 def build_model(spec: dict) -> ModelGraph:
     """Build a validated ModelGraph from a structured layer description.
 
@@ -180,6 +197,9 @@ def build_model(spec: dict) -> ModelGraph:
     for idx, entry in enumerate(spec["layers"]):
         kind = entry.get("kind")
         tag = f"layers.{idx} ({kind})"
+        missing = [k for k in _LAYER_FIELDS.get(kind, ()) if k not in entry]
+        if missing:
+            raise XckitError(f"{tag}: missing field {missing[0]!r}")
         if kind == "dense":
             n_in, n_out = int(entry["in_features"]), int(entry["out_features"])
             layers.append(_Dense(param(entry, "weight", (n_in, n_out), n_in, tag),
@@ -216,12 +236,12 @@ def model_to_spec(model: ModelGraph) -> dict:
     return {"input_shape": list(model.input_shape), "layers": layers}
 
 
-def _check_input(model, arr):
-    if tuple(arr.shape) != model.input_shape:
+def _check_input(model, batch):
+    if tuple(batch.shape[1:]) != model.input_shape:
         raise ShapeMismatch(
-            f"input shape {tuple(arr.shape)} != model input {model.input_shape}"
+            f"input shape {tuple(batch.shape[1:])} != model input {model.input_shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(batch)):
         raise XckitError("input contains non-finite values")
 
 
@@ -239,9 +259,9 @@ def forward_array(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
 
     Useful for finite-difference probing at float64.
     """
-    arr = np.asarray(arr)
-    _check_input(model, arr)
-    y, _ = _forward(model, arr[None])
+    x = np.asarray(arr)[None]
+    _check_input(model, x)
+    y, _ = _forward(model, x)
     return y[0]
 
 
@@ -250,9 +270,8 @@ def relu_preactivations(model: ModelGraph, arr: np.ndarray) -> list:
 
     Finite-difference probes use this to stay away from kink neighborhoods.
     """
-    arr = np.asarray(arr)
-    _check_input(model, arr)
-    x = arr[None]
+    x = np.asarray(arr)[None]
+    _check_input(model, x)
     pre = []
     for layer in model.layers:
         if layer.kind == "relu":
@@ -268,14 +287,28 @@ def _backward(model, caches, g):
     return g
 
 
-def input_gradient_array(model: ModelGraph, arr: np.ndarray, target: int) -> np.ndarray:
-    """Exact reverse-mode gradient of output[target] w.r.t. the input, in its dtype."""
-    arr = np.asarray(arr)
-    _check_input(model, arr)
-    if not 0 <= int(target) < model.n_outputs:
-        raise TargetOutOfRange(f"target {target} outside [0, {model.n_outputs})")
-    y, caches = _forward(model, arr[None])
-    seed = np.zeros_like(y)
-    seed.reshape(1, -1)[0, int(target)] = 1.0
-    return _backward(model, caches, seed)[0]
+def input_gradient_array(model: ModelGraph, arr: np.ndarray, target) -> np.ndarray:
+    """Exact reverse-mode gradient of output[target] w.r.t. the input, in its dtype.
 
+    ``arr`` is one input or a (B, *input_shape) batch of them; ``target`` is
+    one output index or a sequence of them. One forward pass over the batch
+    serves every target. The result is shaped like ``arr``, with a leading
+    target axis when ``target`` is a sequence.
+    """
+    arr = np.asarray(arr)
+    single = arr.shape == model.input_shape
+    batch = arr[None] if single else arr
+    _check_input(model, batch)
+    targets = [int(t) for t in np.atleast_1d(target)]
+    for t in targets:
+        if not 0 <= t < model.n_outputs:
+            raise TargetOutOfRange(f"target {t} outside [0, {model.n_outputs})")
+    y, caches = _forward(model, batch)
+    grads = np.empty((len(targets),) + batch.shape, dtype=y.dtype)
+    for k, t in enumerate(targets):
+        seed = np.zeros_like(y)
+        seed.reshape(len(batch), -1)[:, t] = 1.0
+        grads[k] = _backward(model, caches, seed)
+    if single:
+        grads = grads[:, 0]
+    return grads if np.ndim(target) else grads[0]

@@ -78,8 +78,12 @@ class TruncatedPayload(XckitError):
 
 
 class ParseError(XckitError):
-    """Malformed record in a text stream; carries the 1-based line number."""
+    """Malformed record in a text stream; carries the 1-based line number.
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+    ``path``, when given, names the file in the message.
+    """
+
+    def __init__(self, line_no, message, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no

@@ -41,6 +41,10 @@ class GridMeta:
     pixel_size: float
 
     def __post_init__(self):
+        for name in ("height", "width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise XckitError(f"grid {name} must be an integer, got {value!r}")
         if self.pixel_size <= 0:
             raise XckitError(f"pixel_size must be positive, got {self.pixel_size}")
         if self.height < 1 or self.width < 1:

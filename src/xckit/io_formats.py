@@ -127,13 +127,13 @@ def _box_to_list(box: Box3D) -> list:
     return [box.cx, box.cy, box.cz, box.dx, box.dy, box.dz, box.yaw]
 
 
-def _box_from_list(vals, line_no) -> Box3D:
+def _box_from_list(vals, line_no, path) -> Box3D:
     if not isinstance(vals, list) or len(vals) != 7:
-        raise ParseError(line_no, f"box must be a 7-element array, got {vals!r}")
+        raise ParseError(line_no, f"box must be a 7-element array, got {vals!r}", path)
     try:
         return Box3D(*[float(v) for v in vals])
     except (TypeError, ValueError, XckitError) as e:
-        raise ParseError(line_no, f"bad box: {e}")
+        raise ParseError(line_no, f"bad box: {e}", path)
 
 
 def write_detections(path, records: Iterable[DetectionRecord]) -> None:
@@ -162,14 +162,14 @@ def _jsonl_records(path, fields) -> Iterator[tuple]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ParseError(line_no, f"bad record: {e.msg}")
+                raise ParseError(line_no, f"bad record: {e.msg}", path)
             except UnicodeDecodeError:
-                raise ParseError(line_no, "record is not UTF-8")
+                raise ParseError(line_no, "record is not UTF-8", path)
             if not isinstance(row, dict):
-                raise ParseError(line_no, "record must be a JSON object")
+                raise ParseError(line_no, "record must be a JSON object", path)
             for key in fields:
                 if key not in row:
-                    raise ParseError(line_no, f"missing field {key!r}")
+                    raise ParseError(line_no, f"missing field {key!r}", path)
             yield line_no, row
 
 
@@ -177,18 +177,18 @@ def read_detections(path) -> Iterator[DetectionRecord]:
     """Stream records one line at a time; malformed lines carry their number."""
     for line_no, row in _jsonl_records(path, ("frame_id", "box", "label", "scores", "n_points")):
         if not isinstance(row["scores"], dict):
-            raise ParseError(line_no, "scores must be an object")
+            raise ParseError(line_no, "scores must be an object", path)
         try:
             scores = {str(k): float(v) for k, v in row["scores"].items()}
             n_points = int(row["n_points"])
             distance = None if row.get("distance") is None else float(row["distance"])
         except (TypeError, ValueError, OverflowError) as e:
-            raise ParseError(line_no, f"scores, n_points and distance must be numbers: {e}")
+            raise ParseError(line_no, f"scores, n_points and distance must be numbers: {e}", path)
         anchor = row.get("anchor_index")
         if anchor is not None and type(anchor) is not int:
-            raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}")
+            raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}", path)
         det = Detection(
-            box=_box_from_list(row["box"], line_no),
+            box=_box_from_list(row["box"], line_no, path),
             label=str(row["label"]),
             scores=scores,
             n_points=n_points,
@@ -213,7 +213,7 @@ def write_ground_truths(path, records: Iterable[tuple]) -> None:
 def read_ground_truths(path) -> Iterator[tuple]:
     for line_no, row in _jsonl_records(path, ("frame_id", "box", "label")):
         yield str(row["frame_id"]), GroundTruth(
-            box=_box_from_list(row["box"], line_no), label=str(row["label"])
+            box=_box_from_list(row["box"], line_no, path), label=str(row["label"])
         )
 
 

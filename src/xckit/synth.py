@@ -357,23 +357,22 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
 def frame_attributions(
     frame: SyntheticFrame, method: str = "backprop", steps: int = 32
 ) -> List[AttributionMap]:
-    """One attribution map per prediction, targeting its own class output."""
-    maps = []
-    for i, pred in enumerate(frame.preds):
-        idx = output_index(pred.anchor_index, pred.label)
-        target = AttributionTarget(box_index=i, class_index=CLASSES.index(pred.label))
-        if method == "backprop":
-            m = backprop_saliency(frame.model, frame.pseudo_image, idx, target=target)
-        elif method == "ig":
-            m = integrated_gradients(frame.model, frame.pseudo_image, idx,
-                                     steps=steps, target=target)
-        elif method == "ig-nomult":
-            m = modified_integrated_gradients(frame.model, frame.pseudo_image, idx,
-                                              steps=steps, target=target)
-        else:
-            raise XckitError(f"unknown attribution method {method!r}")
-        maps.append(m)
-    return maps
+    """One attribution map per prediction, targeting its own class output.
+
+    The method runs once for the whole frame, so all maps share its forward passes.
+    """
+    indices = [output_index(p.anchor_index, p.label) for p in frame.preds]
+    targets = [AttributionTarget(box_index=i, class_index=CLASSES.index(p.label))
+               for i, p in enumerate(frame.preds)]
+    if method == "backprop":
+        return backprop_saliency(frame.model, frame.pseudo_image, indices, target=targets)
+    if method == "ig":
+        return integrated_gradients(frame.model, frame.pseudo_image, indices,
+                                    steps=steps, target=targets)
+    if method == "ig-nomult":
+        return modified_integrated_gradients(frame.model, frame.pseudo_image, indices,
+                                             steps=steps, target=targets)
+    raise XckitError(f"unknown attribution method {method!r}")
 
 
 def generate_benchmark(spec: SceneSpec, n_frames: int):

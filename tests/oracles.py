@@ -2,7 +2,9 @@
 
 Everything here is computed without the library's own backward pass or
 aggregation code, so a test that compares against these functions is a real
-dual-route check.
+dual-route check. The one exception is ``per_step_path_gradient``: it checks
+how attribution batches path points, so it calls the engine one point at a
+time.
 """
 
 import math
@@ -71,6 +73,23 @@ def near_relu_kink(model, x, flat_index, h=1e-3):
         if np.any((u > 0) != state) or np.any((d > 0) != state):
             return True
     return False
+
+
+def per_step_path_gradient(model, x, baseline, target, steps, offset=0.5):
+    """Mean gradient along the straight path baseline -> x, one point per engine call.
+
+    The points are baseline + (k - 1 + offset)/steps * (x - baseline) for
+    k = 1..steps, each differentiated alone at batch 1, and the gradients
+    are summed in step order: the reference for attribution's chunked path.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, np.float64)
+    dx = x - baseline
+    acc = np.zeros_like(x)
+    for k in range(1, steps + 1):
+        alpha = (k - 1 + offset) / steps
+        acc += autodiff.input_gradient_array(model, baseline + alpha * dx, target)
+    return acc / steps
 
 
 def fd_param_gradient(params, batch, index, h=1e-4):

@@ -13,6 +13,9 @@ from xckit.attribution import (
 )
 from xckit.autodiff import build_model, forward_array, input_gradient_array
 from xckit.errors import ShapeMismatch, ZeroSteps
+from xckit.synth import SceneSpec, frame_attributions, generate_benchmark, output_index
+
+import oracles
 
 
 def convnet(seed, h=8, w=8, c=2):
@@ -185,9 +188,10 @@ class TestModifiedIG:
         # degenerate quadrature: one sample placed at the input itself
         m = convnet(10)
         x = np.random.default_rng(17).normal(size=(8, 8, 2))
-        avg = attribution._average_path_gradient(m, x, np.zeros_like(x), 0, 1, offset=1.0)
-        sal = backprop_saliency(m, x, 0)
-        assert np.array_equal(avg, sal.values)
+        avg = attribution._path_maps(m, x, 0, None, "modified-integrated-gradients",
+                                     1, None, 1.0).values
+        assert np.array_equal(avg, input_gradient_array(m, x, 0))
+        assert np.array_equal(avg, backprop_saliency(m, x, 0).values)
 
 
 class TestSaliency:
@@ -202,6 +206,71 @@ class TestSaliency:
         m = linear_model()
         sal = backprop_saliency(m, [1.0, 2.0, 3.0], 0)
         assert sal.values.dtype == np.float64
+
+
+def max_rel_error(values, ref):
+    return float(np.max(np.abs(values - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+class TestBatchedPath:
+    """The chunked path engine, sharing forwards across targets, against one point per call."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        # criterion 07's benchmark frames
+        return generate_benchmark(SceneSpec(rng_seed=12345), 200)[0]
+
+    @staticmethod
+    def indices(frame):
+        return [output_index(p.anchor_index, p.label) for p in frame.preds]
+
+    def test_backprop_bitwise_on_all_benchmark_frames(self, frames):
+        for fr in frames:
+            x = fr.pseudo_image.astype(np.float64)
+            for idx, m in zip(self.indices(fr), frame_attributions(fr)):
+                assert m.values.tobytes() == input_gradient_array(fr.model, x, idx).tobytes()
+
+    @pytest.mark.parametrize("steps", [32, 13])
+    def test_ig_and_nomult_match_per_step_loop(self, frames, steps):
+        # neither is a multiple of the 5 points a 40x40x4 chunk holds
+        for fr in frames[:20]:
+            x = fr.pseudo_image.astype(np.float64)
+            idx = self.indices(fr)
+            ig = integrated_gradients(fr.model, fr.pseudo_image, idx, steps=steps)
+            mig = modified_integrated_gradients(fr.model, fr.pseudo_image, idx, steps=steps)
+            for i, a, b in zip(idx, ig, mig):
+                avg = oracles.per_step_path_gradient(fr.model, x, None, i, steps)
+                assert max_rel_error(a.values, avg * x) <= 1e-12
+                assert max_rel_error(b.values, avg) <= 1e-12
+
+    def test_one_point_chunks_equal_per_step_loop_bitwise(self, frames, monkeypatch):
+        monkeypatch.setattr(attribution, "CHUNK_BYTES", 1)
+        fr = frames[0]
+        x = fr.pseudo_image.astype(np.float64)
+        idx = self.indices(fr)
+        for i, m in zip(idx, modified_integrated_gradients(fr.model, x, idx, steps=7)):
+            assert m.values.tobytes() == oracles.per_step_path_gradient(
+                fr.model, x, None, i, 7).tobytes()
+
+    def test_targets_together_equal_one_at_a_time(self, frames):
+        for fr in frames[:3]:
+            idx = self.indices(fr)
+            for method, kw in ((backprop_saliency, {}), (integrated_gradients, {"steps": 13}),
+                               (modified_integrated_gradients, {"steps": 13})):
+                together = method(fr.model, fr.pseudo_image, idx, **kw)
+                assert len(together) == len(idx)
+                for i, m in zip(idx, together):
+                    alone = method(fr.model, fr.pseudo_image, i, **kw)
+                    assert np.array_equal(m.values, alone.values)
+
+    def test_targets_carried_per_index(self):
+        m = convnet(14)
+        x = np.random.default_rng(21).normal(size=(8, 8, 2))
+        ts = [AttributionTarget(box_index=k) for k in range(3)]
+        maps = integrated_gradients(m, x, [2, 0, 1], steps=4, target=ts)
+        assert [mp.target for mp in maps] == ts
+        with pytest.raises(ShapeMismatch):
+            integrated_gradients(m, x, [2, 0], steps=4, target=ts)
 
 
 class TestAggregateSigned:

@@ -110,14 +110,19 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
 @pytest.mark.parametrize(
     "mutate, argv, code, needle",
     [
-        (lambda s: edit_first_pred(s, scores={"car": "abc"}), match_argv, 1, "line 1"),
-        (lambda s: edit_first_pred(s, anchor_index="3"), attribute_argv, 1, "line 1"),
+        (lambda s: edit_first_pred(s, scores={"car": "abc"}), match_argv, 1,
+         "preds.jsonl: line 1"),
+        (lambda s: edit_first_pred(s, anchor_index="3"), attribute_argv, 1,
+         "preds.jsonl: line 1"),
         (corrupt_pseudo_metadata, attribute_argv, 1, "byte offset"),
         (lambda s: edit_first_pred(s, label="truck"), attribute_argv, 1, "UnknownLabel"),
         (lambda s: None, writes("cfg.json", b'{"frames": "abc"}', SYNTH_CONFIG), 2, "frames"),
-        (lambda s: replace_first_line(s, "preds.jsonl", b"5"), match_argv, 1, "line 1"),
-        (lambda s: replace_first_line(s, "gts.jsonl", b"null"), match_argv, 1, "line 1"),
-        (lambda s: replace_first_line(s, "preds.jsonl", b"\xff{}"), match_argv, 1, "line 1"),
+        (lambda s: replace_first_line(s, "preds.jsonl", b"5"), match_argv, 1,
+         "preds.jsonl: line 1"),
+        (lambda s: replace_first_line(s, "gts.jsonl", b"null"), match_argv, 1,
+         "gts.jsonl: line 1"),
+        (lambda s: replace_first_line(s, "preds.jsonl", b"\xff{}"), match_argv, 1,
+         "preds.jsonl: line 1"),
         (lambda s: None, writes("cfg.json", b'\xff{"frames": 1}', SYNTH_CONFIG), 1, "cfg.json"),
         (lambda s: None, writes("spec.json", b'\xff{}', SYNTH_SPEC), 1, "spec.json"),
         (lambda s: None, writes("spec.json", b"{bad", SYNTH_SPEC), 1, "spec.json"),
@@ -127,12 +132,21 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
         (lambda s: set_pseudo_target(s, 5), attribute_argv, 1, "byte offset"),
         (lambda s: open(os.path.join(s, "model.json"), "w").write("{bad"), attribute_argv, 1,
          "model.json"),
+        (lambda s: None, writes("spec.json", b'{"grid": {"height": 40.0, "width": 40, '
+                                b'"origin_x": -8.0, "origin_y": -8.0, "pixel_size": 0.4}}',
+                                SYNTH_SPEC), 1, "grid height must be an integer"),
+        (lambda s: open(os.path.join(s, "model.json"), "w").write(
+            '{"input_shape": [40, 40, 4], "layers": [{"kind": "dense"}]}'),
+         attribute_argv, 1, "layers.0 (dense): missing field 'in_features'"),
+        (lambda s: replace_first_line(s, "gts.jsonl", b'{"frame_id": "000000", "box": [1], '
+                                      b'"label": "car"}'), match_argv, 1, "gts.jsonl: line 1"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
          "ground-truth-not-object", "detection-not-utf8", "config-not-utf8",
          "scene-spec-not-utf8", "scene-spec-bad-json", "scene-spec-wrong-nested-type",
-         "pipeline-scene-wrong-nested-type", "xcam-target-not-object", "model-bad-json"],
+         "pipeline-scene-wrong-nested-type", "xcam-target-not-object", "model-bad-json",
+         "scene-spec-float-grid-size", "model-layer-missing-field", "ground-truth-bad-box"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -224,6 +238,18 @@ class TestAttribute:
         first = open(os.path.join(out, name), "rb").read()
         assert run(["attribute", "--frames", store, "--out", out]) == 0
         assert open(os.path.join(out, name), "rb").read() == first
+
+    @pytest.mark.parametrize("method", ["backprop", "ig"])
+    def test_jobs_do_not_change_maps(self, tmp_path, method):
+        store = make_store(tmp_path, frames=4)
+        written = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"attribs{jobs}")
+            assert run(["attribute", "--frames", store, "--out", out, "--method", method,
+                        "--steps", "7", "--jobs", jobs]) == 0
+            written.append({name: open(os.path.join(out, name), "rb").read()
+                            for name in sorted(os.listdir(out))})
+        assert written[0] and written[0] == written[1]
 
     def test_jobs_env_fallback_invalid(self, tmp_path, monkeypatch):
         store = make_store(tmp_path, frames=1)

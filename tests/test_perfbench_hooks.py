@@ -1,13 +1,16 @@
 """The pipeline benchmark wraps xckit functions by module attribute and
 times the engine's layers through their forward/backward interface.
 
-Installing and removing its patches, and running its layer timings once,
-here makes a rename of a wrapped function or a change to the layer
-interface fail the suite, not only the traced benchmark run.
+Installing and removing its patches, running a stage under them, and
+running its layer timings once, here makes a rename of a wrapped function,
+a code path that bypasses one, or a change to the layer interface fail the
+suite, not only the traced benchmark run.
 """
 
 import os
 import sys
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -28,6 +31,25 @@ def test_benchmark_patches_install_and_restore():
     finally:
         tracer.restore()
     assert xckit.cli.categorize is original
+
+
+@pytest.mark.parametrize("method", ["backprop", "ig"])
+def test_attribute_records_wrapped_spans(tmp_path, method):
+    from xckit.cli import main
+
+    store = str(tmp_path / "store")
+    assert main(["synth", "--out", store, "--frames", "2", "--seed", "0"]) == 0
+    tracer = Tracer()
+    try:
+        child._install_patches(tracer)
+        assert main(["attribute", "--frames", store, "--out", str(tmp_path / "attribs"),
+                     "--method", method, "--steps", "8", "--jobs", "1"]) == 0
+    finally:
+        tracer.restore()
+    # the benchmark reads both span kinds; each map span holds engine calls
+    maps = [s for s in tracer.spans if s["name"] == "attribution.map"]
+    grads = [s for s in tracer.spans if s["name"] == "autodiff.input_grad"]
+    assert maps and {s["parent"] for s in grads} == {s["id"] for s in maps}
 
 
 def test_layer_microbench_runs_on_engine_layers(tmp_path):
