@@ -181,8 +181,9 @@ def build_model(spec: dict) -> ModelGraph:
     or is initialized from ``spec["seed"]`` with
     uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws in layer order.
     """
-    if "input_shape" not in spec or "layers" not in spec:
-        raise XckitError("model spec needs 'input_shape' and 'layers'")
+    if not (isinstance(spec, dict)
+            and all(isinstance(spec.get(k), (list, tuple)) for k in ("input_shape", "layers"))):
+        raise XckitError("model spec needs 'input_shape' and 'layers' lists")
     seed = spec.get("seed")
     rng = np.random.default_rng(seed) if seed is not None else None
 
@@ -193,20 +194,32 @@ def build_model(spec: dict) -> ModelGraph:
             raise XckitError(f"{tag}: no inline parameters and no init seed given")
         return _init_array(rng, shape, fan_in)
 
+    def size(value, what):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise XckitError(f"{what} must be a positive integer, got {value!r}")
+        return int(value)
+
     layers = []
     for idx, entry in enumerate(spec["layers"]):
+        if not isinstance(entry, dict):
+            raise XckitError(f"layers.{idx}: entry must be an object, got {entry!r}")
         kind = entry.get("kind")
         tag = f"layers.{idx} ({kind})"
         missing = [k for k in _LAYER_FIELDS.get(kind, ()) if k not in entry]
         if missing:
             raise XckitError(f"{tag}: missing field {missing[0]!r}")
         if kind == "dense":
-            n_in, n_out = int(entry["in_features"]), int(entry["out_features"])
+            n_in = size(entry["in_features"], f"{tag}: in_features")
+            n_out = size(entry["out_features"], f"{tag}: out_features")
             layers.append(_Dense(param(entry, "weight", (n_in, n_out), n_in, tag),
                                  param(entry, "bias", (n_out,), n_in, tag)))
         elif kind == "conv2d":
-            cin, cout = int(entry["in_channels"]), int(entry["out_channels"])
-            kh, kw = (int(k) for k in entry["kernel"])
+            cin = size(entry["in_channels"], f"{tag}: in_channels")
+            cout = size(entry["out_channels"], f"{tag}: out_channels")
+            kernel = entry["kernel"]
+            if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
+                raise XckitError(f"{tag}: kernel must be a [height, width] list, got {kernel!r}")
+            kh, kw = (size(k, f"{tag}: kernel") for k in kernel)
             fan_in = kh * kw * cin
             layers.append(_Conv2d(param(entry, "weight", (kh, kw, cin, cout), fan_in, tag),
                                   param(entry, "bias", (cout,), fan_in, tag)))
@@ -217,7 +230,7 @@ def build_model(spec: dict) -> ModelGraph:
         else:
             raise UnknownLayerKind(f"layers.{idx}: unknown kind {kind!r}")
 
-    return ModelGraph(spec["input_shape"], layers)
+    return ModelGraph([size(d, "input_shape entry") for d in spec["input_shape"]], layers)
 
 
 def model_to_spec(model: ModelGraph) -> dict:

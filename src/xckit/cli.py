@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -33,14 +34,11 @@ from .io_formats import (
     DetectionRecord,
     load_json,
     load_model,
-    load_scene_spec,
     read_detections,
     read_feature_csv,
     read_ground_truths,
     read_xcam,
     save_model,
-    save_scene_spec,
-    scene_spec_from_dict,
     write_detections,
     write_feature_csv,
     write_ground_truths,
@@ -61,15 +59,13 @@ from .synth import (
     build_toy_model,
     frame_attributions,
     generate_benchmark,
+    load_scene_spec,
+    save_scene_spec,
+    scene_spec_from_dict,
 )
 from .xc import XcConfig
 
-EVAL_FEATURES = (
-    "top_score",
-    "xc_s_plus", "xc_c_plus", "xc_s_minus", "xc_c_minus",
-    "n_points",
-    "random",
-)
+EVAL_FEATURES = (*DEFAULT_FEATURES, "n_points", "random")
 
 
 DEFAULT_IOU_SPEC = ",".join(f"{label}={t}" for label, t in DEFAULT_IOU_THRESH.items())
@@ -218,8 +214,6 @@ def read_frame_store(store_dir):
 def _cmd_synth(args) -> int:
     spec = load_scene_spec(args.spec) if args.spec else SceneSpec()
     if args.seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, rng_seed=args.seed)
     frames, manifest = generate_benchmark(spec, args.frames)
     write_frame_store(args.out, spec, frames, manifest)
@@ -357,7 +351,13 @@ def _cmd_train_meta(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    """Every stage from one config: each section holds its stage's flags, checked
+    before anything is written; only jobs (1) and a_thresh (the manifest's) differ."""
     cfg = _load_config(args.config)
+    unknown = sorted(set(cfg) - {"out", "n_frames", "scene", "attribute", "xc", "eval",
+                                 "train_meta"})
+    if unknown:
+        raise UsageError(f"unknown pipeline config key {unknown[0]!r}")
     out_dir = cfg.get("out")
     if not out_dir or not isinstance(out_dir, str):
         raise UsageError("pipeline config needs an 'out' directory")
@@ -366,46 +366,41 @@ def _cmd_pipeline(args) -> int:
         sec = cfg.get(name, {})
         if not isinstance(sec, dict):
             raise UsageError(f"pipeline config section {name!r} must be a JSON object")
-        return sec
+        return dict(sec)
 
     spec = scene_spec_from_dict(section("scene"))
     n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
-    os.makedirs(out_dir, exist_ok=True)
+    frames, manifest = generate_benchmark(spec, n_frames)
     store_dir = os.path.join(out_dir, "store")
     attribs_dir = os.path.join(out_dir, "attribs")
     features_csv = os.path.join(out_dir, "features.csv")
-
-    frames, manifest = generate_benchmark(spec, n_frames)
-    write_frame_store(store_dir, spec, frames, manifest)
-
-    att = section("attribute")
-    _cmd_attribute(_stage_args("attribute", {
-        "frames": store_dir, "out": attribs_dir, "method": att.get("method", "backprop"),
-        "steps": att.get("steps", 32), "jobs": att.get("jobs", 1),
-    }))
-    xc = section("xc")
-    _cmd_xc(_stage_args("xc", {
-        "frames": store_dir, "attribs": attribs_dir, "out": features_csv,
-        "a_thresh": xc.get("a_thresh", manifest["a_thresh"]), "margin": xc.get("margin", 0.2),
-    }))
-    _cmd_match(_stage_args("match", {
-        "preds": os.path.join(store_dir, "preds.jsonl"),
-        "gts": os.path.join(store_dir, "gts.jsonl"),
-        "out": os.path.join(out_dir, "tags.jsonl"),
-    }))
-    ev = section("eval")
-    _cmd_eval(_stage_args("eval", {
-        "features": features_csv, "out": os.path.join(out_dir, "table.txt"),
-        "group_by": ev.get("group_by", ""), "seed": ev.get("seed", 0),
-    }))
     tm = section("train_meta")
-    if tm.get("enabled", True):
-        subset = tm.get("subset")
-        _cmd_train_meta(_stage_args("train-meta", {
-            "features": features_csv, "out": os.path.join(out_dir, "meta_report.txt"),
-            "seed": tm.get("seed", 0),
-            "subset": ",".join(map(str, subset)) if isinstance(subset, list) else subset,
-        }))
+    enabled = tm.pop("enabled", True)
+    if not isinstance(enabled, bool):
+        raise UsageError(f"train_meta.enabled must be true or false, got {enabled!r}")
+    if isinstance(tm.get("subset"), list):
+        tm["subset"] = ",".join(map(str, tm["subset"]))
+    stages = [
+        (_cmd_attribute, _stage_args("attribute", {
+            "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),
+        (_cmd_xc, _stage_args("xc", {
+            "a_thresh": manifest["a_thresh"], **section("xc"),
+            "frames": store_dir, "attribs": attribs_dir, "out": features_csv})),
+        (_cmd_match, _stage_args("match", {
+            "preds": os.path.join(store_dir, "preds.jsonl"),
+            "gts": os.path.join(store_dir, "gts.jsonl"),
+            "out": os.path.join(out_dir, "tags.jsonl")})),
+        (_cmd_eval, _stage_args("eval", {
+            **section("eval"), "features": features_csv,
+            "out": os.path.join(out_dir, "table.txt")})),
+    ]
+    if enabled:
+        stages.append((_cmd_train_meta, _stage_args("train-meta", {
+            **tm, "features": features_csv, "out": os.path.join(out_dir, "meta_report.txt")})))
+    os.makedirs(out_dir, exist_ok=True)
+    write_frame_store(store_dir, spec, frames, manifest)
+    for handler, stage_args in stages:
+        handler(stage_args)
     print(f"pipeline complete -> {out_dir}")
     return 0
 
@@ -430,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True, help="frame store directory")
     p.add_argument("--method", choices=["backprop", "ig", "ig-nomult"], default="backprop")
     p.add_argument("--steps", type=int, default=32)
-    p.add_argument("--targets", choices=["top-class"], default="top-class")
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config")

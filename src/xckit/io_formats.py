@@ -21,9 +21,10 @@ round-trip float repr and are lossless.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, List
 
 import numpy as np
@@ -31,10 +32,8 @@ import numpy as np
 from .attribution import AttributionMap, AttributionTarget
 from .autodiff import ModelGraph, build_model, model_to_spec
 from .errors import BadMagic, ParseError, TruncatedPayload, VersionUnsupported, XckitError
-from .geometry import Box3D, GridMeta
+from .geometry import Box3D
 from .matching import Detection, GroundTruth
-from .meta import FeatureRow
-from .synth import ConcentrationProfile, SceneSpec
 
 XCAM_MAGIC = b"XCAM"
 XCAM_VERSION = 1
@@ -153,8 +152,8 @@ def write_detections(path, records: Iterable[DetectionRecord]) -> None:
             f.write(json.dumps(row) + "\n")
 
 
-def _jsonl_records(path, fields) -> Iterator[tuple]:
-    """(line number, record) per non-blank line; each record is an object holding ``fields``."""
+def _jsonl_records(path, keys) -> Iterator[tuple]:
+    """(line number, record) per non-blank line; each record is an object holding ``keys``."""
     with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -167,7 +166,7 @@ def _jsonl_records(path, fields) -> Iterator[tuple]:
                 raise ParseError(line_no, "record is not UTF-8", path)
             if not isinstance(row, dict):
                 raise ParseError(line_no, "record must be a JSON object", path)
-            for key in fields:
+            for key in keys:
                 if key not in row:
                     raise ParseError(line_no, f"missing field {key!r}", path)
             yield line_no, row
@@ -219,12 +218,45 @@ def read_ground_truths(path) -> Iterator[tuple]:
 
 # --- feature dataset CSV ---
 
-FEATURE_CSV_COLUMNS = [
-    "top_score",
-    "xc_s_plus", "xc_c_plus", "xc_s_minus", "xc_c_minus",
-    "xc_s_plus_valid", "xc_c_plus_valid", "xc_s_minus_valid", "xc_c_minus_valid",
-    "n_points", "distance", "pred_label", "is_tp",
-]
+@dataclass
+class FeatureRow:
+    """One kept prediction's features plus its TP flag, as persisted.
+
+    Undefined concentration ratios are stored as 0.0 with the matching
+    validity flag cleared; the flags are not model inputs by default. The
+    fields, in order, are the feature CSV's columns.
+    """
+
+    top_score: float
+    xc_s_plus: float
+    xc_c_plus: float
+    xc_s_minus: float
+    xc_c_minus: float
+    xc_s_plus_valid: bool
+    xc_c_plus_valid: bool
+    xc_s_minus_valid: bool
+    xc_c_minus_valid: bool
+    n_points: int
+    distance: float
+    pred_label: str
+    is_tp: bool
+
+
+def _read_flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+# (write, read) per field annotation; floats use repr, so the round-trip is lossless
+_CELL_CODECS = {
+    "float": (repr, float),
+    "int": (str, int),
+    "str": (str, str),
+    "bool": (lambda v: str(int(v)), _read_flag),
+}
+_FEATURE_CODECS = [(f.name, *_CELL_CODECS[f.type]) for f in fields(FeatureRow)]
+FEATURE_CSV_COLUMNS = [name for name, _, _ in _FEATURE_CODECS]
 
 
 def write_feature_csv(path, rows: Iterable[FeatureRow]) -> None:
@@ -232,67 +264,51 @@ def write_feature_csv(path, rows: Iterable[FeatureRow]) -> None:
         writer = csv.writer(f)
         writer.writerow(FEATURE_CSV_COLUMNS)
         for r in rows:
-            writer.writerow(
-                [
-                    repr(r.top_score),
-                    repr(r.xc_s_plus), repr(r.xc_c_plus),
-                    repr(r.xc_s_minus), repr(r.xc_c_minus),
-                    int(r.xc_s_plus_valid), int(r.xc_c_plus_valid),
-                    int(r.xc_s_minus_valid), int(r.xc_c_minus_valid),
-                    r.n_points,
-                    repr(r.distance),
-                    r.pred_label,
-                    int(r.is_tp),
-                ]
-            )
+            writer.writerow([write(getattr(r, name)) for name, write, _ in _FEATURE_CODECS])
+
+
+def _feature_row(rec, line_no, path) -> FeatureRow:
+    if len(rec) != len(_FEATURE_CODECS):
+        raise ParseError(line_no, f"expected {len(_FEATURE_CODECS)} fields, got {len(rec)}", path)
+    values = {}
+    for (name, _, read), cell in zip(_FEATURE_CODECS, rec):
+        try:
+            values[name] = read(cell)
+        except ValueError as e:
+            raise ParseError(line_no, f"{name}: {e}", path)
+    return FeatureRow(**values)
 
 
 def read_feature_csv(path) -> List[FeatureRow]:
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "missing header row")
+    reader = csv.reader(io.StringIO(_read_utf8(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, "missing header row", path)
         if header != FEATURE_CSV_COLUMNS:
-            raise ParseError(1, f"unexpected header {header!r}")
-        for line_no, rec in enumerate(reader, start=2):
-            if len(rec) != len(FEATURE_CSV_COLUMNS):
-                raise ParseError(
-                    line_no, f"expected {len(FEATURE_CSV_COLUMNS)} fields, got {len(rec)}"
-                )
-            try:
-                rows.append(
-                    FeatureRow(
-                        top_score=float(rec[0]),
-                        xc_s_plus=float(rec[1]), xc_c_plus=float(rec[2]),
-                        xc_s_minus=float(rec[3]), xc_c_minus=float(rec[4]),
-                        xc_s_plus_valid=bool(int(rec[5])),
-                        xc_c_plus_valid=bool(int(rec[6])),
-                        xc_s_minus_valid=bool(int(rec[7])),
-                        xc_c_minus_valid=bool(int(rec[8])),
-                        n_points=int(rec[9]),
-                        distance=float(rec[10]),
-                        pred_label=rec[11],
-                        is_tp=bool(int(rec[12])),
-                    )
-                )
-            except ValueError as e:
-                raise ParseError(line_no, str(e))
-    return rows
+            raise ParseError(1, f"unexpected header {header!r}", path)
+        return [_feature_row(rec, reader.line_num, path) for rec in reader]
+    except csv.Error as e:
+        raise ParseError(reader.line_num, str(e), path)
 
 
 # --- config / model JSON ---
 
-def load_json(path):
-    """Parse a UTF-8 JSON file; bad bytes or syntax raise errors naming the file."""
+def _read_utf8(path) -> str:
+    """The whole file as text; a byte that is not UTF-8 raises an error naming its offset."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        return json.loads(raw.decode("utf-8"))
+        return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise XckitError(f"{path}: byte offset {e.start} is not UTF-8")
+
+
+def load_json(path):
+    """Parse a UTF-8 JSON file; bad bytes or syntax raise errors naming the file."""
+    text = _read_utf8(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, f"bad JSON in {path}: {e.msg}")
 
@@ -304,70 +320,3 @@ def save_model(path, model: ModelGraph) -> None:
 
 def load_model(path) -> ModelGraph:
     return build_model(load_json(path))
-
-
-def scene_spec_to_dict(spec: SceneSpec) -> dict:
-    g = spec.grid
-    return {
-        "grid": {
-            "height": g.height, "width": g.width,
-            "origin_x": g.origin_x, "origin_y": g.origin_y,
-            "pixel_size": g.pixel_size,
-        },
-        "n_objects": dict(spec.n_objects),
-        "size_ranges": {k: [list(r) for r in v] for k, v in spec.size_ranges.items()},
-        "fp_rate": spec.fp_rate,
-        "concentration_profile": {
-            "tp_inside": spec.concentration_profile.tp_inside,
-            "fp_inside": spec.concentration_profile.fp_inside,
-        },
-        "points_base": spec.points_base,
-        "points_delta": spec.points_delta,
-        "points_correlation": spec.points_correlation,
-        "rng_seed": spec.rng_seed,
-    }
-
-
-_SCENE_FIELDS = {
-    "grid": lambda v: GridMeta(**v),
-    "n_objects": lambda v: {str(k): int(n) for k, n in v.items()},
-    "size_ranges": lambda v: {
-        k: tuple(tuple(float(x) for x in r) for r in ranges) for k, ranges in v.items()
-    },
-    "concentration_profile": lambda v: ConcentrationProfile(**v),
-    "fp_rate": float,
-    "points_correlation": float,
-    "points_base": int,
-    "points_delta": int,
-    "rng_seed": int,
-}
-
-
-def scene_spec_from_dict(d: dict) -> SceneSpec:
-    """SceneSpec from its dict form; absent fields keep their defaults.
-
-    A field value of the wrong type or shape raises XckitError naming the field.
-    """
-    kwargs = {}
-    for key, convert in _SCENE_FIELDS.items():
-        if key in d:
-            try:
-                kwargs[key] = convert(d[key])
-            except (AttributeError, TypeError, ValueError, KeyError) as e:
-                raise XckitError(f"bad scene spec field {key!r}: {e}")
-    return SceneSpec(**kwargs)
-
-
-def save_scene_spec(path, spec: SceneSpec) -> None:
-    with open(path, "w") as f:
-        json.dump(scene_spec_to_dict(spec), f, indent=2)
-
-
-def load_scene_spec(path) -> SceneSpec:
-    d = load_json(path)
-    if not isinstance(d, dict):
-        raise ParseError(1, f"{path}: scene spec must be a JSON object")
-    try:
-        return scene_spec_from_dict(d)
-    except XckitError as e:
-        raise ParseError(1, f"{path}: {e}")

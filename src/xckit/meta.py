@@ -30,37 +30,16 @@ from .errors import (
     XckitError,
 )
 from .geometry import GridMeta
+from .io_formats import FeatureRow
 from .matching import IGNORE, MatchConfig, categorize
 from .metrics import MetricReport, ScoredSample, aupr, auroc
 from .xc import XcConfig, xc_scores
 
+XC_RATIOS = ("xc_s_plus", "xc_c_plus", "xc_s_minus", "xc_c_minus")
 # the five meta-features; baseline columns n_points / distance stay separate
-DEFAULT_FEATURES = ("top_score", "xc_s_plus", "xc_c_plus", "xc_s_minus", "xc_c_minus")
+DEFAULT_FEATURES = ("top_score", *XC_RATIOS)
 
 POINT_SPLIT = 100  # rows with n_points >= POINT_SPLIT form the "large" bucket
-
-
-@dataclass
-class FeatureRow:
-    """One kept prediction's features plus its TP flag.
-
-    Undefined concentration ratios are stored as 0.0 with the matching
-    validity flag cleared; the flags are not model inputs by default.
-    """
-
-    top_score: float
-    xc_s_plus: float
-    xc_c_plus: float
-    xc_s_minus: float
-    xc_c_minus: float
-    xc_s_plus_valid: bool
-    xc_c_plus_valid: bool
-    xc_s_minus_valid: bool
-    xc_c_minus_valid: bool
-    n_points: int
-    distance: float
-    pred_label: str
-    is_tp: bool
 
 
 @dataclass(frozen=True)
@@ -86,10 +65,6 @@ class MetaTrainConfig:
                 raise XckitError(f"{name} must be >= 1")
         if self.learning_rate <= 0 or self.noise_half_width < 0:
             raise XckitError("learning_rate must be > 0 and noise_half_width >= 0")
-
-
-def _encode_ratio(value: Optional[float]) -> Tuple[float, bool]:
-    return (0.0, False) if value is None else (float(value), True)
 
 
 def build_feature_dataset(
@@ -119,25 +94,20 @@ def build_feature_dataset(
             if amap is None:
                 raise MissingAttribution(f"frame {frame_no}: prediction {i} has no map")
             sc = xc_scores(amap, pred.box, grid, xc_cfg)
-            xsp, vsp = _encode_ratio(sc.xc_s_plus)
-            xcp, vcp = _encode_ratio(sc.xc_c_plus)
-            xsm, vsm = _encode_ratio(sc.xc_s_minus)
-            xcm, vcm = _encode_ratio(sc.xc_c_minus)
+            ratios = {name: getattr(sc, name) for name in XC_RATIOS}
             dist = pred.distance
             if dist is None:
                 dist = math.hypot(pred.box.cx, pred.box.cy)
-            rows.append(
-                FeatureRow(
-                    top_score=pred.top_score,
-                    xc_s_plus=xsp, xc_c_plus=xcp, xc_s_minus=xsm, xc_c_minus=xcm,
-                    xc_s_plus_valid=vsp, xc_c_plus_valid=vcp,
-                    xc_s_minus_valid=vsm, xc_c_minus_valid=vcm,
-                    n_points=int(pred.n_points),
-                    distance=float(dist),
-                    pred_label=pred.label,
-                    is_tp=outcome.tags[i] == "TP",
-                )
-            )
+            rows.append(FeatureRow(
+                top_score=pred.top_score,
+                # an undefined ratio is stored as 0.0 with its validity flag cleared
+                **{name: 0.0 if v is None else float(v) for name, v in ratios.items()},
+                **{f"{name}_valid": v is not None for name, v in ratios.items()},
+                n_points=int(pred.n_points),
+                distance=float(dist),
+                pred_label=pred.label,
+                is_tp=outcome.tags[i] == "TP",
+            ))
     return rows
 
 

@@ -12,7 +12,7 @@ way. The KS statistic is the sup-distance between the two empirical CDFs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -119,18 +119,17 @@ def ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
 def evaluate_feature(
     rows,
     feature: str,
-    group: Optional[Callable] = None,
     group_name: str = "",
     rng_seed: Optional[int] = None,
 ) -> MetricReport:
     """Score one feature column of a per-box dataset as a TP/FP classifier.
 
     ``rows`` is any sequence of objects with an ``is_tp`` attribute and the
-    named feature attribute. ``feature="random"`` substitutes a seeded
-    uniform score, the no-information baseline. ``group`` optionally filters
-    rows (a predicate), e.g. one of the class/point-count subsets.
+    named feature attribute, e.g. one group of ``meta.split_groups``, whose
+    name ``group_name`` carries into the report. ``feature="random"``
+    substitutes a seeded uniform score, the no-information baseline.
     """
-    subset = [r for r in rows if group is None or group(r)]
+    subset = list(rows)
     if not subset:
         raise EmptySample(f"group {group_name or '<all>'} selected no rows")
     if feature == "random":

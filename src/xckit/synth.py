@@ -27,8 +27,9 @@ threshold here is intentionally much smaller than the library default.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,10 +42,10 @@ from .attribution import (
     modified_integrated_gradients,
 )
 from .autodiff import ModelGraph, build_model, forward_array
-from .errors import PlacementFailure, UnknownLabel, XckitError
+from .errors import ParseError, PlacementFailure, UnknownLabel, XckitError
 from .geometry import Box3D, GridMeta, enlarge, membership_mask, project_to_bev, wrap_angle
+from .io_formats import FeatureRow, load_json
 from .matching import DEFAULT_IOU_THRESH, Detection, GroundTruth
-from .meta import FeatureRow
 
 CLASSES = ("car", "pedestrian", "cyclist")
 
@@ -115,6 +116,51 @@ class SceneSpec:
             raise XckitError("points_correlation must be in (0,1)")
         if self.grid.height % BLOCK_PX or self.grid.width % BLOCK_PX:
             raise XckitError(f"grid dimensions must be multiples of {BLOCK_PX}")
+
+
+_SCENE_FIELDS = {
+    "grid": lambda v: GridMeta(**v),
+    "n_objects": lambda v: {str(k): int(n) for k, n in v.items()},
+    "size_ranges": lambda v: {
+        k: tuple(tuple(float(x) for x in r) for r in ranges) for k, ranges in v.items()
+    },
+    "concentration_profile": lambda v: ConcentrationProfile(**v),
+    "fp_rate": float,
+    "points_correlation": float,
+    "points_base": int,
+    "points_delta": int,
+    "rng_seed": int,
+}
+
+
+def scene_spec_from_dict(d: dict) -> SceneSpec:
+    """SceneSpec from its dict form (``asdict``'s); absent fields keep their defaults.
+
+    A field value of the wrong type or shape raises XckitError naming the field.
+    """
+    kwargs = {}
+    for key, convert in _SCENE_FIELDS.items():
+        if key in d:
+            try:
+                kwargs[key] = convert(d[key])
+            except (AttributeError, TypeError, ValueError, KeyError) as e:
+                raise XckitError(f"bad scene spec field {key!r}: {e}")
+    return SceneSpec(**kwargs)
+
+
+def save_scene_spec(path, spec: SceneSpec) -> None:
+    with open(path, "w") as f:
+        json.dump(asdict(spec), f, indent=2)
+
+
+def load_scene_spec(path) -> SceneSpec:
+    d = load_json(path)
+    if not isinstance(d, dict):
+        raise ParseError(1, f"{path}: scene spec must be a JSON object")
+    try:
+        return scene_spec_from_dict(d)
+    except XckitError as e:
+        raise ParseError(1, f"{path}: {e}")
 
 
 @dataclass
@@ -387,8 +433,9 @@ def generate_benchmark(spec: SceneSpec, n_frames: int):
     for seed in frame_seeds:
         frame = generate_frame(replace(spec, rng_seed=int(seed)), model=model)
         frames.append(frame)
-        for label, is_fp in _slot_kinds(frame):
-            (fp_counts if is_fp else tp_counts)[label] += 1
+        # generate_frame places TPs first, one ground truth each, then FPs
+        for i, pred in enumerate(frame.preds):
+            (tp_counts if i < len(frame.gts) else fp_counts)[pred.label] += 1
     n_tp = sum(tp_counts.values())
     n_fp = sum(fp_counts.values())
     manifest = {
@@ -400,20 +447,6 @@ def generate_benchmark(spec: SceneSpec, n_frames: int):
         "points_correlation": spec.points_correlation,
     }
     return frames, manifest
-
-
-def _slot_kinds(frame: SyntheticFrame):
-    """(label, is_fp) per prediction, recovered from the frame's own gts."""
-    from .geometry import iou_3d
-
-    kinds = []
-    for pred in frame.preds:
-        thresh = DEFAULT_IOU_THRESH[pred.label]
-        is_tp = any(
-            g.label == pred.label and iou_3d(pred.box, g.box) >= thresh for g in frame.gts
-        )
-        kinds.append((pred.label, not is_tp))
-    return kinds
 
 
 def noisy_and_feature_rows(n_rows: int, rng_seed: int = 0) -> List[FeatureRow]:

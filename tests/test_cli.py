@@ -9,8 +9,7 @@ import pytest
 
 import xckit
 from xckit.cli import build_parser, main
-from xckit.io_formats import read_feature_csv, write_feature_csv
-from xckit.meta import FeatureRow
+from xckit.io_formats import FEATURE_CSV_COLUMNS, FeatureRow, read_feature_csv, write_feature_csv
 
 
 def run(argv):
@@ -102,6 +101,21 @@ def attribute_argv(store):
     return ["attribute", "--frames", store, "--out", "attribs", "--jobs", "1"]
 
 
+def write_model(spec):
+    def mutate(store):
+        with open(os.path.join(store, "model.json"), "w") as f:
+            f.write(spec)
+    return mutate
+
+
+def features_csv(row):
+    """Eval argv on a feature CSV holding the header and ``row``."""
+    header = ",".join(FEATURE_CSV_COLUMNS).encode()
+    return writes("features.csv", header + b"\n" + row + b"\n",
+                  ["eval", "--features", "features.csv"])
+
+
+CSV_ROW_HEAD = b"0.9,0.5,0.5,0.5,0.5,1,1,1,1,120,10.0,"
 SYNTH_CONFIG = ["synth", "--out", "s", "--config", "cfg.json"]
 SYNTH_SPEC = ["synth", "--out", "s", "--frames", "1", "--spec", "spec.json"]
 PIPELINE = ["pipeline", "--config", "cfg.json"]
@@ -140,13 +154,25 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          attribute_argv, 1, "layers.0 (dense): missing field 'in_features'"),
         (lambda s: replace_first_line(s, "gts.jsonl", b'{"frame_id": "000000", "box": [1], '
                                       b'"label": "car"}'), match_argv, 1, "gts.jsonl: line 1"),
+        (write_model('{"input_shape": [40, 40, 4], "layers": [5]}'), attribute_argv, 1,
+         "layers.0: entry must be an object"),
+        (write_model('{"input_shape": [40, 40, 4], "layers": [{"kind": "conv2d", '
+                     '"in_channels": "abc", "out_channels": 4, "kernel": [3, 3]}]}'),
+         attribute_argv, 1, "layers.0 (conv2d): in_channels"),
+        (write_model('{"input_shape": 5, "layers": []}'), attribute_argv, 1, "input_shape"),
+        (lambda s: None, features_csv(CSV_ROW_HEAD + b"\xff,1"), 1, "features.csv: byte offset"),
+        (lambda s: None, features_csv(CSV_ROW_HEAD + b"x" * 131_073 + b",1"), 1,
+         "features.csv: line 2"),
+        (lambda s: None, features_csv(CSV_ROW_HEAD + b"car,2"), 1, "features.csv: line 2: is_tp"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
          "ground-truth-not-object", "detection-not-utf8", "config-not-utf8",
          "scene-spec-not-utf8", "scene-spec-bad-json", "scene-spec-wrong-nested-type",
          "pipeline-scene-wrong-nested-type", "xcam-target-not-object", "model-bad-json",
-         "scene-spec-float-grid-size", "model-layer-missing-field", "ground-truth-bad-box"],
+         "scene-spec-float-grid-size", "model-layer-missing-field", "ground-truth-bad-box",
+         "model-layer-not-object", "model-size-not-integer", "model-input-shape-not-list",
+         "features-not-utf8", "features-oversized-field", "features-flag-not-0-or-1"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -171,7 +197,6 @@ class TestParserDefaults:
         args = build_parser().parse_args(["attribute", "--frames", "a", "--out", "b"])
         assert args.method == "backprop"
         assert args.steps == 32
-        assert args.targets == "top-class"
 
     def test_match_defaults(self):
         args = build_parser().parse_args(
@@ -426,6 +451,26 @@ class TestPipeline:
                                    "n_frames": 4, "attribute": {"steps": "abc"}}))
         proc = run_subprocess(["pipeline", "--config", str(cfg)], cwd=tmp_path)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+    def test_unknown_section_key_exits_2(self, tmp_path):
+        # a misspelt key in a section or at the top level, before anything is written
+        for typo, cfg in (("mehtod", {"attribute": {"mehtod": "ig"}}),
+                          ("atribute", {"atribute": {"method": "ig"}})):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, **cfg}))
+            proc = run_subprocess(["pipeline", "--config", str(path)], cwd=tmp_path)
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
+            assert typo in proc.stderr
+            assert not (tmp_path / "pipe").exists()
+
+    def test_sections_take_every_stage_flag(self, tmp_path):
+        # score_thresh above every prediction's score ignores them all, so no rows are written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2,
+                                   "xc": {"score_thresh": 1.0},
+                                   "train_meta": {"enabled": False}}))
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        assert read_feature_csv(tmp_path / "pipe" / "features.csv") == []
 
     def test_pipeline_bad_json_is_data_error(self, tmp_path):
         cfg = tmp_path / "c.json"

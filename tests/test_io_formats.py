@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,24 +12,27 @@ from xckit.geometry import Box3D
 from xckit.io_formats import (
     FEATURE_CSV_COLUMNS,
     DetectionRecord,
+    FeatureRow,
     load_model,
-    load_scene_spec,
     read_detections,
     read_feature_csv,
     read_ground_truths,
     read_xcam,
     save_model,
-    save_scene_spec,
-    scene_spec_from_dict,
-    scene_spec_to_dict,
     write_detections,
     write_feature_csv,
     write_ground_truths,
     write_xcam,
 )
 from xckit.matching import Detection, GroundTruth
-from xckit.meta import FeatureRow
-from xckit.synth import SceneSpec, build_toy_model, generate_frame
+from xckit.synth import (
+    SceneSpec,
+    build_toy_model,
+    generate_frame,
+    load_scene_spec,
+    save_scene_spec,
+    scene_spec_from_dict,
+)
 
 
 def f32_map(rng, shape):
@@ -345,7 +349,7 @@ class TestSceneSpecJson:
         p = tmp_path / "scene.json"
         save_scene_spec(p, spec)
         back = load_scene_spec(p)
-        assert scene_spec_to_dict(back) == scene_spec_to_dict(spec)
+        assert asdict(back) == asdict(spec)
         a = generate_frame(spec)
         b = generate_frame(back)
         assert np.array_equal(a.pseudo_image, b.pseudo_image)

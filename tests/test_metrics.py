@@ -206,16 +206,14 @@ class TestEvaluateFeature:
         rows = self.make_rows(rng)
         for r in rows[:100]:
             r.n_points = 200
-        rep = evaluate_feature(
-            rows, "top_score", group=lambda r: r.n_points >= 100, group_name="pts>=100"
-        )
+        group = [r for r in rows if r.n_points >= 100]
+        rep = evaluate_feature(group, "top_score", group_name="pts>=100")
         assert rep.n_pos + rep.n_neg == 100
         assert rep.group == "pts>=100"
 
     def test_empty_group_rejected(self):
-        rows = self.make_rows(np.random.default_rng(0), n=10)
-        with pytest.raises(EmptySample):
-            evaluate_feature(rows, "top_score", group=lambda r: False)
+        with pytest.raises(EmptySample, match="group none"):
+            evaluate_feature([], "top_score", group_name="none")
 
     def test_render_table_layout(self):
         rng = np.random.default_rng(127)

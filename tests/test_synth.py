@@ -231,6 +231,16 @@ class TestGenerateBenchmark:
                 1 for (lab, fp) in kinds if lab == cls and fp
             )
 
+    def test_manifest_counts_equal_matcher_tags(self):
+        # the manifest counts by placement order; the matcher must tag the same
+        frames, manifest = generate_benchmark(SceneSpec(rng_seed=31), 30)
+        counts = {TP: dict.fromkeys(CLASSES, 0), FP: dict.fromkeys(CLASSES, 0)}
+        for f in frames:
+            for pred, tag in zip(f.preds, categorize(f.preds, f.gts, MatchConfig()).tags):
+                counts[tag][pred.label] += 1
+        assert manifest["tp_counts"] == counts[TP]
+        assert manifest["fp_counts"] == counts[FP]
+
     def test_fp_fraction_near_rate(self):
         spec = SceneSpec(rng_seed=99, fp_rate=0.25)
         frames, manifest = generate_benchmark(spec, 100)
