@@ -138,8 +138,10 @@ def aggregate_signed(map: AttributionMap):
 
     Returns (pos, neg), both (H, W) float64 and non-negative:
     pos[y, x] = sum_c max(v, 0) and neg[y, x] = sum_c max(-v, 0), so
-    pos - neg recovers the per-pixel channel sum. Channel sums are exactly
-    rounded (order-independent), so reference implementations agree bitwise.
+    pos - neg recovers the per-pixel channel sum. Channel sums equal
+    ``math.fsum``'s bitwise: channels are added in float64 with Knuth TwoSum
+    error terms, a finite sum whose error terms are all zero is exact, and only
+    the other pixels call fsum, which keeps its NaN results and OverflowError.
     """
     v = np.asarray(map.values, dtype=np.float64)
     if v.ndim == 2:
@@ -151,6 +153,16 @@ def aggregate_signed(map: AttributionMap):
     if v.shape[2] <= 2:
         # a sum of at most two floats rounds once; already exact
         return clipped_pos.sum(axis=2), clipped_neg.sum(axis=2)
-    pos = np.array([[math.fsum(px) for px in row] for row in clipped_pos.tolist()])
-    neg = np.array([[math.fsum(px) for px in row] for row in clipped_neg.tolist()])
-    return pos, neg
+    clipped = np.stack([clipped_pos, clipped_neg])
+    s = clipped[..., 0]
+    exact = np.ones(s.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # such pixels go to fsum
+        for c in range(1, v.shape[2]):
+            b = clipped[..., c]
+            total = s + b
+            b_part = total - s
+            exact &= (s - (total - b_part)) + (b - b_part) == 0
+            s = total
+    inexact = ~(exact & np.isfinite(s))
+    s[inexact] = [math.fsum(px) for px in clipped[inexact].tolist()]
+    return s[0], s[1]

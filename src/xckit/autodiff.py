@@ -185,6 +185,8 @@ def build_model(spec: dict) -> ModelGraph:
             and all(isinstance(spec.get(k), (list, tuple)) for k in ("input_shape", "layers"))):
         raise XckitError("model spec needs 'input_shape' and 'layers' lists")
     seed = spec.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise XckitError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed) if seed is not None else None
 
     def param(entry, key, shape, fan_in, tag):

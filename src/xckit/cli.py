@@ -242,16 +242,14 @@ def _cmd_attribute(args) -> int:
         frame = SyntheticFrame(pseudo_image=pseudo, gts=gts, preds=preds, model=model)
         return frame_attributions(frame, method=args.method, steps=args.steps)
 
-    if jobs == 1:
-        per_frame = [one_frame(fid) for fid in fids]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_frame = list(pool.map(one_frame, fids))
     n = 0
-    for fid, maps in zip(fids, per_frame):
-        for i, m in enumerate(maps):
-            write_xcam(os.path.join(args.out, f"{fid}_{i:03d}.xcam"), m)
-            n += 1
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        per_frame = pool.map(one_frame, fids) if jobs > 1 else map(one_frame, fids)
+        # written frame by frame, so only the frames in flight are held in memory
+        for fid, maps in zip(fids, per_frame):
+            for i, m in enumerate(maps):
+                write_xcam(os.path.join(args.out, f"{fid}_{i:03d}.xcam"), m)
+                n += 1
     print(f"wrote {n} attribution maps ({args.method}) -> {args.out}")
     return 0
 
@@ -260,8 +258,8 @@ def _cmd_xc(args) -> int:
     spec, fids, store = read_frame_store(args.frames)
     xc_cfg = XcConfig(a_thresh=args.a_thresh, margin_m=args.margin)
     match_cfg = _match_config(args)
-    triples = []
-    for fid in fids:
+
+    def triple(fid):
         pseudo, preds, gts = store[fid]
         maps = []
         for i in range(len(preds)):
@@ -269,8 +267,11 @@ def _cmd_xc(args) -> int:
             if not os.path.exists(path):
                 raise XckitError(f"missing attribution map {path}")
             maps.append(read_xcam(path))
-        triples.append((preds, maps, gts))
-    rows = build_feature_dataset(triples, spec.grid, xc_cfg=xc_cfg, match_cfg=match_cfg)
+        return preds, maps, gts
+
+    # frames are read as they are scored, so one frame's maps are held at a time
+    rows = build_feature_dataset(map(triple, fids), spec.grid, xc_cfg=xc_cfg,
+                                 match_cfg=match_cfg)
     write_feature_csv(args.out, rows)
     print(f"wrote {len(rows)} feature rows -> {args.out}")
     return 0
@@ -312,9 +313,10 @@ def _cmd_eval(args) -> int:
                 reports.append(
                     evaluate_feature(members, feature, group_name=name, rng_seed=args.seed)
                 )
-            except XckitError:
-                # a group can be single-class or empty; skip its row
-                continue
+            except XckitError as e:
+                # a group can be single-class or empty; skip its row and say why
+                print(f"eval: skipped feature {feature!r} in group {name or 'all'!r}: "
+                      f"{type(e).__name__}: {e}", file=sys.stderr)
     table = render_table(reports)
     if args.out:
         with open(args.out, "w") as f:
@@ -374,6 +376,9 @@ def _cmd_pipeline(args) -> int:
     store_dir = os.path.join(out_dir, "store")
     attribs_dir = os.path.join(out_dir, "attribs")
     features_csv = os.path.join(out_dir, "features.csv")
+    xc_args = _stage_args("xc", {
+        "a_thresh": manifest["a_thresh"], **section("xc"),
+        "frames": store_dir, "attribs": attribs_dir, "out": features_csv})
     tm = section("train_meta")
     enabled = tm.pop("enabled", True)
     if not isinstance(enabled, bool):
@@ -383,10 +388,9 @@ def _cmd_pipeline(args) -> int:
     stages = [
         (_cmd_attribute, _stage_args("attribute", {
             "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),
-        (_cmd_xc, _stage_args("xc", {
-            "a_thresh": manifest["a_thresh"], **section("xc"),
-            "frames": store_dir, "attribs": attribs_dir, "out": features_csv})),
+        (_cmd_xc, xc_args),
         (_cmd_match, _stage_args("match", {
+            "score_thresh": xc_args.score_thresh, "iou": xc_args.iou,
             "preds": os.path.join(store_dir, "preds.jsonl"),
             "gts": os.path.join(store_dir, "gts.jsonl"),
             "out": os.path.join(out_dir, "tags.jsonl")})),

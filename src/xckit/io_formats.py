@@ -319,4 +319,9 @@ def save_model(path, model: ModelGraph) -> None:
 
 
 def load_model(path) -> ModelGraph:
-    return build_model(load_json(path))
+    spec = load_json(path)
+    try:
+        return build_model(spec)
+    except XckitError as e:
+        e.args = (f"{path}: {e}",)  # same error class, now naming the file
+        raise

@@ -4,10 +4,11 @@ The dataset joins, for every kept prediction, its top class score, the four
 concentration scores, and baseline features (point count, distance). The
 meta-classifier is a two-layer MLP (d -> 3 -> 1, relu then sigmoid) that
 holds its own float32 weights and computes its own binary-cross-entropy
-gradients; Adam updates the weights in float64. Cross-validation follows a
-fixed recipe: z-score with training-fold statistics, 4x duplication with
-uniform feature noise on the training folds only, 5 folds, 5 repeats, 25
-metric triples averaged.
+gradients; Adam updates the weights in float64, once per step over one flat
+float32 vector that W1, b1, W2, b2 view (elementwise, so bitwise equal to
+per-array updates). Cross-validation follows a fixed recipe: z-score with
+training-fold statistics, 4x duplication with uniform feature noise on the
+training folds only, 5 folds, 5 repeats, 25 metric triples averaged.
 """
 
 from __future__ import annotations
@@ -258,32 +259,30 @@ def train_mlp(
     init_seed, shuffle_seed = ss.generate_state(2)
     init_rng = np.random.default_rng(int(init_seed))
     d, width = X.shape[1], cfg.hidden_width
-    params = (
-        _init_array(init_rng, (d, width), d),
-        _init_array(init_rng, (width,), d),
-        _init_array(init_rng, (width, 1), width),
-        _init_array(init_rng, (1,), width),
-    )
-    moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    init = [_init_array(init_rng, shape, fan_in) for shape, fan_in in
+            (((d, width), d), ((width,), d), ((width, 1), width), ((1,), width))]
+    # one float32 vector holds W1, b1, W2, b2 (as views), so Adam runs once per step
+    flat = np.concatenate([a.ravel() for a in init])
+    ends = np.cumsum([a.size for a in init])[:-1]
+    params = tuple(part.reshape(a.shape) for part, a in zip(np.split(flat, ends), init))
+    grad, m, v = np.empty(flat.size), np.zeros(flat.size), np.zeros(flat.size)
     beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
     rng = np.random.default_rng(shuffle_seed)
     X32, y32 = X.astype(np.float32), y.astype(np.float32)
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
+        X_epoch, y_epoch = X32[order], y32[order]
         for start in range(0, X.shape[0], cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grads = _bce_gradients(params, X32[idx], y32[idx])
+            stop = start + cfg.batch_size
+            grads = _bce_gradients(params, X_epoch[start:stop], y_epoch[start:stop])
+            np.concatenate([g.ravel() for g in grads], out=grad)  # float32 -> float64 is exact
             t += 1
-            for p, g, (m, v) in zip(params, grads, moments):
-                g64 = g.astype(np.float64)
-                m[...] = beta1 * m + (1 - beta1) * g64
-                v[...] = beta2 * v + (1 - beta2) * g64 * g64
-                m_hat = m / (1 - beta1**t)
-                v_hat = v / (1 - beta2**t)
-                p[...] = (p.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(
-                    np.float32
-                )
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            m_hat = m / (1 - beta1**t)
+            v_hat = v / (1 - beta2**t)
+            flat[...] = flat.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)
     return MetaClassifier(*params, feature_names=tuple(feature_names))
 
 

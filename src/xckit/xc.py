@@ -6,9 +6,9 @@ of the significant attribution mass (respectively, how many significant
 pixels) fall inside the margin-enlarged box footprint. Zero-denominator
 ratios are reported as explicitly undefined rather than NaN.
 
-Sums over attribution mass use exactly-rounded accumulation (math.fsum), so
-the result is independent of pixel iteration order and bit-comparable with a
-naive reference loop.
+Sums over attribution mass are exactly rounded, so results are independent
+of order and bit-comparable with a naive math.fsum loop. Channel sums are
+vectorized, with a TwoSum exactness check and an fsum fallback per pixel.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Attribution method tests: completeness, exactness on linear models, identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,44 @@ class TestAggregateSigned:
     def test_bad_rank_rejected(self):
         with pytest.raises(ShapeMismatch):
             aggregate_signed(attribution.AttributionMap(np.zeros(5), method="saliency"))
+
+    @staticmethod
+    def fsum_reference(v):
+        v = np.asarray(v, dtype=np.float64)
+        return tuple(
+            np.array([[math.fsum(px) for px in row] for row in np.maximum(s * v, 0.0).tolist()])
+            for s in (1.0, -1.0)
+        )
+
+    @pytest.mark.parametrize("values", [
+        # float32 values: every pixel's float64 sum is exact, no fsum fallback
+        np.random.default_rng(5).normal(size=(9, 8, 4)).astype(np.float32),
+        # float64 values over a wide range of magnitudes: many pixels fall back
+        np.random.default_rng(6).normal(size=(9, 8, 5)) * 10.0 ** np.random.default_rng(7)
+        .integers(-20, 20, size=(9, 8, 5)),
+        # 1e16 + 1 + 1 + 1 rounds at each step but not in fsum; zeros and subnormals
+        np.array([[[1e16, 1, 1, 1], [1, 1e16, -1, 1], [0.0, -0.0, 0.0, -0.0],
+                   [5e-324, 5e-324, -5e-324, 1e-310]]]),
+    ], ids=["float32-exact", "float64-fallback", "hand-cases"])
+    def test_bitwise_equal_to_per_pixel_fsum(self, values):
+        got = aggregate_signed(attribution.AttributionMap(values, method="saliency"))
+        for g, want in zip(got, self.fsum_reference(values)):
+            assert g.tobytes() == want.tobytes()
+
+    def test_inexact_pixel_gets_fsum(self):
+        v = np.array([[[1e16, 1.0, 1.0, 1.0]]])
+        pos, _ = aggregate_signed(attribution.AttributionMap(v, method="saliency"))
+        assert pos[0, 0] == math.fsum(v.ravel()) != ((1e16 + 1.0) + 1.0) + 1.0
+
+    def test_nan_and_inf_follow_fsum(self):
+        v = np.array([[[np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0], [1.0, -np.inf, 2.0]]])
+        pos, neg = aggregate_signed(attribution.AttributionMap(v, method="saliency"))
+        ref_pos, ref_neg = self.fsum_reference(v)
+        assert np.isnan(pos[0, 0]) and np.isnan(neg[0, 0])
+        assert np.array_equal(pos, ref_pos, equal_nan=True)
+        assert np.array_equal(neg, ref_neg, equal_nan=True)
+        assert pos[0, 1] == neg[0, 2] == np.inf
+
+    def test_overflow_raises_like_fsum(self):
+        with pytest.raises(OverflowError):
+            aggregate_signed(attribution.AttributionMap(np.full((1, 1, 3), 1e308), "saliency"))

@@ -3,12 +3,13 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import xckit
-from xckit.cli import build_parser, main
+from xckit.cli import EVAL_FEATURES, build_parser, main
 from xckit.io_formats import FEATURE_CSV_COLUMNS, FeatureRow, read_feature_csv, write_feature_csv
 
 
@@ -164,6 +165,12 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
         (lambda s: None, features_csv(CSV_ROW_HEAD + b"x" * 131_073 + b",1"), 1,
          "features.csv: line 2"),
         (lambda s: None, features_csv(CSV_ROW_HEAD + b"car,2"), 1, "features.csv: line 2: is_tp"),
+        (write_model('{"input_shape": [40, 40, 4], "seed": "x", "layers": []}'), attribute_argv,
+         1, "seed must be a non-negative integer"),
+        (write_model('{"input_shape": [40, 40, 4], "seed": -1, "layers": []}'), attribute_argv,
+         1, "seed must be a non-negative integer"),
+        (write_model('{"input_shape": [40, 40, 4], "layers": [{"kind": "flatten"}]}'),
+         attribute_argv, 1, "model.json:"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -172,7 +179,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "pipeline-scene-wrong-nested-type", "xcam-target-not-object", "model-bad-json",
          "scene-spec-float-grid-size", "model-layer-missing-field", "ground-truth-bad-box",
          "model-layer-not-object", "model-size-not-integer", "model-input-shape-not-list",
-         "features-not-utf8", "features-oversized-field", "features-flag-not-0-or-1"],
+         "features-not-utf8", "features-oversized-field", "features-flag-not-0-or-1",
+         "model-seed-not-integer", "model-seed-negative", "model-error-names-file"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -365,6 +373,22 @@ class TestEval:
         write_feature_csv(csv_path, oracle_rows())
         assert run(["eval", "--features", csv_path, "--group-by", "color"]) == 2
 
+    def test_skipped_groups_reported_on_stderr(self, tmp_path, capsys):
+        # the pedestrian group holds only TPs, so every feature skips it
+        rows = oracle_rows() + [
+            replace(r, pred_label="pedestrian") for r in oracle_rows(n=6) if r.is_tp
+        ]
+        csv_path = str(tmp_path / "f.csv")
+        write_feature_csv(csv_path, rows)
+        assert run(["eval", "--features", csv_path, "--group-by", "class"]) == 0
+        captured = capsys.readouterr()
+        skipped = captured.err.splitlines()
+        assert len(skipped) == len(EVAL_FEATURES)
+        for feature, line in zip(EVAL_FEATURES, skipped):
+            assert line.startswith(f"eval: skipped feature {feature!r} in group 'pedestrian': ")
+            assert "DegenerateClassBalance: need both classes, got 3 pos / 0 neg" in line
+        assert "pedestrian" not in captured.out
+
     def test_missing_csv_is_data_error(self, tmp_path):
         assert run(["eval", "--features", str(tmp_path / "nope.csv")]) == 1
 
@@ -471,6 +495,10 @@ class TestPipeline:
                                    "train_meta": {"enabled": False}}))
         assert run(["pipeline", "--config", str(cfg)]) == 0
         assert read_feature_csv(tmp_path / "pipe" / "features.csv") == []
+        # the match stage tags under the same thresholds, so it ignores them all too
+        tags = [json.loads(line)["tag"]
+                for line in (tmp_path / "pipe" / "tags.jsonl").read_text().splitlines()]
+        assert tags and set(tags) == {"Ignore"}
 
     def test_pipeline_bad_json_is_data_error(self, tmp_path):
         cfg = tmp_path / "c.json"

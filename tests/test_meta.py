@@ -31,6 +31,7 @@ from xckit.meta import (
     train_mlp,
 )
 from xckit.metrics import ScoredSample, auroc
+from xckit.synth import noisy_and_feature_rows
 
 import gen
 import oracles
@@ -378,6 +379,16 @@ class TestCrossValidate:
         a = cross_validate(rows, DEFAULT_FEATURES, rng_seed=11)
         b = cross_validate(rows, DEFAULT_FEATURES, rng_seed=11)
         assert (a.auroc, a.aupr, a.aupr_op) == (b.auroc, b.aupr, b.aupr_op)
+
+    def test_report_pinned(self):
+        # recorded from the per-array Adam loop. 38 TP / 65 FP rows give folds
+        # of unequal size, so the augmented training sets end in batches of
+        # different lengths; the classes overlap, so scores interleave and
+        # the rank metrics move with any change to the trained weights
+        rows = noisy_and_feature_rows(103, rng_seed=43)
+        rep = cross_validate(rows, DEFAULT_FEATURES, rng_seed=2)
+        assert (rep.auroc, rep.aupr, rep.aupr_op) == (
+            0.7104945054945055, 0.6775908793740781, 0.8095829029931195)
 
     def test_insufficient_rows(self):
         rows = [mkrow(True), mkrow(False), mkrow(True)]

@@ -63,3 +63,22 @@ def test_layer_microbench_runs_on_engine_layers(tmp_path):
         for phase in ("fwd", "bwd"):
             for tag in ("b1", "bsteps"):
                 assert per_sample[(kind, phase, tag)]
+
+
+def test_train_meta_records_fold_spans(tmp_path):
+    # the traced benchmark run needs one meta.fold span per fold x repeat
+    from xckit.cli import main
+    from xckit.io_formats import write_feature_csv
+    from xckit.synth import noisy_and_feature_rows
+
+    csv_path = str(tmp_path / "features.csv")
+    write_feature_csv(csv_path, noisy_and_feature_rows(40))
+    tracer = Tracer()
+    try:
+        child._install_patches(tracer)
+        assert main(["train-meta", "--features", csv_path, "--seed", "0"]) == 0
+    finally:
+        tracer.restore()
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("meta.cv") == 1
+    assert names.count("meta.fold") == 25
