@@ -45,6 +45,9 @@ class GridMeta:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise XckitError(f"grid {name} must be an integer, got {value!r}")
+        for name in ("origin_x", "origin_y", "pixel_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise XckitError(f"grid {name} must be a finite number, got {getattr(self, name)}")
         if self.pixel_size <= 0:
             raise XckitError(f"pixel_size must be positive, got {self.pixel_size}")
         if self.height < 1 or self.width < 1:
@@ -64,6 +67,9 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
+        fields = (self.cx, self.cy, self.cz, self.dx, self.dy, self.dz, self.yaw)
+        if not all(map(math.isfinite, fields)):
+            raise XckitError(f"box fields must be finite, got {fields}")
         if self.dx <= 0 or self.dy <= 0 or self.dz <= 0:
             raise XckitError(f"box extents must be positive, got ({self.dx}, {self.dy}, {self.dz})")
         if not (-math.pi < self.yaw <= math.pi):
@@ -85,11 +91,11 @@ class BevPolygon:
             raise XckitError(f"polygon needs 4 corner points, got shape {pts.shape}")
         if _signed_area(pts) <= 0:
             raise XckitError("polygon corners must be counter-clockwise with positive area")
-        e_in = pts - np.roll(pts, 1, axis=0)
-        e_out = np.roll(pts, -1, axis=0) - pts
-        cross = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
-        if np.any(cross < 0):
-            raise XckitError("polygon must be convex")
+        p = pts.tolist()
+        for i in range(4):
+            (x0, y0), (x1, y1), (x2, y2) = p[i - 1], p[i], p[(i + 1) % 4]
+            if (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1) < 0:
+                raise XckitError("polygon must be convex")
         self.corners = pts
 
     @property
@@ -104,7 +110,8 @@ class BevPolygon:
 
 def _signed_area(pts) -> float:
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))  # np.roll(-1)
+    return 0.5 * float(np.dot(x, yn) - np.dot(xn, y))
 
 
 def enlarge(box: Box3D, m: float) -> Box3D:
@@ -127,35 +134,53 @@ def project_to_bev(box: Box3D) -> BevPolygon:
     return BevPolygon(local @ rot.T + np.array([box.cx, box.cy]))
 
 
-def pixel_center_coords(grid: GridMeta):
-    """Meter coordinates of every pixel center, as (H, W) arrays (xs, ys)."""
-    xs = grid.origin_x + (np.arange(grid.width) + 0.5) * grid.pixel_size
-    ys = grid.origin_y + (np.arange(grid.height) + 0.5) * grid.pixel_size
-    return np.broadcast_to(xs, (grid.height, grid.width)), np.broadcast_to(
-        ys[:, None], (grid.height, grid.width)
-    )
+def _pixel_window(lo: float, hi: float, origin: float, size: float, n: int):
+    """Indices [i0, i1) of the pixels whose centers may lie in [lo, hi], padded by one.
+
+    The pad keeps rounding in the edge tests inside the window; non-finite
+    bounds give the whole axis.
+    """
+    a, b = (lo - origin) / size - 0.5, (hi - origin) / size - 0.5  # center indices at lo, hi
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return 0, n
+    return max(math.ceil(a) - 1, 0), min(math.floor(b) + 2, n)
 
 
 def membership_mask(poly: BevPolygon, grid: GridMeta) -> np.ndarray:
-    """(H, W) boolean mask of pixels whose center lies in or on the polygon."""
-    px, py = pixel_center_coords(grid)
-    inside = np.ones((grid.height, grid.width), dtype=bool)
-    pts = poly.corners
+    """(H, W) boolean mask of pixels whose center lies in or on the polygon.
+
+    Only the pixels around the corners' bounding box are tested, at centers
+    ``origin + (i + 0.5) * pixel_size``; the mask equals testing every pixel.
+    """
+    pts = poly.corners.tolist()
+    xs, ys = zip(*pts)
+    i0, i1 = _pixel_window(min(xs), max(xs), grid.origin_x, grid.pixel_size, grid.width)
+    j0, j1 = _pixel_window(min(ys), max(ys), grid.origin_y, grid.pixel_size, grid.height)
+    mask = np.zeros((grid.height, grid.width), dtype=bool)
+    if i0 >= i1 or j0 >= j1:
+        return mask
+    px = grid.origin_x + (np.arange(i0, i1) + 0.5) * grid.pixel_size
+    py = (grid.origin_y + (np.arange(j0, j1) + 0.5) * grid.pixel_size)[:, None]
+    inside = mask[j0:j1, i0:i1]
+    inside[...] = True
     for i in range(4):
         x1, y1 = pts[i]
         x2, y2 = pts[(i + 1) % 4]
         # CCW edges: inside is the non-negative side of each edge normal
         inside &= (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0.0
-    return inside
+    return mask
 
 
 _SLIVER_AREA = 1e-10  # m^2; below this a clipped region counts as empty
+# relative (and absolute, in m) slack of the circle test in iou_3d: far above
+# the rounding of corners and distances, so a pair it rejects clips to 0.0
+_REACH_SLACK = 1e-9
 
 
 def intersection_area(a: BevPolygon, b: BevPolygon) -> float:
-    """Overlap area of two convex quads (Sutherland-Hodgman clipping)."""
-    subject = [tuple(p) for p in a.corners]
-    clip = b.corners
+    """Overlap area of two convex quads (Sutherland-Hodgman clipping on Python floats)."""
+    subject = a.corners.tolist()
+    clip = b.corners.tolist()
     for i in range(4):
         if not subject:
             return 0.0
@@ -194,16 +219,21 @@ def _edge_cross(p, q, sp, sq):
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU of two upright boxes.
 
-    The footprint overlap comes from rotated polygon clipping; the vertical
-    overlap from the [cz - dz/2, cz + dz/2] interval intersection. Disjoint
+    The vertical overlap comes from the [cz - dz/2, cz + dz/2] interval
+    intersection; the footprint overlap from rotated polygon clipping, which
+    is skipped when the footprints' circumscribed circles are apart. Disjoint
     boxes give exactly 0.0.
     """
-    bev = intersection_area(project_to_bev(a), project_to_bev(b))
-    if bev == 0.0:
-        return 0.0
     z_lo = max(a.cz - 0.5 * a.dz, b.cz - 0.5 * b.dz)
     z_hi = min(a.cz + 0.5 * a.dz, b.cz + 0.5 * b.dz)
     if z_hi <= z_lo:
+        return 0.0
+    reach = 0.5 * (math.hypot(a.dx, a.dy) + math.hypot(b.dx, b.dy))
+    scale = reach + max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy))
+    if math.hypot(a.cx - b.cx, a.cy - b.cy) > reach + _REACH_SLACK * scale + _REACH_SLACK:
+        return 0.0
+    bev = intersection_area(project_to_bev(a), project_to_bev(b))
+    if bev == 0.0:
         return 0.0
     inter = bev * (z_hi - z_lo)
     union = a.volume + b.volume - inter

@@ -315,7 +315,7 @@ def load_json(path):
 
 def save_model(path, model: ModelGraph) -> None:
     with open(path, "w") as f:
-        json.dump(model_to_spec(model), f)
+        f.write(json.dumps(model_to_spec(model)))  # dumps runs the C encoder; dump does not
 
 
 def load_model(path) -> ModelGraph:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from xckit import autodiff
+from xckit.errors import XckitError
 
 
 def fd_gradient(model, x, target, h=1e-3):
@@ -179,6 +180,80 @@ def oracle_xc(values, box, grid, a_thresh, margin):
         acc[f"xc_s_{sign}"] = s_in / s_all if s_all > 0 else None
         acc[f"xc_c_{sign}"] = float(c_in) / float(c_all) if c_all > 0 else None
     return acc
+
+
+def _roll_area(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def reference_bev_corners(box):
+    """Footprint corners of ``box`` by the original projection and checks.
+
+    Rotates with the same numpy expressions as ``geometry.project_to_bev``
+    and validates with the original ``np.roll`` area and convexity tests,
+    raising XckitError with the same message wherever a valid polygon cannot
+    be formed.
+    """
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hx, hy = 0.5 * box.dx, 0.5 * box.dy
+    local = np.array([(hx, hy), (-hx, hy), (-hx, -hy), (hx, -hy)])
+    rot = np.array([[c, -s], [s, c]])
+    pts = local @ rot.T + np.array([box.cx, box.cy])
+    if _roll_area(pts) <= 0:
+        raise XckitError("polygon corners must be counter-clockwise with positive area")
+    e_in = pts - np.roll(pts, 1, axis=0)
+    e_out = np.roll(pts, -1, axis=0) - pts
+    if np.any(e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0] < 0):
+        raise XckitError("polygon must be convex")
+    return pts
+
+
+def reference_iou_3d(a, b):
+    """Volume IoU that always projects and clips both footprints, on numpy scalars.
+
+    Sutherland-Hodgman clipping of a's quad by b's, a clipped area under
+    1e-10 m^2 counting as empty, then the vertical interval overlap.
+    """
+    subject = [tuple(p) for p in reference_bev_corners(a)]
+    clip = reference_bev_corners(b)
+    for i in range(4):
+        if not subject:
+            break
+        (x1, y1), (x2, y2) = clip[i], clip[(i + 1) % 4]
+        sides = [(x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) for p in subject]
+        out = []
+        for k, (cur, cur_side) in enumerate(zip(subject, sides)):
+            prev, prev_side = subject[k - 1], sides[k - 1]
+            if (cur_side >= 0) != (prev_side >= 0):
+                t = prev_side / (prev_side - cur_side)
+                out.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if cur_side >= 0:
+                out.append(cur)
+        subject = out
+    bev = abs(_roll_area(np.asarray(subject))) if len(subject) >= 3 else 0.0
+    if bev < 1e-10:
+        return 0.0
+    z_lo = max(a.cz - 0.5 * a.dz, b.cz - 0.5 * b.dz)
+    z_hi = min(a.cz + 0.5 * a.dz, b.cz + 0.5 * b.dz)
+    if z_hi <= z_lo:
+        return 0.0
+    inter = bev * (z_hi - z_lo)
+    return min(max(inter / (a.volume + b.volume - inter), 0.0), 1.0)
+
+
+def reference_membership_mask(corners, grid):
+    """(H, W) mask of pixel centers in or on a CCW quad, testing every pixel of the grid."""
+    xs = grid.origin_x + (np.arange(grid.width) + 0.5) * grid.pixel_size
+    ys = grid.origin_y + (np.arange(grid.height) + 0.5) * grid.pixel_size
+    px = np.broadcast_to(xs, (grid.height, grid.width))
+    py = np.broadcast_to(ys[:, None], (grid.height, grid.width))
+    inside = np.ones((grid.height, grid.width), dtype=bool)
+    for i in range(4):
+        x1, y1 = corners[i]
+        x2, y2 = corners[(i + 1) % 4]
+        inside &= (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0.0
+    return inside
 
 
 def mann_whitney_auc(scores, labels):

@@ -171,6 +171,14 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          1, "seed must be a non-negative integer"),
         (write_model('{"input_shape": [40, 40, 4], "layers": [{"kind": "flatten"}]}'),
          attribute_argv, 1, "model.json:"),
+        (lambda s: edit_first_pred(s, box=[float("nan"), 0.0, 0.0, 4.0, 1.8, 1.6, 0.0]),
+         match_argv, 1, "preds.jsonl: line 1: bad box: box fields must be finite"),
+        (lambda s: replace_first_line(s, "gts.jsonl", b'{"frame_id": "000000", "box": [Infinity, '
+                                      b'0, 0, 4, 1.8, 1.6, 0], "label": "car"}'), match_argv, 1,
+         "gts.jsonl: line 1: bad box: box fields must be finite"),
+        (lambda s: None, writes("spec.json", b'{"grid": {"height": 40, "width": 40, '
+                                b'"origin_x": -8.0, "origin_y": -8.0, "pixel_size": NaN}}',
+                                SYNTH_SPEC), 1, "grid pixel_size must be a finite number"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -180,7 +188,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "scene-spec-float-grid-size", "model-layer-missing-field", "ground-truth-bad-box",
          "model-layer-not-object", "model-size-not-integer", "model-input-shape-not-list",
          "features-not-utf8", "features-oversized-field", "features-flag-not-0-or-1",
-         "model-seed-not-integer", "model-seed-negative", "model-error-names-file"],
+         "model-seed-not-integer", "model-seed-negative", "model-error-names-file",
+         "prediction-box-nan", "ground-truth-box-infinity", "scene-spec-pixel-size-nan"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

@@ -1,9 +1,14 @@
 """Geometry tests with Monte Carlo area/volume oracles."""
 
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_bev_corners, reference_iou_3d, reference_membership_mask
 
 from xckit.errors import NegativeMargin, XckitError
 from xckit.geometry import (
@@ -14,7 +19,6 @@ from xckit.geometry import (
     intersection_area,
     iou_3d,
     membership_mask,
-    pixel_center_coords,
     project_to_bev,
     wrap_angle,
 )
@@ -128,7 +132,8 @@ class TestMembershipMask:
         poly = project_to_bev(box(cx=4, cy=5, dx=4, dy=4, dz=1))
         mask = membership_mask(poly, grid)
         assert int(mask.sum()) == 16
-        xs, ys = pixel_center_coords(grid)
+        xs = (np.arange(10) + 0.5)[None, :]
+        ys = (np.arange(10) + 0.5)[:, None]
         # independent exhaustive enumeration of qualifying centers
         want = (xs >= 2) & (xs <= 6) & (ys >= 3) & (ys <= 7)
         assert np.array_equal(mask, want)
@@ -266,3 +271,114 @@ class TestAngles:
             box(yaw=4.0)
         with pytest.raises(XckitError):
             GridMeta(height=0, width=4, origin_x=0, origin_y=0, pixel_size=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["cx", "cy", "cz", "dx", "dy", "dz"])
+    def test_non_finite_box_field_rejected(self, name, value):
+        with pytest.raises(XckitError, match="finite"):
+            box(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["origin_x", "origin_y", "pixel_size"])
+    def test_non_finite_grid_field_rejected(self, name, value):
+        fields = dict(height=4, width=4, origin_x=0.0, origin_y=0.0, pixel_size=1.0)
+        with pytest.raises(XckitError, match=f"grid {name} must be a finite number"):
+            GridMeta(**{**fields, name: value})
+
+
+# --- bitwise parity with the full computations (tests/oracles.py) ---
+#
+# iou_3d rejects disjoint pairs before clipping and membership_mask tests only
+# the pixels around the polygon; both must return exactly what projecting,
+# clipping and testing every pixel return.
+
+PARITY = settings(max_examples=300, deadline=None, derandomize=True)
+YAWS = st.one_of(
+    st.floats(-math.pi, math.pi).filter(lambda t: t > -math.pi),
+    st.sampled_from([math.pi, math.nextafter(-math.pi, 0.0), 0.0, math.pi / 2]),
+)
+EXTENTS = st.floats(0.2, 6.0) | st.floats(0.2, 6.0) | st.floats(1e-6, 1e-3)  # 1 in 3 tiny
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)  # tells 0.0 from -0.0
+
+
+@st.composite
+def boxes(draw, cx=st.floats(-12.0, 12.0), cy=st.floats(-12.0, 12.0)):
+    return box(cx=draw(cx), cy=draw(cy), cz=draw(st.floats(-1.0, 1.0)), dx=draw(EXTENTS),
+               dy=draw(EXTENTS), dz=draw(st.floats(0.1, 3.0)), yaw=draw(YAWS))
+
+
+@st.composite
+def box_pairs(draw):
+    a, b = draw(boxes()), draw(boxes())
+    kind = draw(st.sampled_from(["far", "near", "touching", "within_reach"]))
+    if kind == "near":
+        b = replace(b, cx=a.cx + draw(st.floats(-2.0, 2.0)), cy=a.cy + draw(st.floats(-2.0, 2.0)))
+    elif kind == "touching":  # same yaw, b's side flush against a's
+        off = 0.5 * (a.dx + b.dx)
+        b = replace(b, yaw=a.yaw, cz=a.cz, cx=a.cx + off * math.cos(a.yaw),
+                    cy=a.cy + off * math.sin(a.yaw))
+    elif kind == "within_reach":
+        # centers up to, or exactly, the sum of the half-diagonals apart
+        d = 0.5 * (math.hypot(a.dx, a.dy) + math.hypot(b.dx, b.dy))
+        d *= draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+        t = draw(st.floats(-math.pi, math.pi))
+        b = replace(b, cz=a.cz, cx=a.cx + d * math.cos(t), cy=a.cy + d * math.sin(t))
+    return a, b
+
+
+@st.composite
+def grids_and_boxes(draw):
+    size = draw(st.floats(0.05, 2.0))
+    grid = GridMeta(height=draw(st.integers(1, 24)), width=draw(st.integers(1, 24)),
+                    origin_x=draw(st.floats(-10.0, 10.0)), origin_y=draw(st.floats(-10.0, 10.0)),
+                    pixel_size=size)
+    x1 = grid.origin_x + grid.width * size
+    y1 = grid.origin_y + grid.height * size
+    b = draw(boxes(cx=st.floats(grid.origin_x - 4.0, x1 + 4.0),
+                   cy=st.floats(grid.origin_y - 4.0, y1 + 4.0)))
+    if draw(st.booleans()):
+        # upright box with a corner on a pixel center: its edges run through centers
+        i, j = draw(st.integers(0, grid.width - 1)), draw(st.integers(0, grid.height - 1))
+        sx, sy = draw(st.sampled_from([-0.5, 0.5])), draw(st.sampled_from([-0.5, 0.5]))
+        b = replace(b, yaw=draw(st.sampled_from([0.0, math.pi])),
+                    cx=grid.origin_x + (i + 0.5) * size + sx * b.dx,
+                    cy=grid.origin_y + (j + 0.5) * size + sy * b.dy)
+    return grid, b
+
+
+class TestFastPathParity:
+    @PARITY
+    @given(box_pairs())
+    @example((box(dx=2.0, dy=2.0), box(cx=1.9, cy=1.9, dx=2.0, dy=2.0)))  # corners overlap
+    def test_iou_3d_equals_full_clipping(self, pair):
+        a, b = pair
+        assert bits(iou_3d(a, b)) == bits(reference_iou_3d(a, b))
+        assert bits(iou_3d(b, a)) == bits(reference_iou_3d(b, a))
+
+    @PARITY
+    @given(grids_and_boxes())
+    def test_membership_mask_equals_full_grid(self, case):
+        grid, b = case
+        poly = project_to_bev(b)
+        got = membership_mask(poly, grid)
+        want = reference_membership_mask(poly.corners, grid)
+        assert got.dtype == bool and got.shape == (grid.height, grid.width)
+        assert np.array_equal(got, want)
+
+    @PARITY
+    @given(st.builds(box, cx=st.floats(-1e6, 1e6), cy=st.floats(-1e6, 1e6),
+                     dx=st.floats(-170.0, 1.0).map(lambda e: 10.0**e),
+                     dy=st.floats(-170.0, 1.0).map(lambda e: 10.0**e), yaw=YAWS))
+    @example(box(dx=1e-170, dy=1e-170))  # the footprint area underflows to 0
+    def test_project_to_bev_raises_where_reference_does(self, b):
+        try:
+            want = reference_bev_corners(b)
+        except XckitError as e:
+            with pytest.raises(XckitError) as got:
+                project_to_bev(b)
+            assert str(got.value) == str(e)
+        else:
+            assert np.array_equal(project_to_bev(b).corners, want)

@@ -342,6 +342,12 @@ class TestModelJson:
         back = load_model(p)
         assert model_to_spec(back) == model_to_spec(model)
 
+    def test_saved_bytes_are_one_json_document(self, tmp_path):
+        model = build_toy_model(SceneSpec().grid)
+        p = tmp_path / "model.json"
+        save_model(p, model)
+        assert p.read_bytes() == json.dumps(model_to_spec(model)).encode()
+
 
 class TestSceneSpecJson:
     def test_round_trip(self, tmp_path):

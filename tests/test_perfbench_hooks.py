@@ -82,3 +82,43 @@ def test_train_meta_records_fold_spans(tmp_path):
     names = [s["name"] for s in tracer.spans]
     assert names.count("meta.cv") == 1
     assert names.count("meta.fold") == 25
+
+
+def test_xc_and_match_record_geometry_spans(tmp_path):
+    # the traced run's geometry.* and xc.* metrics need every box pair and
+    # every scored box to pass through the wrapped names, fast paths included
+    from xckit.cli import main, read_frame_store
+    from xckit.matching import MatchConfig
+
+    store, attribs = str(tmp_path / "store"), str(tmp_path / "attribs")
+    assert main(["synth", "--out", store, "--frames", "2", "--seed", "0"]) == 0
+    assert main(["attribute", "--frames", store, "--out", attribs, "--jobs", "1"]) == 0
+    _, fids, frames = read_frame_store(store)
+    thresh = MatchConfig().score_thresh
+    pairs = [sum(p.top_score >= thresh for p in frames[f][1]) * len(frames[f][2]) for f in fids]
+    assert sum(pairs) > 0
+    stages = [
+        ["xc", "--frames", store, "--attribs", attribs, "--out", str(tmp_path / "features.csv")],
+        ["match", "--preds", os.path.join(store, "preds.jsonl"),
+         "--gts", os.path.join(store, "gts.jsonl"), "--out", str(tmp_path / "tags.jsonl")],
+    ]
+    for argv in stages:
+        tracer = Tracer()
+        try:
+            child._install_patches(tracer)
+            assert main(argv) == 0
+        finally:
+            tracer.restore()
+        spans = tracer.spans
+
+        def children(parent, name):
+            return [s for s in spans if s["parent"] == parent["id"] and s["name"] == name]
+
+        frame_spans = [s for s in spans if s["name"] == "matching.frame"]
+        assert [len(children(s, "geometry.iou")) for s in frame_spans] == pairs, argv[0]
+        assert sum(s["name"] == "geometry.iou" for s in spans) == sum(pairs)
+        if argv[0] == "xc":
+            boxes = [s for s in spans if s["name"] == "xc.box"]
+            assert boxes
+            assert all(len(children(b, "geometry.mask")) == 1 for b in boxes)
+            assert all(len(children(b, "xc.aggregate")) == 1 for b in boxes)
