@@ -11,6 +11,7 @@ them read-only; any other input runs on the float32 arrays.
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -19,16 +20,42 @@ from .errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitErro
 
 
 def _as_f32(values, shape, what):
-    arr = np.asarray(values, dtype=np.float32)
-    if arr.shape != tuple(shape):
-        # accept flat lists for convenience
-        if arr.size == int(np.prod(shape)):
-            arr = arr.reshape(shape)
-        else:
-            raise ShapeMismatch(f"{what}: expected shape {tuple(shape)}, got {arr.shape}")
+    """A float32 parameter array from nested lists or a ``{"shape", "f32le"}`` object."""
+    shape = tuple(shape)
+    if isinstance(values, dict):
+        arr = _decode_f32(values, shape, what)
+    else:
+        try:
+            arr = np.asarray(values, dtype=np.float32)
+        except (TypeError, ValueError) as e:
+            raise XckitError(f"{what}: parameters must be nested lists of numbers: {e}")
+    if arr.shape != shape:
+        raise ShapeMismatch(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise XckitError(f"{what}: non-finite parameter values")
     return arr
+
+
+def _encode_f32(arr) -> dict:
+    """``arr`` as its shape and the base64 of its C-order little-endian float32 bytes."""
+    raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    return {"shape": list(arr.shape), "f32le": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_f32(obj, shape, what):
+    if obj.get("shape") != list(shape):
+        raise ShapeMismatch(f"{what}: expected shape {list(shape)}, got {obj.get('shape')!r}")
+    data = obj.get("f32le")
+    if not isinstance(data, str):
+        raise XckitError(f"{what}: 'f32le' must be a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise XckitError(f"{what}: 'f32le' is not valid base64: {e}")
+    n = 4 * math.prod(shape)
+    if len(raw) != n:
+        raise XckitError(f"{what}: 'f32le' holds {len(raw)} bytes, shape {list(shape)} needs {n}")
+    return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
 class _Affine:
@@ -177,9 +204,11 @@ def build_model(spec: dict) -> ModelGraph:
     """Build a validated ModelGraph from a structured layer description.
 
     ``spec`` maps ``input_shape`` to a list of ``layers`` entries. Each
-    dense or conv2d entry either carries inline ``weight``/``bias`` arrays
-    or is initialized from ``spec["seed"]`` with
-    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws in layer order.
+    dense or conv2d entry either carries its ``weight``/``bias`` arrays or is
+    initialized from ``spec["seed"]`` with uniform(-1/sqrt(fan_in),
+    +1/sqrt(fan_in)) draws in layer order. An array is given as nested lists
+    or as ``{"shape": [...], "f32le": "<base64>"}``, the encoding
+    ``model_to_spec`` writes.
     """
     if not (isinstance(spec, dict)
             and all(isinstance(spec.get(k), (list, tuple)) for k in ("input_shape", "layers"))):
@@ -191,7 +220,7 @@ def build_model(spec: dict) -> ModelGraph:
 
     def param(entry, key, shape, fan_in, tag):
         if key in entry:
-            return _as_f32(entry[key], shape, tag)
+            return _as_f32(entry[key], shape, f"{tag} {key}")
         if rng is None:
             raise XckitError(f"{tag}: no inline parameters and no init seed given")
         return _init_array(rng, shape, fan_in)
@@ -236,7 +265,11 @@ def build_model(spec: dict) -> ModelGraph:
 
 
 def model_to_spec(model: ModelGraph) -> dict:
-    """Inverse of build_model, with all parameters inlined."""
+    """Inverse of build_model: every weight and bias as a ``{"shape", "f32le"}`` object.
+
+    ``f32le`` is the base64 of the array's C-order little-endian float32
+    bytes, so parameters round-trip bit for bit.
+    """
     layers = []
     for layer in model.layers:
         entry = {"kind": layer.kind}
@@ -246,7 +279,7 @@ def model_to_spec(model: ModelGraph) -> dict:
             kh, kw, cin, cout = (int(d) for d in layer.weight.shape)
             entry.update(in_channels=cin, out_channels=cout, kernel=[kh, kw])
         if layer.kind in ("dense", "conv2d"):
-            entry.update(weight=layer.weight.tolist(), bias=layer.bias.tolist())
+            entry.update(weight=_encode_f32(layer.weight), bias=_encode_f32(layer.bias))
         layers.append(entry)
     return {"input_shape": list(model.input_shape), "layers": layers}
 

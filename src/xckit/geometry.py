@@ -74,6 +74,13 @@ class Box3D:
             raise XckitError(f"box extents must be positive, got ({self.dx}, {self.dy}, {self.dz})")
         if not (-math.pi < self.yaw <= math.pi):
             raise XckitError(f"yaw must lie in (-pi, pi], got {self.yaw}; wrap_angle() normalizes")
+        # built once here, so a box whose footprint is no polygon (extents that
+        # underflow, or vanish against the center's ulp) is rejected up front
+        try:
+            footprint = _footprint(self)
+        except XckitError as e:
+            raise XckitError(f"box footprint is degenerate: {e}") from None
+        object.__setattr__(self, "_footprint", footprint)
 
     @property
     def volume(self) -> float:
@@ -89,7 +96,9 @@ class BevPolygon:
         pts = np.asarray(corners, dtype=np.float64)
         if pts.shape != (4, 2):
             raise XckitError(f"polygon needs 4 corner points, got shape {pts.shape}")
-        if _signed_area(pts) <= 0:
+        if not np.isfinite(pts).all():
+            raise XckitError("polygon corners must be finite")
+        if not (_signed_area(pts) > 0):
             raise XckitError("polygon corners must be counter-clockwise with positive area")
         p = pts.tolist()
         for i in range(4):
@@ -126,12 +135,21 @@ def enlarge(box: Box3D, m: float) -> Box3D:
 
 
 def project_to_bev(box: Box3D) -> BevPolygon:
-    """Corners of the box footprint: center +/- (dx/2, dy/2) rotated by yaw."""
+    """Corners of the box footprint: center +/- (dx/2, dy/2) rotated by yaw.
+
+    The polygon is built with the box and shared; its corners are read-only.
+    """
+    return box._footprint
+
+
+def _footprint(box) -> BevPolygon:
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     hx, hy = 0.5 * box.dx, 0.5 * box.dy
     local = np.array([(hx, hy), (-hx, hy), (-hx, -hy), (hx, -hy)])
     rot = np.array([[c, -s], [s, c]])
-    return BevPolygon(local @ rot.T + np.array([box.cx, box.cy]))
+    poly = BevPolygon(local @ rot.T + np.array([box.cx, box.cy]))
+    poly.corners.flags.writeable = False
+    return poly
 
 
 def _pixel_window(lo: float, hi: float, origin: float, size: float, n: int):

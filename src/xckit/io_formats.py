@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, List
@@ -314,8 +315,17 @@ def load_json(path):
 
 
 def save_model(path, model: ModelGraph) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps(model_to_spec(model)))  # dumps runs the C encoder; dump does not
+    """Write ``model`` as one JSON document; a failed save leaves ``path`` as it was."""
+    text = json.dumps(model_to_spec(model))  # dumps runs the C encoder; dump does not
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path) -> ModelGraph:

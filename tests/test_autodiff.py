@@ -249,6 +249,6 @@ class TestSpecRoundTrip:
                 "layers": [{"kind": "dense", "in_features": 16, "out_features": 8}],
             }
         )
-        w = np.asarray(model_to_spec(m)["layers"][0]["weight"], np.float32)
+        w = m.layers[0].weight
         assert np.all(np.abs(w) <= 0.25 + 1e-7)
         assert w.std() > 0.05

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import struct
@@ -109,6 +110,27 @@ def write_model(spec):
     return mutate
 
 
+def encoded_weight(weight):
+    """A model.json text whose one dense layer (2 -> 1) carries ``weight`` as its weight."""
+    return json.dumps({"input_shape": [2], "layers": [
+        {"kind": "dense", "in_features": 2, "out_features": 1, "weight": weight, "bias": [0.0]}]})
+
+
+def f32le(*words):
+    """base64 of little-endian uint32 words, i.e. of float32 bit patterns."""
+    return base64.b64encode(struct.pack(f"<{len(words)}I", *words)).decode()
+
+
+def degenerate_first_pred(dx, offset=0.0):
+    """Give the first prediction a square footprint of side ``dx``, ``offset`` m from a GT."""
+    def mutate(store):
+        gt = json.loads(open(os.path.join(store, "gts.jsonl")).readline())
+        cx, cy, cz, _, _, dz, _ = gt["box"]
+        edit_first_pred(store, frame_id=gt["frame_id"], label=gt["label"],
+                        box=[cx + offset, cy, cz, dx, dx, dz, 0.0])
+    return mutate
+
+
 def features_csv(row):
     """Eval argv on a feature CSV holding the header and ``row``."""
     header = ",".join(FEATURE_CSV_COLUMNS).encode()
@@ -179,6 +201,26 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
         (lambda s: None, writes("spec.json", b'{"grid": {"height": 40, "width": 40, '
                                 b'"origin_x": -8.0, "origin_y": -8.0, "pixel_size": NaN}}',
                                 SYNTH_SPEC), 1, "grid pixel_size must be a finite number"),
+        (write_model(encoded_weight({"shape": [2, 1], "f32le": "AAAA*AAAAAAA="})), attribute_argv,
+         1, "model.json: layers.0 (dense) weight: 'f32le' is not valid base64"),
+        (write_model(encoded_weight({"shape": [2, 1], "f32le": f32le(0)})), attribute_argv, 1,
+         "model.json: layers.0 (dense) weight: 'f32le' holds 4 bytes, shape [2, 1] needs 8"),
+        (write_model(encoded_weight({"shape": [1, 2], "f32le": f32le(0, 0)})), attribute_argv, 1,
+         "model.json: layers.0 (dense) weight: expected shape [2, 1], got [1, 2]"),
+        (write_model(encoded_weight({"shape": [2, 1], "f32le": f32le(0, 0x7FC00000)})),
+         attribute_argv, 1, "model.json: layers.0 (dense) weight: non-finite parameter values"),
+        (write_model(encoded_weight({"shape": [2, 1], "f32le": [0.0, 0.0]})), attribute_argv, 1,
+         "model.json: layers.0 (dense) weight: 'f32le' must be a base64 string"),
+        (write_model(encoded_weight({"shape": "2x1", "f32le": f32le(0, 0)})), attribute_argv, 1,
+         "model.json: layers.0 (dense) weight: expected shape [2, 1], got '2x1'"),
+        (write_model(encoded_weight([["abc"], [1.0]])), attribute_argv, 1,
+         "model.json: layers.0 (dense) weight: parameters must be nested lists of numbers"),
+        (degenerate_first_pred(1e-170), match_argv, 1,
+         "preds.jsonl: line 1: bad box: box footprint is degenerate"),
+        (degenerate_first_pred(1e-170, offset=50.0), match_argv, 1,
+         "preds.jsonl: line 1: bad box: box footprint is degenerate"),
+        (degenerate_first_pred(1e-12, offset=1e6), match_argv, 1,
+         "preds.jsonl: line 1: bad box: box footprint is degenerate"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -189,7 +231,11 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "model-layer-not-object", "model-size-not-integer", "model-input-shape-not-list",
          "features-not-utf8", "features-oversized-field", "features-flag-not-0-or-1",
          "model-seed-not-integer", "model-seed-negative", "model-error-names-file",
-         "prediction-box-nan", "ground-truth-box-infinity", "scene-spec-pixel-size-nan"],
+         "prediction-box-nan", "ground-truth-box-infinity", "scene-spec-pixel-size-nan",
+         "model-weight-bad-base64", "model-weight-wrong-byte-count", "model-weight-wrong-shape",
+         "model-weight-nan-bits", "model-weight-f32le-not-string", "model-weight-shape-not-a-list",
+         "model-weight-not-numbers", "prediction-box-underflow-near-gt",
+         "prediction-box-underflow-far", "prediction-box-extent-below-center-ulp"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

@@ -3,6 +3,7 @@
 import math
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,6 +114,23 @@ class TestBevPolygon:
     def test_nonconvex_rejected(self):
         with pytest.raises(XckitError):
             BevPolygon([(0, 0), (2, 0), (0.1, 0.1), (0, 2)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_corner_rejected(self, value):
+        with pytest.raises(XckitError, match="polygon corners must be finite"):
+            BevPolygon([(value, 0), (1, 0), (1, 1), (0, 1)])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_area_rejected(self):
+        # finite corners whose shoelace sums both overflow: inf - inf is a NaN area
+        a = 1e200
+        with pytest.raises(XckitError, match="positive area"):
+            BevPolygon([(a, a), (2 * a, a), (2 * a, 2 * a), (a, 2 * a)])
+
+    def test_projected_corners_are_read_only(self):
+        with pytest.raises(ValueError):
+            project_to_bev(box()).corners[0, 0] = 5.0
 
 
 class TestMembershipMask:
@@ -369,16 +387,18 @@ class TestFastPathParity:
         assert np.array_equal(got, want)
 
     @PARITY
-    @given(st.builds(box, cx=st.floats(-1e6, 1e6), cy=st.floats(-1e6, 1e6),
+    @given(st.builds(dict, cx=st.floats(-1e6, 1e6), cy=st.floats(-1e6, 1e6),
                      dx=st.floats(-170.0, 1.0).map(lambda e: 10.0**e),
                      dy=st.floats(-170.0, 1.0).map(lambda e: 10.0**e), yaw=YAWS))
-    @example(box(dx=1e-170, dy=1e-170))  # the footprint area underflows to 0
-    def test_project_to_bev_raises_where_reference_does(self, b):
+    @example(dict(cx=0.0, cy=0.0, dx=1e-170, dy=1e-170, yaw=0.0))  # the area underflows to 0
+    @example(dict(cx=1e6, cy=0.0, dx=1e-12, dy=1e-12, yaw=0.0))  # extents below the ulp of cx
+    def test_project_to_bev_raises_where_reference_does(self, fields):
+        # Box3D projects its footprint when built, so the box itself is rejected
         try:
-            want = reference_bev_corners(b)
+            want = reference_bev_corners(SimpleNamespace(**fields))
         except XckitError as e:
             with pytest.raises(XckitError) as got:
-                project_to_bev(b)
-            assert str(got.value) == str(e)
+                box(**fields)
+            assert str(got.value) == f"box footprint is degenerate: {e}"
         else:
-            assert np.array_equal(project_to_bev(b).corners, want)
+            assert np.array_equal(project_to_bev(box(**fields)).corners, want)

@@ -1,12 +1,19 @@
+import base64
 import json
+import os
 import struct
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import xckit.io_formats
 from xckit.attribution import AttributionMap, AttributionTarget
-from xckit.autodiff import forward_array, model_to_spec
+from xckit.autodiff import build_model, forward_array, model_to_spec
 from xckit.errors import BadMagic, ParseError, TruncatedPayload, VersionUnsupported, XckitError
 from xckit.geometry import Box3D
 from xckit.io_formats import (
@@ -326,6 +333,28 @@ class TestFeatureCsv:
             read_feature_csv(p)
 
 
+FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)  # subnormals and -0.0 too
+F32_MAX = float(np.finfo(np.float32).max)
+TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+@st.composite
+def conv_dense_params(draw):
+    """conv2d and dense weights and biases for a 2x2 input, each value any finite float32."""
+    kh, kw = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 3]))
+    cin, cout, n_out = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes = ((kh, kw, cin, cout), (cout,), (4 * cout, n_out), (n_out,))
+    return tuple(draw(arrays(np.float32, shape, elements=FINITE_F32)) for shape in shapes)
+
+
+EXTREME_PARAMS = tuple(np.array(v, np.float32).reshape(shape) for v, shape in (
+    ([-0.0, TINY], (1, 1, 1, 2)),
+    ([-TINY, float(np.finfo(np.float32).smallest_normal)], (2,)),
+    ([F32_MAX, -F32_MAX, 1.0, 0.0, -0.0, TINY, -TINY, F32_MAX], (8, 1)),
+    ([-F32_MAX], (1,)),
+))
+
+
 class TestModelJson:
     def test_round_trip_same_outputs(self, tmp_path):
         grid_model = build_toy_model(SceneSpec().grid)
@@ -347,6 +376,70 @@ class TestModelJson:
         p = tmp_path / "model.json"
         save_model(p, model)
         assert p.read_bytes() == json.dumps(model_to_spec(model)).encode()
+
+    def test_parameters_are_encoded_f32le(self, tmp_path):
+        model = build_toy_model(SceneSpec().grid)
+        save_model(tmp_path / "model.json", model)
+        entries = json.loads((tmp_path / "model.json").read_text())["layers"]
+        for entry, layer in zip(entries, model.layers):
+            for key in ("weight", "bias") if "weight" in entry else ():
+                arr = getattr(layer, key)
+                assert entry[key]["shape"] == list(arr.shape)
+                assert base64.b64decode(entry[key]["f32le"]) == arr.astype("<f4").tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(conv_dense_params())
+    @example(EXTREME_PARAMS)
+    def test_round_trip_bit_equal_for_any_finite_float32(self, params):
+        conv_w, conv_b, dense_w, dense_b = params
+        kh, kw, cin, cout = conv_w.shape
+        model = build_model({"input_shape": [2, 2, cin], "layers": [
+            {"kind": "conv2d", "in_channels": cin, "out_channels": cout, "kernel": [kh, kw],
+             "weight": conv_w, "bias": conv_b},
+            {"kind": "dense", "in_features": 4 * cout, "out_features": dense_w.shape[1],
+             "weight": dense_w, "bias": dense_b}]})
+        with tempfile.TemporaryDirectory() as d:  # not tmp_path: one directory per example
+            path = os.path.join(d, "model.json")
+            save_model(path, model)
+            back = load_model(path)
+        got = [a for layer in back.layers for a in (layer.weight, layer.bias)]
+        for want, arr in zip(params, got):
+            assert arr.dtype == np.float32 and arr.shape == want.shape
+            assert np.array_equal(arr.view(np.uint32), want.view(np.uint32))
+
+    def test_inline_list_model_loads_bit_equal(self, tmp_path):
+        model = build_toy_model(SceneSpec().grid)
+        spec = model_to_spec(model)
+        for entry, layer in zip(spec["layers"], model.layers):
+            if "weight" in entry:  # the nested-list form written before the encoding
+                entry.update(weight=layer.weight.tolist(), bias=layer.bias.tolist())
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(spec))
+        back = load_model(p)
+        for old, new in zip(model.layers, back.layers):
+            if hasattr(old, "weight"):
+                assert np.array_equal(new.weight.view(np.uint32), old.weight.view(np.uint32))
+                assert np.array_equal(new.bias.view(np.uint32), old.bias.view(np.uint32))
+
+    @pytest.mark.parametrize("fail", ["dumps", "replace"])
+    def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch, fail):
+        p = tmp_path / "model.json"
+        save_model(p, build_toy_model(SceneSpec().grid))
+        before = p.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        if fail == "dumps":
+            monkeypatch.setattr(xckit.io_formats.json, "dumps", boom)
+        else:  # the temp file is written in full, then the rename fails
+            monkeypatch.setattr(xckit.io_formats.os, "replace", boom)
+        small = build_model({"input_shape": [2], "seed": 0,
+                             "layers": [{"kind": "dense", "in_features": 2, "out_features": 1}]})
+        with pytest.raises(OSError, match="disk full"):
+            save_model(p, small)
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
 
 
 class TestSceneSpecJson:
