@@ -10,9 +10,11 @@ Three methods are provided:
   still receive attribution from the model's sensitivity to it.
 
 All three share one path engine: the maps of every target on an input come
-from the same chunked forward passes over the path points. Attribution
-values are kept at float64; the path average accumulates in float64
-regardless of parameter storage.
+from the same chunked forward passes over the path points, and each chunk
+costs one backward of the model's leading conv2d/dense layers per target,
+on the gradient summed over the chunk's points. Attribution values are kept
+at float64; the path average accumulates in float64 regardless of parameter
+storage.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ def _path_maps(model, input, output_index, target, method, steps, baseline, offs
     The path points are b + (k - 1 + offset)/steps * (x - b) for k = 1..steps
     (offset 0.5 is the midpoint rule; steps 1, offset 1 is the input itself).
     Each chunk of points gets one forward pass, shared by every target, and
-    each target's gradients are summed in step order. The mean gradient is
-    multiplied by (x - b) for integrated gradients only.
+    the engine returns each target's gradient summed over the chunk's points
+    in step order; the chunk sums are added in chunk order. The mean
+    gradient is multiplied by (x - b) for integrated gradients only.
     """
     if steps < 1:
         raise ZeroSteps(f"steps must be >= 1, got {steps}")
@@ -85,9 +88,7 @@ def _path_maps(model, input, output_index, target, method, steps, baseline, offs
     per_chunk = max(1, CHUNK_BYTES // x.nbytes)
     acc = np.zeros((len(indices),) + x.shape)
     for start in range(0, steps, per_chunk):
-        grads = input_gradient_array(model, b + alphas[start : start + per_chunk] * dx, indices)
-        for k in range(grads.shape[1]):
-            acc += grads[:, k]
+        acc += input_gradient_array(model, b + alphas[start : start + per_chunk] * dx, indices)
     avg = acc / steps
     maps = [
         AttributionMap(

@@ -3,7 +3,11 @@
 Attribution needs one thing from a detector: the gradient of one output with
 respect to its input grid. This engine computes exactly that, for the layer
 set of the toy detectors: conv2d (stride 1, zero padding), relu, sigmoid and
-dense (which flattens its input). It computes no parameter gradients.
+dense (which flattens its input). It computes no parameter gradients, and it
+skips backward work that cannot change the answer: dense multiplies only the
+non-zero columns of its output gradient (one for a one-hot seed through
+elementwise tail layers), and the conv2d/dense layers at the model input run
+once, at batch 1, on the gradient summed over a batch's points.
 Parameters are stored as float32. A float64 input runs on float64 copies made
 once when the layer is built, so no call casts and ``--jobs`` threads share
 them read-only; any other input runs on the float32 arrays.
@@ -93,8 +97,10 @@ class _Dense(_Affine):
         return y, x.shape
 
     def backward(self, g, in_shape):
+        # zero columns of g add exact zeros, so only the others are multiplied
         w, _ = self._params(g.dtype)
-        return (g @ w.T).reshape(in_shape), ()
+        cols = np.flatnonzero(g.any(axis=0))
+        return (g[:, cols] @ w[:, cols].T).reshape(in_shape), ()
 
 
 class _Conv2d(_Affine):
@@ -183,6 +189,10 @@ class ModelGraph:
         for layer in self.layers:
             shape = layer.out_shape(shape)
         self.output_shape = tuple(shape)
+        # the conv2d/dense run at the input, whose backward is linear and the same at every point
+        self.n_leading_affine = next(
+            (i for i, layer in enumerate(self.layers) if not isinstance(layer, _Affine)),
+            len(self.layers))
 
     @property
     def n_outputs(self):
@@ -329,10 +339,20 @@ def relu_preactivations(model: ModelGraph, arr: np.ndarray) -> list:
 
 
 def _backward(model, caches, g):
-    """Backpropagate an output-space gradient to the input."""
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+    """Backpropagate a (B, *output_shape) gradient to the input, summed over the B points.
+
+    The points are summed in point order where the gradient reaches the
+    leading affine layers, which then run once at batch 1.
+    """
+    lead = model.n_leading_affine
+    for layer, cache in zip(reversed(model.layers[lead:]), reversed(caches[lead:])):
         g, _ = layer.backward(g, cache)
-    return g
+    total = g[:1]
+    for point in g[1:]:
+        total = total + point
+    for layer, in_shape in zip(reversed(model.layers[:lead]), reversed(caches[:lead])):
+        total, _ = layer.backward(total, (1, *in_shape[1:]))
+    return total[0]
 
 
 def input_gradient_array(model: ModelGraph, arr: np.ndarray, target) -> np.ndarray:
@@ -340,23 +360,23 @@ def input_gradient_array(model: ModelGraph, arr: np.ndarray, target) -> np.ndarr
 
     ``arr`` is one input or a (B, *input_shape) batch of them; ``target`` is
     one output index or a sequence of them. One forward pass over the batch
-    serves every target. The result is shaped like ``arr``, with a leading
-    target axis when ``target`` is a sequence.
+    serves every target, and each target gets its own backward. For a batch,
+    a target's result is its gradient summed over the B points, in point
+    order (a batch of one equals the single input's gradient bitwise). The
+    result is shaped like one input, with a leading target axis when
+    ``target`` is a sequence.
     """
     arr = np.asarray(arr)
-    single = arr.shape == model.input_shape
-    batch = arr[None] if single else arr
+    batch = arr[None] if arr.shape == model.input_shape else arr
     _check_input(model, batch)
     targets = [int(t) for t in np.atleast_1d(target)]
     for t in targets:
         if not 0 <= t < model.n_outputs:
             raise TargetOutOfRange(f"target {t} outside [0, {model.n_outputs})")
     y, caches = _forward(model, batch)
-    grads = np.empty((len(targets),) + batch.shape, dtype=y.dtype)
+    grads = np.empty((len(targets),) + model.input_shape, dtype=y.dtype)
     for k, t in enumerate(targets):
         seed = np.zeros_like(y)
         seed.reshape(len(batch), -1)[:, t] = 1.0
         grads[k] = _backward(model, caches, seed)
-    if single:
-        grads = grads[:, 0]
     return grads if np.ndim(target) else grads[0]

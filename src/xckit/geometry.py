@@ -80,6 +80,8 @@ class Box3D:
             footprint = _footprint(self)
         except XckitError as e:
             raise XckitError(f"box footprint is degenerate: {e}") from None
+        if not math.isfinite(self.volume):
+            raise XckitError(f"box volume overflows: ({self.dx}, {self.dy}, {self.dz})")
         object.__setattr__(self, "_footprint", footprint)
 
     @property
@@ -88,7 +90,7 @@ class Box3D:
 
 
 class BevPolygon:
-    """Convex quad in BEV meters, corners counter-clockwise, area > 0."""
+    """Convex quad in BEV meters, corners counter-clockwise, finite area > 0."""
 
     __slots__ = ("corners",)
 
@@ -98,8 +100,11 @@ class BevPolygon:
             raise XckitError(f"polygon needs 4 corner points, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise XckitError("polygon corners must be finite")
-        if not (_signed_area(pts) > 0):
+        area = _signed_area(pts)
+        if not (area > 0):
             raise XckitError("polygon corners must be counter-clockwise with positive area")
+        if area == math.inf:
+            raise XckitError("polygon area overflows")
         p = pts.tolist()
         for i in range(4):
             (x0, y0), (x1, y1), (x2, y2) = p[i - 1], p[i], p[(i + 1) % 4]

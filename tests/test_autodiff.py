@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xckit.autodiff import build_model, forward_array, input_gradient_array, model_to_spec
 from xckit.errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitError
@@ -229,6 +232,122 @@ class TestInputGradient:
         g1 = input_gradient_array(m, x, 1)
         g2 = input_gradient_array(m, x, 1)
         assert np.array_equal(g1, g2)
+
+
+def max_norm_error(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+H, W, C = 6, 6, 2
+POINT_SUM_MODELS = {
+    # no leading affine layer: the points are summed at the input. The dense
+    # forward rounds differently at batch 5 than at batch 1 (gemm against
+    # gemv), so this model ends in dense, whose backward reads no forward value
+    "relu-first": (0, [
+        {"kind": "relu"},
+        {"kind": "conv2d", "in_channels": C, "out_channels": 3, "kernel": [3, 3]},
+        {"kind": "relu"},
+        {"kind": "dense", "in_features": H * W * 3, "out_features": 4},
+    ]),
+    "conv-first": (1, [
+        {"kind": "conv2d", "in_channels": C, "out_channels": 3, "kernel": [3, 3]},
+        {"kind": "relu"},
+        {"kind": "conv2d", "in_channels": 3, "out_channels": 2, "kernel": [1, 1]},
+        {"kind": "dense", "in_features": H * W * 2, "out_features": 4},
+        {"kind": "sigmoid"},
+    ]),
+    "dense-first": (1, [
+        {"kind": "dense", "in_features": H * W * C, "out_features": 5},
+        {"kind": "relu"},
+        {"kind": "dense", "in_features": 5, "out_features": 4},
+        {"kind": "sigmoid"},
+    ]),
+}
+
+
+def seeded_model(layers):
+    return build_model({"input_shape": [H, W, C], "seed": 5, "layers": layers})
+
+
+class TestPointSummedBatch:
+    """A batch returns each target's gradient summed over its points."""
+
+    @pytest.mark.parametrize("kind", sorted(POINT_SUM_MODELS))
+    def test_batch_equals_point_order_sum_of_single_points(self, kind):
+        lead, layers = POINT_SUM_MODELS[kind]
+        m = seeded_model(layers)
+        assert m.n_leading_affine == lead
+        batch = np.random.default_rng(3).normal(size=(5, H, W, C))
+        targets = [2, 0, 3]
+        got = input_gradient_array(m, batch, targets)
+        assert got.shape == (len(targets), H, W, C)
+        for k, t in enumerate(targets):
+            want = input_gradient_array(m, batch[0], t)
+            for point in batch[1:]:
+                want = want + input_gradient_array(m, point, t)
+            if lead == 0:
+                assert np.array_equal(got[k], want)
+            else:
+                assert max_norm_error(got[k], want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(POINT_SUM_MODELS))
+    def test_batch_of_one_equals_single_input_bitwise(self, kind):
+        m = seeded_model(POINT_SUM_MODELS[kind][1])
+        x = np.random.default_rng(4).normal(size=(H, W, C))
+        for t in range(4):
+            assert (input_gradient_array(m, x[None], t).tobytes()
+                    == input_gradient_array(m, x, t).tobytes())
+        assert (input_gradient_array(m, x[None], [1, 3]).tobytes()
+                == input_gradient_array(m, x, [1, 3]).tobytes())
+
+
+@st.composite
+def dense_backward_cases(draw):
+    n_in, n_out, b = draw(st.integers(1, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    weight = draw(arrays(np.float32, (n_in, n_out),
+                         elements=st.one_of(finite_f32, st.sampled_from([0.0, -0.0, -1.5]))))
+    logits = draw(arrays(np.float64, (b, n_out), elements=st.floats(-30, 30)))
+    target = draw(st.integers(0, n_out - 1))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return weight, logits, target, dtype
+
+
+class TestDenseColumnBackward:
+    """Dense backward multiplies only g's non-zero columns, with the full product's bits."""
+
+    @staticmethod
+    def dense(weight):
+        n_in, n_out = weight.shape
+        m = build_model({"input_shape": [n_in], "layers": [
+            {"kind": "dense", "in_features": n_in, "out_features": n_out,
+             "weight": weight, "bias": np.zeros(n_out, np.float32)}]})
+        return m.layers[0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dense_backward_cases())
+    @example((np.array([[2.0, -0.0], [0.0, -3.0]], np.float32),  # a -0.0 product: BLAS sums +0.0
+              np.array([[0.5, -1.0], [2.0, 0.0]]), 1, np.float64))
+    def test_one_hot_seed_through_sigmoid_equals_full_product(self, case):
+        weight, logits, target, dtype = case
+        layer = self.dense(weight)
+        y = 1.0 / (1.0 + np.exp(-logits.astype(dtype)))
+        seed = np.zeros_like(y)
+        seed[:, target] = 1.0
+        g = seed * y * (1.0 - y)  # the sigmoid layer's backward
+        in_shape = (len(g), weight.shape[0])
+        full = g @ weight.astype(dtype).T
+        got, rest = layer.backward(g, in_shape)
+        assert rest == ()
+        assert got.dtype == full.dtype and got.shape == in_shape
+        assert got.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_zero_gradient_gives_zeros(self, dtype):
+        weight = np.random.default_rng(8).normal(size=(12, 3)).astype(np.float32)
+        got, _ = self.dense(weight).backward(np.zeros((2, 3), dtype), (2, 3, 4))
+        assert got.shape == (2, 3, 4) and got.dtype == dtype
+        assert got.tobytes() == np.zeros((2, 3, 4), dtype).tobytes()
 
 
 class TestSpecRoundTrip:

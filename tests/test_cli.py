@@ -221,6 +221,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "preds.jsonl: line 1: bad box: box footprint is degenerate"),
         (degenerate_first_pred(1e-12, offset=1e6), match_argv, 1,
          "preds.jsonl: line 1: bad box: box footprint is degenerate"),
+        (degenerate_first_pred(1e200), match_argv, 1,
+         "preds.jsonl: line 1: bad box: box footprint is degenerate: polygon area overflows"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -235,7 +237,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "model-weight-bad-base64", "model-weight-wrong-byte-count", "model-weight-wrong-shape",
          "model-weight-nan-bits", "model-weight-f32le-not-string", "model-weight-shape-not-a-list",
          "model-weight-not-numbers", "prediction-box-underflow-near-gt",
-         "prediction-box-underflow-far", "prediction-box-extent-below-center-ulp"],
+         "prediction-box-underflow-far", "prediction-box-extent-below-center-ulp",
+         "prediction-box-area-overflow"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

@@ -128,6 +128,13 @@ class TestBevPolygon:
         with pytest.raises(XckitError, match="positive area"):
             BevPolygon([(a, a), (2 * a, a), (2 * a, 2 * a), (a, 2 * a)])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_infinite_area_rejected(self):
+        # finite corners of a square whose shoelace sum overflows to +inf
+        a = 1e200
+        with pytest.raises(XckitError, match="polygon area overflows"):
+            BevPolygon([(a, a), (-a, a), (-a, -a), (a, -a)])
+
     def test_projected_corners_are_read_only(self):
         with pytest.raises(ValueError):
             project_to_bev(box()).corners[0, 0] = 5.0
@@ -295,6 +302,17 @@ class TestAngles:
     def test_non_finite_box_field_rejected(self, name, value):
         with pytest.raises(XckitError, match="finite"):
             box(**{name: value})
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("extents, needle", [
+        ((1e200, 1e200, 1.0), "box footprint is degenerate: polygon area overflows"),
+        ((1e300, 1e-290, 1e300), "box volume overflows"),
+    ])
+    def test_overflowing_box_rejected(self, extents, needle):
+        # before, dx = dy = 1e200 built a box whose iou_3d with itself was NaN
+        dx, dy, dz = extents
+        with pytest.raises(XckitError, match=needle):
+            box(dx=dx, dy=dy, dz=dz)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["origin_x", "origin_y", "pixel_size"])

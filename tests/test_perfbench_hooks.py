@@ -7,6 +7,7 @@ a code path that bypasses one, or a change to the layer interface fail the
 suite, not only the traced benchmark run.
 """
 
+import math
 import os
 import sys
 
@@ -35,6 +36,7 @@ def test_benchmark_patches_install_and_restore():
 
 @pytest.mark.parametrize("method", ["backprop", "ig"])
 def test_attribute_records_wrapped_spans(tmp_path, method):
+    from xckit import attribution
     from xckit.cli import main
 
     store = str(tmp_path / "store")
@@ -50,6 +52,13 @@ def test_attribute_records_wrapped_spans(tmp_path, method):
     maps = [s for s in tracer.spans if s["name"] == "attribution.map"]
     grads = [s for s in tracer.spans if s["name"] == "autodiff.input_grad"]
     assert maps and {s["parent"] for s in grads} == {s["id"] for s in maps}
+    # one engine call per chunk of path points: 8 steps of 40x40x4 float64 in
+    # 5-point chunks make 2, backprop's one point makes 1
+    steps = 8 if method == "ig" else 1
+    per_chunk = max(1, attribution.CHUNK_BYTES // (40 * 40 * 4 * 8))
+    calls = math.ceil(steps / per_chunk)
+    assert calls == (2 if method == "ig" else 1)
+    assert all(sum(g["parent"] == m["id"] for g in grads) == calls for m in maps)
 
 
 def test_layer_microbench_runs_on_engine_layers(tmp_path):
