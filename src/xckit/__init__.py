@@ -37,7 +37,6 @@ from .meta import (
 )
 from .metrics import (
     MetricReport,
-    ScoredSample,
     auroc,
     aupr,
     evaluate_feature,
@@ -51,10 +50,8 @@ from .synth import (
     frame_attributions,
     generate_benchmark,
     generate_frame,
-    noisy_and_feature_rows,
 )
 from .io_formats import (
-    DetectionRecord,
     read_detections,
     read_feature_csv,
     read_xcam,
@@ -73,7 +70,6 @@ __all__ = [
     "ConcentrationProfile",
     "DEFAULT_FEATURES",
     "Detection",
-    "DetectionRecord",
     "FP",
     "FeatureRow",
     "GridMeta",
@@ -86,7 +82,6 @@ __all__ = [
     "ParseError",
     "PlacementFailure",
     "SceneSpec",
-    "ScoredSample",
     "SyntheticFrame",
     "TP",
     "XcConfig",
@@ -111,7 +106,6 @@ __all__ = [
     "membership_mask",
     "model_to_spec",
     "modified_integrated_gradients",
-    "noisy_and_feature_rows",
     "project_to_bev",
     "read_detections",
     "read_feature_csv",

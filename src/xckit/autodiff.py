@@ -323,21 +323,6 @@ def forward_array(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
     return y[0]
 
 
-def relu_preactivations(model: ModelGraph, arr: np.ndarray) -> list:
-    """Inputs seen by each relu layer, in layer order.
-
-    Finite-difference probes use this to stay away from kink neighborhoods.
-    """
-    x = np.asarray(arr)[None]
-    _check_input(model, x)
-    pre = []
-    for layer in model.layers:
-        if layer.kind == "relu":
-            pre.append(x[0].copy())
-        x, _ = layer.forward(x)
-    return pre
-
-
 def _backward(model, caches, g):
     """Backpropagate a (B, *output_shape) gradient to the input, summed over the B points.
 

@@ -31,7 +31,6 @@ import numpy as np
 from .attribution import AttributionMap
 from .errors import ParseError, XckitError
 from .io_formats import (
-    DetectionRecord,
     load_json,
     load_model,
     read_detections,
@@ -166,10 +165,8 @@ def write_frame_store(out_dir, spec, frames, manifest) -> None:
     gt_records = []
     for i, frame in enumerate(frames):
         fid = _frame_id(i)
-        for pred in frame.preds:
-            det_records.append(DetectionRecord(frame_id=fid, detection=pred))
-        for gt in frame.gts:
-            gt_records.append((fid, gt))
+        det_records.extend((fid, pred) for pred in frame.preds)
+        gt_records.extend((fid, gt) for gt in frame.gts)
         write_xcam(
             os.path.join(out_dir, "frames", f"{fid}.xcam"),
             AttributionMap(values=frame.pseudo_image.astype(np.float64), method="pseudo-image"),
@@ -181,8 +178,8 @@ def write_frame_store(out_dir, spec, frames, manifest) -> None:
 def _records_by_frame(preds_path, gts_path) -> Dict[str, tuple]:
     """{frame id: (preds, gts)} from a detection stream and a ground-truth stream."""
     by_frame: Dict[str, tuple] = {}
-    for rec in read_detections(preds_path):
-        by_frame.setdefault(rec.frame_id, ([], []))[0].append(rec.detection)
+    for fid, pred in read_detections(preds_path):
+        by_frame.setdefault(fid, ([], []))[0].append(pred)
     for fid, gt in read_ground_truths(gts_path):
         by_frame.setdefault(fid, ([], []))[1].append(gt)
     return by_frame

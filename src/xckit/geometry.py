@@ -9,6 +9,7 @@ polygon clipping, and 3D IoU.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,12 @@ class BevPolygon:
         pts = np.asarray(corners, dtype=np.float64)
         if pts.shape != (4, 2):
             raise XckitError(f"polygon needs 4 corner points, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
+        bound = np.abs(pts).max()
+        if not bound < math.inf:  # NaN fails this too
             raise XckitError("polygon corners must be finite")
-        area = _signed_area(pts)
+        # beyond 1e150 the shoelace sums may overflow to an inf or NaN area, rejected below
+        with np.errstate(over="ignore", invalid="ignore") if bound > 1e150 else nullcontext():
+            area = _signed_area(pts)
         if not (area > 0):
             raise XckitError("polygon corners must be counter-clockwise with positive area")
         if area == math.inf:

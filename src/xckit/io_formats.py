@@ -115,14 +115,6 @@ def read_xcam(path) -> AttributionMap:
 
 # --- JSONL box streams ---
 
-@dataclass
-class DetectionRecord:
-    """One prediction tied to its frame, as persisted."""
-
-    frame_id: str
-    detection: Detection
-
-
 def _box_to_list(box: Box3D) -> list:
     return [box.cx, box.cy, box.cz, box.dx, box.dy, box.dz, box.yaw]
 
@@ -136,12 +128,12 @@ def _box_from_list(vals, line_no, path) -> Box3D:
         raise ParseError(line_no, f"bad box: {e}", path)
 
 
-def write_detections(path, records: Iterable[DetectionRecord]) -> None:
+def write_detections(path, records: Iterable[tuple]) -> None:
+    """Write (frame_id, Detection) pairs as JSONL."""
     with open(path, "w") as f:
-        for rec in records:
-            d = rec.detection
+        for frame_id, d in records:
             row = {
-                "frame_id": rec.frame_id,
+                "frame_id": frame_id,
                 "box": _box_to_list(d.box),
                 "label": d.label,
                 "scores": d.scores,
@@ -173,8 +165,8 @@ def _jsonl_records(path, keys) -> Iterator[tuple]:
             yield line_no, row
 
 
-def read_detections(path) -> Iterator[DetectionRecord]:
-    """Stream records one line at a time; malformed lines carry their number."""
+def read_detections(path) -> Iterator[tuple]:
+    """Stream (frame_id, Detection) pairs; malformed lines carry their number."""
     for line_no, row in _jsonl_records(path, ("frame_id", "box", "label", "scores", "n_points")):
         if not isinstance(row["scores"], dict):
             raise ParseError(line_no, "scores must be an object", path)
@@ -187,7 +179,7 @@ def read_detections(path) -> Iterator[DetectionRecord]:
         anchor = row.get("anchor_index")
         if anchor is not None and type(anchor) is not int:
             raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}", path)
-        det = Detection(
+        yield str(row["frame_id"]), Detection(
             box=_box_from_list(row["box"], line_no, path),
             label=str(row["label"]),
             scores=scores,
@@ -195,7 +187,6 @@ def read_detections(path) -> Iterator[DetectionRecord]:
             distance=distance,
             anchor_index=anchor,
         )
-        yield DetectionRecord(frame_id=str(row["frame_id"]), detection=det)
 
 
 def write_ground_truths(path, records: Iterable[tuple]) -> None:

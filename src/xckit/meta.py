@@ -6,7 +6,8 @@ meta-classifier is a two-layer MLP (d -> 3 -> 1, relu then sigmoid) that
 holds its own float32 weights and computes its own binary-cross-entropy
 gradients; Adam updates the weights in float64, once per step over one flat
 float32 vector that W1, b1, W2, b2 view (elementwise, so bitwise equal to
-per-array updates). Cross-validation follows a fixed recipe: z-score with
+per-array updates); it stores no normalization statistics, so callers pass
+normalized features. Cross-validation follows a fixed recipe: z-score with
 training-fold statistics, 4x duplication with uniform feature noise on the
 training folds only, 5 folds, 5 repeats, 25 metric triples averaged.
 """
@@ -20,7 +21,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import metrics as _metrics
 from .autodiff import _init_array
 from .errors import (
     ConstantFeature,
@@ -33,7 +33,7 @@ from .errors import (
 from .geometry import GridMeta
 from .io_formats import FeatureRow
 from .matching import IGNORE, MatchConfig, categorize
-from .metrics import MetricReport, ScoredSample, aupr, auroc
+from .metrics import FP_AS_POSITIVE, TP_AS_POSITIVE, MetricReport, aupr, auroc
 from .xc import XcConfig, xc_scores
 
 XC_RATIOS = ("xc_s_plus", "xc_c_plus", "xc_s_minus", "xc_c_minus")
@@ -188,25 +188,18 @@ def augment(X: np.ndarray, y: np.ndarray, cfg: MetaTrainConfig, rng) -> tuple:
 
 @dataclass
 class MetaClassifier:
-    """Trained MLP plus the preprocessing needed to score new rows.
-
-    Float32 weights: W1 (d, hidden), b1 (hidden,), W2 (hidden, 1), b2 (1,).
-    """
+    """Trained MLP weights, float32: W1 (d, hidden), b1 (hidden,), W2 (hidden, 1), b2 (1,)."""
 
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    feature_names: Tuple[str, ...]
-    stats: Optional[NormalizationStats] = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Sigmoid scores in [0, 1] for an (n, d) feature matrix."""
+        """Sigmoid scores in [0, 1] for (n, d) features normalized with the training stats."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.W1.shape[0]:
             raise ShapeMismatch(f"expected (n, {self.W1.shape[0]}) features, got {X.shape}")
-        if self.stats is not None:
-            X, _ = normalize(X, self.stats)
         hidden = np.maximum(X.astype(np.float32) @ self.W1 + self.b1, 0)
         logits = (hidden @ self.W2 + self.b2).reshape(-1)
         return 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
@@ -236,7 +229,6 @@ def train_mlp(
     y: np.ndarray,
     cfg: MetaTrainConfig = MetaTrainConfig(),
     rng_seed=0,
-    feature_names: Tuple[str, ...] = (),
 ) -> MetaClassifier:
     """Train the d -> hidden -> 1 logistic MLP on a prepared training matrix.
 
@@ -283,7 +275,7 @@ def train_mlp(
             m_hat = m / (1 - beta1**t)
             v_hat = v / (1 - beta2**t)
             flat[...] = flat.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return MetaClassifier(*params, feature_names=tuple(feature_names))
+    return MetaClassifier(*params)
 
 
 def _subset_seed_key(feature_subset: Sequence[str]) -> List[int]:
@@ -337,18 +329,11 @@ def cross_validate(
             X_train, stats = normalize(X_all[train_idx])
             X_val, _ = normalize(X_all[val_idx], stats)
             X_aug, y_aug = augment(X_train, y_all[train_idx], cfg, fold_rng)
-            clf = train_mlp(
-                X_aug, y_aug, cfg,
-                rng_seed=int(fold_rng.integers(2**32)),
-                feature_names=names,
-            )
-            scores = clf.predict(X_val)
-            samples = [
-                ScoredSample(float(s), bool(t)) for s, t in zip(scores, y_all[val_idx])
-            ]
-            aurocs.append(auroc(samples))
-            auprs.append(aupr(samples, _metrics.TP_AS_POSITIVE))
-            auprs_op.append(aupr(samples, _metrics.FP_AS_POSITIVE))
+            clf = train_mlp(X_aug, y_aug, cfg, rng_seed=int(fold_rng.integers(2**32)))
+            scores, labels = clf.predict(X_val), y_all[val_idx]
+            aurocs.append(auroc(scores, labels))
+            auprs.append(aupr(scores, labels, TP_AS_POSITIVE))
+            auprs_op.append(aupr(scores, labels, FP_AS_POSITIVE))
 
     n_pos = int(y_all.sum())
     return MetricReport(

@@ -1,31 +1,27 @@
 """Threshold-independent binary metrics over per-box scores.
 
-AUROC integrates the tie-grouped ROC curve with trapezoids, which reproduces
-the Mann-Whitney pair statistic. AUPR uses the step (average precision) rule
-sum_k (R_k - R_{k-1}) P_k, again with tied scores collapsed into one
-threshold step; trapezoids on PR curves systematically overestimate and are
-deliberately avoided. AUPR_op measures how well LOW scores pick out the
-negative class: scores are negated and labels flipped, then scored the same
-way. The KS statistic is the sup-distance between the two empirical CDFs.
+Each metric takes a 1-d float array of scores and a boolean array of labels
+of the same length (True = positive). AUROC integrates the tie-grouped ROC
+curve with trapezoids, which reproduces the Mann-Whitney pair statistic.
+AUPR uses the step (average precision) rule sum_k (R_k - R_{k-1}) P_k, again
+with tied scores collapsed into one threshold step; trapezoids on PR curves
+systematically overestimate and are deliberately avoided. AUPR_op measures
+how well LOW scores pick out the negative class: scores are negated and
+labels flipped, then scored the same way. The KS statistic is the
+sup-distance between the two empirical CDFs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateClassBalance, EmptySample, NoPositives, XckitError
+from .errors import DegenerateClassBalance, EmptySample, NoPositives, ShapeMismatch, XckitError
 
 TP_AS_POSITIVE = "tp-as-positive"
 FP_AS_POSITIVE = "fp-as-positive"
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    score: float
-    is_positive: bool
 
 
 @dataclass
@@ -41,11 +37,20 @@ class MetricReport:
     group: str = ""
 
 
-def _to_arrays(samples: Iterable[ScoredSample]):
-    scores = np.array([s.score for s in samples], dtype=np.float64)
-    labels = np.array([bool(s.is_positive) for s in samples], dtype=bool)
-    if scores.size and not np.all(np.isfinite(scores)):
-        raise XckitError("scores must be finite")
+def _finite_1d(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ShapeMismatch(f"{what} must be 1-d, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise XckitError(f"{what} must be finite")
+    return arr
+
+
+def _to_arrays(scores, labels):
+    scores = _finite_1d(scores, "scores")
+    labels = np.asarray(labels, dtype=bool)
+    if labels.shape != scores.shape:
+        raise ShapeMismatch(f"{scores.size} scores but labels of shape {labels.shape}")
     return scores, labels
 
 
@@ -53,18 +58,16 @@ def _tie_grouped_counts(scores, labels):
     """Per unique score (descending): positives and totals in that group."""
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    # boundaries where the score changes
-    boundaries = np.flatnonzero(np.diff(s)) + 1
-    groups = np.split(np.arange(s.size), boundaries)
-    pos = np.array([int(y[g].sum()) for g in groups])
-    tot = np.array([len(g) for g in groups])
+    # first index of each run of equal sorted scores
+    starts = np.concatenate([[0], np.flatnonzero(s[1:] != s[:-1]) + 1])
+    pos = np.add.reduceat(labels[order], starts, dtype=np.int64)
+    tot = np.diff(np.append(starts, s.size))
     return pos, tot
 
 
-def auroc(samples: Sequence[ScoredSample]) -> float:
+def auroc(scores, labels) -> float:
     """Area under the ROC curve; ties contribute half-concordance."""
-    scores, labels = _to_arrays(samples)
+    scores, labels = _to_arrays(scores, labels)
     n_pos = int(labels.sum())
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -78,14 +81,14 @@ def auroc(samples: Sequence[ScoredSample]) -> float:
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
 
 
-def aupr(samples: Sequence[ScoredSample], positive_class: str = TP_AS_POSITIVE) -> float:
+def aupr(scores, labels, positive_class: str = TP_AS_POSITIVE) -> float:
     """Average-precision area under the PR curve.
 
     ``fp-as-positive`` evaluates the operator's view: scores are negated so
     that confidently-low scores rank first, and the negative class becomes
     the detection target.
     """
-    scores, labels = _to_arrays(samples)
+    scores, labels = _to_arrays(scores, labels)
     if positive_class == FP_AS_POSITIVE:
         scores, labels = -scores, ~labels
     elif positive_class != TP_AS_POSITIVE:
@@ -104,12 +107,10 @@ def aupr(samples: Sequence[ScoredSample], positive_class: str = TP_AS_POSITIVE) 
 
 def ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: sup |ECDF_a - ECDF_b|."""
-    a = np.sort(np.asarray(list(sample_a), dtype=np.float64))
-    b = np.sort(np.asarray(list(sample_b), dtype=np.float64))
+    a = np.sort(_finite_1d(sample_a, "sample values"))
+    b = np.sort(_finite_1d(sample_b, "sample values"))
     if a.size == 0 or b.size == 0:
         raise EmptySample("both samples must be non-empty")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise XckitError("sample values must be finite")
     pooled = np.unique(np.concatenate([a, b]))
     ecdf_a = np.searchsorted(a, pooled, side="right") / a.size
     ecdf_b = np.searchsorted(b, pooled, side="right") / b.size
@@ -132,17 +133,17 @@ def evaluate_feature(
     subset = list(rows)
     if not subset:
         raise EmptySample(f"group {group_name or '<all>'} selected no rows")
+    labels = np.array([bool(r.is_tp) for r in subset])
     if feature == "random":
         rng = np.random.default_rng(rng_seed)
         values = rng.uniform(0.0, 1.0, size=len(subset))
     else:
         values = np.array([float(getattr(r, feature)) for r in subset])
-    samples = [ScoredSample(float(v), bool(r.is_tp)) for v, r in zip(values, subset)]
-    n_pos = sum(1 for r in subset if r.is_tp)
+    n_pos = int(labels.sum())
     return MetricReport(
-        auroc=auroc(samples),
-        aupr=aupr(samples, TP_AS_POSITIVE),
-        aupr_op=aupr(samples, FP_AS_POSITIVE),
+        auroc=auroc(values, labels),
+        aupr=aupr(values, labels, TP_AS_POSITIVE),
+        aupr_op=aupr(values, labels, FP_AS_POSITIVE),
         n_pos=n_pos,
         n_neg=len(subset) - n_pos,
         feature=feature,

@@ -44,7 +44,7 @@ from .attribution import (
 from .autodiff import ModelGraph, build_model, forward_array
 from .errors import ParseError, PlacementFailure, UnknownLabel, XckitError
 from .geometry import Box3D, GridMeta, enlarge, membership_mask, project_to_bev, wrap_angle
-from .io_formats import FeatureRow, load_json
+from .io_formats import load_json
 from .matching import DEFAULT_IOU_THRESH, Detection, GroundTruth
 
 CLASSES = ("car", "pedestrian", "cyclist")
@@ -447,40 +447,3 @@ def generate_benchmark(spec: SceneSpec, n_frames: int):
         "points_correlation": spec.points_correlation,
     }
     return frames, manifest
-
-
-def noisy_and_feature_rows(n_rows: int, rng_seed: int = 0) -> List[FeatureRow]:
-    """A dataset where TP-ness is a noisy AND of two latent factors.
-
-    The top class score tracks one factor, the concentration scores track the
-    other, so no single column can ever separate the classes well; a model
-    that combines them can. Used to exercise the meta-classifier's synergy.
-    """
-    rng = np.random.default_rng(rng_seed)
-    rows = []
-    for _ in range(n_rows):
-        u = float(rng.uniform())
-        w = float(rng.uniform())
-        label = (u > 0.45) and (w > 0.45)
-        if rng.random() < 0.08:
-            label = not label
-
-        def noisy(x, scale=0.08):
-            return float(np.clip(x + rng.normal(0, scale), 0.0, 1.0))
-
-        rows.append(
-            FeatureRow(
-                top_score=noisy(u),
-                xc_s_plus=noisy(w, 0.10),
-                xc_c_plus=noisy(w),
-                xc_s_minus=noisy(1.0 - w, 0.10),
-                xc_c_minus=noisy(1.0 - w),
-                xc_s_plus_valid=True, xc_c_plus_valid=True,
-                xc_s_minus_valid=True, xc_c_minus_valid=True,
-                n_points=int(rng.integers(10, 400)),
-                distance=float(rng.uniform(2.0, 60.0)),
-                pred_label=str(rng.choice(CLASSES)),
-                is_tp=bool(label),
-            )
-        )
-    return rows

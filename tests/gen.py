@@ -1,10 +1,11 @@
-"""Random frame generators shared across test modules."""
+"""Random frame and feature-row generators shared across test modules."""
 
 import math
 
 import numpy as np
 
 from xckit.geometry import Box3D, wrap_angle
+from xckit.io_formats import FeatureRow
 from xckit.matching import Detection, GroundTruth
 
 CLASSES = ("car", "pedestrian", "cyclist")
@@ -58,3 +59,40 @@ def random_frame(rng, n_gt=(0, 5), n_pred=(0, 7)):
                       n_points=int(rng.integers(5, 500)))
         )
     return preds, gts
+
+
+def noisy_and_feature_rows(n_rows, rng_seed=0):
+    """A dataset where TP-ness is a noisy AND of two latent factors.
+
+    The top class score tracks one factor, the concentration scores track the
+    other, so no single column can ever separate the classes well; a model
+    that combines them can. Used to exercise the meta-classifier's synergy.
+    """
+    rng = np.random.default_rng(rng_seed)
+    rows = []
+    for _ in range(n_rows):
+        u = float(rng.uniform())
+        w = float(rng.uniform())
+        label = (u > 0.45) and (w > 0.45)
+        if rng.random() < 0.08:
+            label = not label
+
+        def noisy(x, scale=0.08):
+            return float(np.clip(x + rng.normal(0, scale), 0.0, 1.0))
+
+        rows.append(
+            FeatureRow(
+                top_score=noisy(u),
+                xc_s_plus=noisy(w, 0.10),
+                xc_c_plus=noisy(w),
+                xc_s_minus=noisy(1.0 - w, 0.10),
+                xc_c_minus=noisy(1.0 - w),
+                xc_s_plus_valid=True, xc_c_plus_valid=True,
+                xc_s_minus_valid=True, xc_c_minus_valid=True,
+                n_points=int(rng.integers(10, 400)),
+                distance=float(rng.uniform(2.0, 60.0)),
+                pred_label=str(rng.choice(CLASSES)),
+                is_tp=bool(label),
+            )
+        )
+    return rows

@@ -51,6 +51,17 @@ def fd_gradient_at(model, x, target, indices, h=1e-3):
     return out
 
 
+def relu_preactivations(model, x):
+    """Inputs seen by each relu layer, in layer order."""
+    x = np.asarray(x)[None]
+    pre = []
+    for layer in model.layers:
+        if layer.kind == "relu":
+            pre.append(x[0].copy())
+        x, _ = layer.forward(x)
+    return pre
+
+
 def near_relu_kink(model, x, flat_index, h=1e-3):
     """True if perturbing one input coordinate flips a relu activation state.
 
@@ -61,13 +72,13 @@ def near_relu_kink(model, x, flat_index, h=1e-3):
     keeps the rejection rate low on wide random networks.
     """
     x = np.asarray(x, dtype=np.float64)
-    base = autodiff.relu_preactivations(model, x)
+    base = relu_preactivations(model, x)
     flat = x.reshape(-1)
     orig = flat[flat_index]
     flat[flat_index] = orig + h
-    up = autodiff.relu_preactivations(model, x)
+    up = relu_preactivations(model, x)
     flat[flat_index] = orig - h
-    dn = autodiff.relu_preactivations(model, x)
+    dn = relu_preactivations(model, x)
     flat[flat_index] = orig
     for b, u, d in zip(base, up, dn):
         state = b > 0
@@ -284,3 +295,16 @@ def ap_step_oracle(scores, labels):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def tie_grouped_counts(scores, labels):
+    """(positives, totals) per unique score in descending score order, by a dict loop.
+
+    0.0 and -0.0 compare and hash equal, so they share one group.
+    """
+    counts = {}
+    for score, label in zip(scores.tolist(), labels.tolist()):
+        pos, tot = counts.get(score, (0, 0))
+        counts[score] = (pos + bool(label), tot + 1)
+    order = sorted(counts, reverse=True)
+    return [counts[k][0] for k in order], [counts[k][1] for k in order]

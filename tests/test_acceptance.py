@@ -15,6 +15,7 @@ import pytest
 
 import gen
 import oracles
+from gen import noisy_and_feature_rows
 from xckit.attribution import (
     AttributionMap,
     backprop_saliency,
@@ -25,7 +26,6 @@ from xckit.autodiff import build_model, forward_array
 from xckit.errors import BadMagic, ParseError, TruncatedPayload
 from xckit.geometry import Box3D, GridMeta
 from xckit.io_formats import (
-    DetectionRecord,
     read_detections,
     read_feature_csv,
     read_xcam,
@@ -35,13 +35,12 @@ from xckit.io_formats import (
 )
 from xckit.matching import FP, IGNORE, TP, Detection, GroundTruth, MatchConfig, categorize
 from xckit.meta import DEFAULT_FEATURES, build_feature_dataset, cross_validate
-from xckit.metrics import ScoredSample, auroc, aupr, ks_statistic
+from xckit.metrics import auroc, aupr, ks_statistic
 from xckit.synth import (
     BENCHMARK_A_THRESH,
     SceneSpec,
     frame_attributions,
     generate_benchmark,
-    noisy_and_feature_rows,
 )
 from xckit.xc import XcConfig, xc_scores
 
@@ -219,9 +218,7 @@ def test_criterion_06_metric_oracles(criterion):
             labels = rng.random(size=n) < rng.uniform(0.2, 0.8)
             if labels.all() or not labels.any():
                 continue
-            samples = [ScoredSample(score=float(s), is_positive=bool(l))
-                       for s, l in zip(scores, labels)]
-            assert abs(auroc(samples) - oracles.mann_whitney_auc(scores, labels)) < 1e-9
+            assert abs(auroc(scores, labels) - oracles.mann_whitney_auc(scores, labels)) < 1e-9
 
         # two-sample sup-distance equals the brute-force scan exactly
         for _ in range(50):
@@ -241,10 +238,8 @@ def test_criterion_06_metric_oracles(criterion):
         labels = np.zeros(n, dtype=bool)
         labels[: int(0.232 * n)] = True
         rng.shuffle(labels)
-        samples = [ScoredSample(score=float(s), is_positive=bool(l))
-                   for s, l in zip(scores, labels)]
-        assert abs(auroc(samples) - 0.5) < 0.01
-        assert abs(aupr(samples) - 0.232) < 0.01
+        assert abs(auroc(scores, labels) - 0.5) < 0.01
+        assert abs(aupr(scores, labels) - 0.232) < 0.01
 
 
 def test_criterion_07_benchmark_separation(criterion):
@@ -384,24 +379,21 @@ def test_criterion_11_format_round_trips(criterion, tmp_path):
         # detection stream
         recs = []
         for i in range(200):
-            recs.append(
-                DetectionRecord(
-                    frame_id=f"f{i}",
-                    detection=Detection(
-                        box=gen.random_box(rng), label=str(rng.choice(gen.CLASSES)),
-                        scores=gen.scores_with_top(rng, "car"),
-                        n_points=int(rng.integers(0, 400)),
-                        distance=float(rng.uniform(0, 60)),
-                    ),
-                )
-            )
+            recs.append((
+                f"f{i}",
+                Detection(
+                    box=gen.random_box(rng), label=str(rng.choice(gen.CLASSES)),
+                    scores=gen.scores_with_top(rng, "car"),
+                    n_points=int(rng.integers(0, 400)),
+                    distance=float(rng.uniform(0, 60)),
+                ),
+            ))
         dp = tmp_path / "d.jsonl"
         write_detections(dp, recs)
         back_recs = list(read_detections(dp))
         assert all(
-            a.frame_id == b.frame_id and a.detection.box == b.detection.box
-            and a.detection.scores == b.detection.scores
-            for a, b in zip(recs, back_recs)
+            fa == fb and a.box == b.box and a.scores == b.scores
+            for (fa, a), (fb, b) in zip(recs, back_recs)
         )
         lines = dp.read_text().splitlines()
         import json as _json

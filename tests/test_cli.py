@@ -250,6 +250,19 @@ def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code
     assert needle in proc.stderr
 
 
+@pytest.mark.parametrize("dy, code", [(1e200, 1), (1e-100, 0)], ids=["area-overflow", "thin"])
+def test_huge_box_matches_without_warnings(tmp_path, monkeypatch, dy, code):
+    # warnings are errors in the child, so an overflow warning would end in a traceback;
+    # a footprint of area inf is rejected, a thin one of finite area is matched
+    store = make_store(tmp_path, frames=1)
+    edit_first_pred(store, box=[0.0, 0.0, 0.0, 1e200, dy, 1.5, 0.0])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
+    proc = run_subprocess(match_argv(store), cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestParserDefaults:
     def test_xc_defaults(self):
         args = build_parser().parse_args(

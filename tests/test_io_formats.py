@@ -18,7 +18,6 @@ from xckit.errors import BadMagic, ParseError, TruncatedPayload, VersionUnsuppor
 from xckit.geometry import Box3D
 from xckit.io_formats import (
     FEATURE_CSV_COLUMNS,
-    DetectionRecord,
     FeatureRow,
     load_model,
     read_detections,
@@ -154,28 +153,23 @@ class TestDetectionStream:
 
     def test_round_trip_1000_records(self, tmp_path):
         rng = np.random.default_rng(7)
-        recs = [
-            DetectionRecord(frame_id=f"f{i:04d}", detection=make_detection(rng))
-            for i in range(1000)
-        ]
+        recs = [(f"f{i:04d}", make_detection(rng)) for i in range(1000)]
         p = tmp_path / "d.jsonl"
         write_detections(p, recs)
         back = list(read_detections(p))
         assert len(back) == 1000
-        for a, b in zip(recs, back):
-            assert a.frame_id == b.frame_id
-            assert a.detection.box == b.detection.box  # exact float equality
-            assert a.detection.scores == b.detection.scores
-            assert a.detection.n_points == b.detection.n_points
-            assert a.detection.distance == b.detection.distance
-            assert a.detection.label == b.detection.label
+        for (fa, a), (fb, b) in zip(recs, back):
+            assert fa == fb
+            assert a.box == b.box  # exact float equality
+            assert a.scores == b.scores
+            assert a.n_points == b.n_points
+            assert a.distance == b.distance
+            assert a.label == b.label
 
     def test_six_element_box_names_line(self, tmp_path):
         p = tmp_path / "d.jsonl"
         rng = np.random.default_rng(1)
-        write_detections(
-            p, [DetectionRecord(frame_id="a", detection=make_detection(rng))] * 2
-        )
+        write_detections(p, [("a", make_detection(rng))] * 2)
         lines = p.read_text().splitlines()
         row = json.loads(lines[1])
         row["box"] = row["box"][:6]
@@ -193,7 +187,7 @@ class TestDetectionStream:
     def test_bad_field_value_names_line(self, tmp_path, field, value):
         p = tmp_path / "d.jsonl"
         rng = np.random.default_rng(4)
-        write_detections(p, [DetectionRecord(frame_id="a", detection=make_detection(rng))] * 2)
+        write_detections(p, [("a", make_detection(rng))] * 2)
         lines = p.read_text().splitlines()
         lines[1] = json.dumps({**json.loads(lines[1]), field: value})
         p.write_text("\n".join(lines) + "\n")
@@ -212,7 +206,7 @@ class TestDetectionStream:
     def test_missing_field_reported(self, tmp_path):
         rng = np.random.default_rng(2)
         p = tmp_path / "d.jsonl"
-        write_detections(p, [DetectionRecord(frame_id="x", detection=make_detection(rng))])
+        write_detections(p, [("x", make_detection(rng))])
         row = json.loads(p.read_text())
         del row["n_points"]
         p.write_text(json.dumps(row) + "\n")
@@ -222,7 +216,7 @@ class TestDetectionStream:
 
     def test_blank_lines_skipped(self, tmp_path):
         rng = np.random.default_rng(3)
-        rec = DetectionRecord(frame_id="x", detection=make_detection(rng))
+        rec = ("x", make_detection(rng))
         p = tmp_path / "d.jsonl"
         write_detections(p, [rec])
         p.write_text("\n" + p.read_text() + "\n\n")
@@ -231,11 +225,9 @@ class TestDetectionStream:
     def test_streaming_is_lazy(self, tmp_path):
         rng = np.random.default_rng(4)
         p = tmp_path / "d.jsonl"
-        write_detections(
-            p, [DetectionRecord(frame_id="x", detection=make_detection(rng))] * 5
-        )
+        write_detections(p, [("x", make_detection(rng))] * 5)
         it = read_detections(p)
-        assert next(it).frame_id == "x"
+        assert next(it)[0] == "x"
         it.close()
 
 

@@ -30,11 +30,11 @@ from xckit.meta import (
     split_groups,
     train_mlp,
 )
-from xckit.metrics import ScoredSample, auroc
-from xckit.synth import noisy_and_feature_rows
+from xckit.metrics import auroc
 
 import gen
 import oracles
+from gen import noisy_and_feature_rows
 
 
 def mkrow(is_tp, top=0.5, xsp=0.5, xcp=0.5, xsm=0.5, xcm=0.5, pts=50, label="car"):
@@ -266,11 +266,9 @@ class TestTrainMlp:
         X_va, y_va = Xn[200:], y[200:]
         cfg = MetaTrainConfig(duplication_factor=1, noise_half_width=0.0)
         clf = train_mlp(X_tr, y_tr, cfg, rng_seed=0)
-        ours = auroc([ScoredSample(float(s), bool(t)) for s, t in zip(clf.predict(X_va), y_va)])
+        ours = auroc(clf.predict(X_va), y_va)
         lr = sklearn_linear.LogisticRegression().fit(X_tr, y_tr)
-        theirs = auroc(
-            [ScoredSample(float(s), bool(t)) for s, t in zip(lr.predict_proba(X_va)[:, 1], y_va)]
-        )
+        theirs = auroc(lr.predict_proba(X_va)[:, 1], y_va)
         assert ours >= theirs - 0.01
 
     def test_near_oracle_feature(self):
@@ -280,7 +278,7 @@ class TestTrainMlp:
         Xn, _ = normalize(X)
         clf = train_mlp(Xn[:300], y[:300], rng_seed=1)
         scores = clf.predict(Xn[300:])
-        val = auroc([ScoredSample(float(s), bool(t)) for s, t in zip(scores, y[300:])])
+        val = auroc(scores, y[300:])
         assert val >= 0.99
 
     def test_constant_features_give_constant_scores(self):
@@ -289,7 +287,7 @@ class TestTrainMlp:
         clf = train_mlp(X, y, rng_seed=2)
         scores = clf.predict(X)
         assert np.all(scores == scores[0])
-        assert auroc([ScoredSample(float(s), bool(t)) for s, t in zip(scores, y)]) == 0.5
+        assert auroc(scores, y) == 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassTrainingSet):

@@ -4,13 +4,21 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from xckit.errors import DegenerateClassBalance, EmptySample, NoPositives, XckitError
+from xckit.errors import (
+    DegenerateClassBalance,
+    EmptySample,
+    NoPositives,
+    ShapeMismatch,
+    XckitError,
+)
 from xckit.metrics import (
     FP_AS_POSITIVE,
     TP_AS_POSITIVE,
     MetricReport,
-    ScoredSample,
+    _tie_grouped_counts,
     aupr,
     auroc,
     evaluate_feature,
@@ -21,19 +29,15 @@ from xckit.metrics import (
 import oracles
 
 
-def mk(scores, labels):
-    return [ScoredSample(float(s), bool(l)) for s, l in zip(scores, labels)]
-
-
 class TestAuroc:
     def test_perfect_separation(self):
-        assert auroc(mk([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])) == 1.0
+        assert auroc([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
 
     def test_all_tied_is_half(self):
-        assert auroc(mk([0.4] * 6, [1, 1, 1, 0, 0, 0])) == 0.5
+        assert auroc([0.4] * 6, [1, 1, 1, 0, 0, 0]) == 0.5
 
     def test_hand_case_three_quarters(self):
-        assert auroc(mk([0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0])) == 0.75
+        assert auroc([0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0]) == 0.75
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(71)
@@ -47,7 +51,7 @@ class TestAuroc:
             labels = rng.random(n) < 0.4
             if labels.all() or not labels.any():
                 continue
-            got = auroc(mk(scores, labels))
+            got = auroc(scores, labels)
             want = oracles.mann_whitney_auc(scores, labels)
             assert abs(got - want) <= 1e-9
 
@@ -55,34 +59,47 @@ class TestAuroc:
         rng = np.random.default_rng(73)
         scores = rng.normal(size=200)
         labels = rng.random(200) < 0.3
-        a = auroc(mk(scores, labels))
-        b = auroc(mk(-scores, labels))
+        a = auroc(scores, labels)
+        b = auroc(-scores, labels)
         assert a + b == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(79)
         scores = rng.uniform(0.1, 0.9, size=300)
         labels = rng.random(300) < 0.5
-        base = auroc(mk(scores, labels))
+        base = auroc(scores, labels)
         for transform in (lambda s: 3 * s + 1, np.exp, lambda s: s**3):
-            assert auroc(mk(transform(scores), labels)) == pytest.approx(base, abs=1e-12)
+            assert auroc(transform(scores), labels) == pytest.approx(base, abs=1e-12)
 
     def test_one_class_rejected(self):
         with pytest.raises(DegenerateClassBalance):
-            auroc(mk([0.1, 0.2], [1, 1]))
+            auroc([0.1, 0.2], [1, 1])
 
     def test_non_finite_rejected(self):
         with pytest.raises(XckitError):
-            auroc(mk([0.1, np.inf], [1, 0]))
+            auroc([0.1, np.inf], [1, 0])
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.2, 0.3], [1, 0]),
+        ([0.1, 0.2], [1, 0, 1]),
+        ([[0.1, 0.2], [0.3, 0.4]], [1, 0]),
+        ([[0.1, 0.2], [0.3, 0.4]], [[1, 0], [0, 1]]),
+        (0.5, 1),
+    ], ids=["more-scores", "more-labels", "2d-scores", "2d-both", "0d"])
+    def test_shape_mismatch_rejected(self, scores, labels):
+        with pytest.raises(ShapeMismatch):
+            auroc(scores, labels)
+        with pytest.raises(ShapeMismatch):
+            aupr(scores, labels)
 
 
 class TestAupr:
     def test_perfect(self):
-        assert aupr(mk([0.9, 0.8, 0.1], [1, 1, 0])) == 1.0
+        assert aupr([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
 
     def test_hand_trace(self):
         # thresholds 0.9 (R=0.5, P=1) then 0.7 (R=1, P=2/3)
-        got = aupr(mk([0.9, 0.8, 0.7], [1, 0, 1]))
+        got = aupr([0.9, 0.8, 0.7], [1, 0, 1])
         assert got == pytest.approx(0.5 + 0.5 * 2 / 3, abs=1e-12)
 
     def test_matches_step_oracle(self):
@@ -93,7 +110,7 @@ class TestAupr:
             labels = rng.random(n) < 0.35
             if not labels.any():
                 continue
-            got = aupr(mk(scores, labels))
+            got = aupr(scores, labels)
             want = oracles.ap_step_oracle(scores, labels)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -103,25 +120,25 @@ class TestAupr:
         labels = np.zeros(n, dtype=bool)
         labels[: n // 4] = True
         scores = rng.uniform(size=n)
-        assert aupr(mk(scores, labels)) == pytest.approx(0.25, abs=0.01)
+        assert aupr(scores, labels) == pytest.approx(0.25, abs=0.01)
 
     def test_op_view_is_negated_flip(self):
         rng = np.random.default_rng(97)
         scores = rng.uniform(size=150)
         labels = rng.random(150) < 0.4
-        direct = aupr(mk(scores, labels), FP_AS_POSITIVE)
-        manual = aupr(mk(-scores, ~labels), TP_AS_POSITIVE)
+        direct = aupr(scores, labels, FP_AS_POSITIVE)
+        manual = aupr(-scores, ~labels, TP_AS_POSITIVE)
         assert direct == manual
 
     def test_no_positives(self):
         with pytest.raises(NoPositives):
-            aupr(mk([0.5, 0.6], [0, 0]), TP_AS_POSITIVE)
+            aupr([0.5, 0.6], [0, 0], TP_AS_POSITIVE)
         with pytest.raises(NoPositives):
-            aupr(mk([0.5, 0.6], [1, 1]), FP_AS_POSITIVE)
+            aupr([0.5, 0.6], [1, 1], FP_AS_POSITIVE)
 
     def test_unknown_positive_class(self):
         with pytest.raises(XckitError):
-            aupr(mk([0.5], [1]), "op")
+            aupr([0.5], [1], "op")
 
 
 class TestKs:
@@ -160,6 +177,38 @@ class TestKs:
     def test_empty_rejected(self):
         with pytest.raises(EmptySample):
             ks_statistic([], [1.0])
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((3, 2)), [1.0, 2.0]),
+        ([1.0, 2.0], np.ones((2, 2))),
+        (np.ones((0, 2)), [1.0]),
+        (1.0, [1.0, 2.0]),
+    ], ids=["2d-first", "2d-second", "2d-empty", "0d"])
+    def test_not_1d_rejected(self, a, b):
+        with pytest.raises(ShapeMismatch):
+            ks_statistic(a, b)
+
+
+# quantized draws force ties; -0.0 sits next to 0.0 and must share its group
+TIED_SCORES = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestTieGrouping:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(TIED_SCORES, st.booleans()), min_size=1, max_size=60))
+    @example([(0.5, True)])
+    @example([(0.25, True), (0.25, False), (0.25, True)])
+    @example([(-0.0, True), (0.0, False), (-0.0, False), (0.0, True)])
+    def test_matches_loop_oracle(self, pairs):
+        scores = np.array([p[0] for p in pairs], dtype=np.float64)
+        labels = np.array([p[1] for p in pairs], dtype=bool)
+        pos, tot = _tie_grouped_counts(scores, labels)
+        want_pos, want_tot = oracles.tie_grouped_counts(scores, labels)
+        assert pos.tolist() == want_pos
+        assert tot.tolist() == want_tot
 
 
 @dataclass

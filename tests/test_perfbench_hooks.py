@@ -78,7 +78,7 @@ def test_train_meta_records_fold_spans(tmp_path):
     # the traced benchmark run needs one meta.fold span per fold x repeat
     from xckit.cli import main
     from xckit.io_formats import write_feature_csv
-    from xckit.synth import noisy_and_feature_rows
+    from gen import noisy_and_feature_rows
 
     csv_path = str(tmp_path / "features.csv")
     write_feature_csv(csv_path, noisy_and_feature_rows(40))

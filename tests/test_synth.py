@@ -18,11 +18,12 @@ from xckit.synth import (
     frame_attributions,
     generate_benchmark,
     generate_frame,
-    noisy_and_feature_rows,
     n_anchors,
     output_index,
 )
 from xckit.xc import XcConfig, xc_scores
+
+from gen import noisy_and_feature_rows
 
 
 def planted_kinds(frame):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xckit.attribution import AttributionMap
 from xckit.errors import ShapeMismatch, XckitError
-from xckit.geometry import Box3D, GridMeta
+from xckit.geometry import Box3D, GridMeta, enlarge, project_to_bev
 from xckit.xc import XcConfig, XcScores, significance_mask, xc_scores
 
 import oracles
@@ -224,3 +227,102 @@ class TestProperties:
             for r in (sc.xc_s_plus, sc.xc_c_plus, sc.xc_s_minus, sc.xc_c_minus)
             if r is not None
         )
+
+
+METAMORPHIC = settings(max_examples=200, deadline=None, derandomize=True)
+SHIFT = 3  # zero border, in pixels, and the largest shift along each axis
+
+# eighths tie with the thresholds below; the continuous part stays clear of
+# subnormals, so scaling by 2^k (|k| <= 20) is exact
+VALUES = st.one_of(
+    st.integers(-16, 16).map(lambda n: n / 8.0),
+    st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+)
+CONFIGS = st.builds(
+    XcConfig,
+    a_thresh=st.sampled_from([0.125, 0.25, 0.5, 1.0]) | st.floats(1e-3, 2.0),
+    margin_m=st.sampled_from([0.0, 0.2, 0.5]),
+)
+
+
+@st.composite
+def scenes(draw, border=0):
+    """(grid, box, values, cfg); ``values`` is zero within ``border`` pixels of the edge."""
+    h, w = draw(st.integers(4, 9)), draw(st.integers(4, 9))
+    ps = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    grid = GridMeta(height=h + 2 * border, width=w + 2 * border,
+                    origin_x=draw(st.floats(-5.0, 0.0)), origin_y=draw(st.floats(-5.0, 0.0)),
+                    pixel_size=ps)
+    inner = draw(arrays(np.float64, (h, w, draw(st.integers(1, 4))), elements=VALUES,
+                        fill=st.just(0.0)))
+    values = np.pad(inner, ((border, border), (border, border), (0, 0)))
+    box = Box3D(
+        cx=grid.origin_x + draw(st.floats(0.0, 1.0)) * grid.width * ps,
+        cy=grid.origin_y + draw(st.floats(0.0, 1.0)) * grid.height * ps,
+        cz=0.0, dx=draw(st.floats(0.3, 4.0)), dy=draw(st.floats(0.3, 4.0)), dz=1.5,
+        yaw=draw(st.floats(-math.pi, math.pi, exclude_min=True)),
+    )
+    return grid, box, values, draw(CONFIGS)
+
+
+def bits(x):
+    return None if x is None else float(x).hex()
+
+
+def sign_fields(sc, sign):
+    """One sign's accumulators and ratios, floats as hex so equality is bitwise."""
+    return (bits(getattr(sc, f"s_{sign}")), bits(getattr(sc, f"S_{sign}")),
+            getattr(sc, f"c_{sign}"), getattr(sc, f"C_{sign}"),
+            bits(getattr(sc, f"xc_s_{sign}")), bits(getattr(sc, f"xc_c_{sign}")))
+
+
+def edge_clearance(box, grid, margin, pad):
+    """Least distance from a pixel center (grid padded by ``pad``) to an enlarged-box edge line."""
+    corners = project_to_bev(enlarge(box, margin)).corners
+    px = grid.origin_x + (np.arange(-pad, grid.width + pad) + 0.5) * grid.pixel_size
+    py = (grid.origin_y + (np.arange(-pad, grid.height + pad) + 0.5) * grid.pixel_size)[:, None]
+    least = math.inf
+    for (x1, y1), (x2, y2) in zip(corners, np.roll(corners, -1, axis=0)):
+        cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+        least = min(least, float(np.abs(cross).min()) / math.hypot(x2 - x1, y2 - y1))
+    return least
+
+
+class TestMetamorphic:
+    """Relations between the scores of transformed inputs, checked without an oracle."""
+
+    @METAMORPHIC
+    @given(scenes())
+    def test_negating_map_swaps_signs(self, scene):
+        grid, box, v, cfg = scene
+        base = xc_scores(amap(v), box, grid, cfg)
+        neg = xc_scores(amap(-v), box, grid, cfg)
+        assert sign_fields(neg, "plus") == sign_fields(base, "minus")
+        assert sign_fields(neg, "minus") == sign_fields(base, "plus")
+
+    @METAMORPHIC
+    @given(scenes(), st.integers(-20, 20))
+    def test_power_of_two_scaling_keeps_ratios_and_counts(self, scene, k):
+        grid, box, v, cfg = scene
+        f = 2.0**k
+        base = xc_scores(amap(v), box, grid, cfg)
+        scaled = xc_scores(amap(v * f), box, grid,
+                           XcConfig(a_thresh=cfg.a_thresh * f, margin_m=cfg.margin_m))
+        for sign in ("plus", "minus"):
+            want, got = sign_fields(base, sign), sign_fields(scaled, sign)
+            assert got[2:] == want[2:]  # counts and both ratios
+            assert got[:2] == tuple(bits(float.fromhex(x) * f) for x in want[:2])
+
+    @METAMORPHIC
+    @given(scenes(border=SHIFT), st.integers(-SHIFT, SHIFT), st.integers(-SHIFT, SHIFT))
+    def test_whole_pixel_shift_keeps_scores(self, scene, di, dj):
+        grid, box, v, cfg = scene
+        # rounding in the shifted corners must not move an edge across a pixel center
+        assume(edge_clearance(box, grid, cfg.margin_m, SHIFT) > 1e-6)
+        moved = Box3D(cx=box.cx + dj * grid.pixel_size, cy=box.cy + di * grid.pixel_size,
+                      cz=box.cz, dx=box.dx, dy=box.dy, dz=box.dz, yaw=box.yaw)
+        shifted = np.roll(v, (di, dj), axis=(0, 1))  # nothing wraps: the border is zero
+        base = xc_scores(amap(v), box, grid, cfg)
+        got = xc_scores(amap(shifted), moved, grid, cfg)
+        for sign in ("plus", "minus"):
+            assert sign_fields(got, sign) == sign_fields(base, sign)
