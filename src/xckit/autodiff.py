@@ -7,7 +7,7 @@ dense (which flattens its input). It computes no parameter gradients, and it
 skips backward work that cannot change the answer: dense multiplies only the
 non-zero columns of its output gradient (one for a one-hot seed through
 elementwise tail layers), and the conv2d/dense layers at the model input run
-once, at batch 1, on the gradient summed over a batch's points.
+once per target, at batch 1, on the gradient summed over all of a call's points.
 Parameters are stored as float32. A float64 input runs on float64 copies made
 once when the layer is built, so no call casts and ``--jobs`` threads share
 them read-only; any other input runs on the float32 arrays.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -100,7 +101,12 @@ class _Dense(_Affine):
         # zero columns of g add exact zeros, so only the others are multiplied
         w, _ = self._params(g.dtype)
         cols = np.flatnonzero(g.any(axis=0))
-        return (g[:, cols] @ w[:, cols].T).reshape(in_shape), ()
+        if len(cols) == 1:  # one product per element; += 0.0 makes -0.0 the +0.0 BLAS sums
+            dx = g[:, cols] * w[:, cols[0]].copy()
+            dx += 0.0
+        else:
+            dx = g[:, cols] @ w[:, cols].T
+        return dx.reshape(in_shape), ()
 
 
 class _Conv2d(_Affine):
@@ -158,11 +164,11 @@ class _ReLU:
         return in_shape
 
     def forward(self, x):
-        return np.maximum(x, 0), x
+        # the cache is the mask; subgradient 0 at the kink
+        return np.maximum(x, 0), x > 0
 
-    def backward(self, g, cache):
-        # subgradient 0 at the kink
-        return g * (cache > 0), ()
+    def backward(self, g, mask):
+        return g * mask, ()
 
 
 class _Sigmoid:
@@ -323,45 +329,48 @@ def forward_array(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
     return y[0]
 
 
-def _backward(model, caches, g):
-    """Backpropagate a (B, *output_shape) gradient to the input, summed over the B points.
-
-    The points are summed in point order where the gradient reaches the
-    leading affine layers, which then run once at batch 1.
-    """
-    lead = model.n_leading_affine
-    for layer, cache in zip(reversed(model.layers[lead:]), reversed(caches[lead:])):
-        g, _ = layer.backward(g, cache)
-    total = g[:1]
-    for point in g[1:]:
-        total = total + point
-    for layer, in_shape in zip(reversed(model.layers[:lead]), reversed(caches[:lead])):
-        total, _ = layer.backward(total, (1, *in_shape[1:]))
-    return total[0]
-
-
-def input_gradient_array(model: ModelGraph, arr: np.ndarray, target) -> np.ndarray:
+def input_gradient_array(model: ModelGraph, arr, target) -> np.ndarray:
     """Exact reverse-mode gradient of output[target] w.r.t. the input, in its dtype.
 
-    ``arr`` is one input or a (B, *input_shape) batch of them; ``target`` is
-    one output index or a sequence of them. One forward pass over the batch
-    serves every target, and each target gets its own backward. For a batch,
-    a target's result is its gradient summed over the B points, in point
-    order (a batch of one equals the single input's gradient bitwise). The
-    result is shaped like one input, with a leading target axis when
-    ``target`` is a sequence.
+    ``arr`` is one input, a (B, *input_shape) batch of them, or an iterator
+    (a generator, say) of such batches; ``target`` is one output index or a
+    sequence of them. Each batch gets one forward pass, shared by every
+    target, and each target its own backward. A target's result is its
+    gradient summed over all points, in point order across the batches (one
+    point gives the single input's gradient). The sum is taken where the
+    gradient reaches the model's leading conv2d/dense layers, whose backward
+    is linear and the same at every point, so they run once per target, at
+    batch 1, on the whole sum. The result is shaped like one input, with a
+    leading target axis when ``target`` is a sequence.
     """
-    arr = np.asarray(arr)
-    batch = arr[None] if arr.shape == model.input_shape else arr
-    _check_input(model, batch)
     targets = [int(t) for t in np.atleast_1d(target)]
     for t in targets:
         if not 0 <= t < model.n_outputs:
             raise TargetOutOfRange(f"target {t} outside [0, {model.n_outputs})")
-    y, caches = _forward(model, batch)
-    grads = np.empty((len(targets),) + model.input_shape, dtype=y.dtype)
-    for k, t in enumerate(targets):
-        seed = np.zeros_like(y)
-        seed.reshape(len(batch), -1)[:, t] = 1.0
-        grads[k] = _backward(model, caches, seed)
+    lead = model.n_leading_affine
+    sums = None
+    for i, batch in enumerate(arr if isinstance(arr, Iterator) else [arr]):
+        batch = np.asarray(batch)
+        batch = batch[None] if batch.shape == model.input_shape else batch
+        _check_input(model, batch)
+        if len(batch) == 0:
+            raise ShapeMismatch(f"input batch {i} is empty: shape {batch.shape}")
+        y, caches = _forward(model, batch)
+        for k, t in enumerate(targets):
+            g = np.zeros_like(y)
+            g.reshape(len(batch), -1)[:, t] = 1.0
+            for layer, cache in zip(reversed(model.layers[lead:]), reversed(caches[lead:])):
+                g, _ = layer.backward(g, cache)
+            if sums is None:
+                sums = np.zeros((len(targets),) + g.shape[1:], dtype=g.dtype)
+            for point in g:
+                sums[k] += point
+    if sums is None:
+        raise ShapeMismatch("no input batches given")
+    grads = np.empty((len(targets),) + model.input_shape, dtype=sums.dtype)
+    for k, total in enumerate(sums):
+        total = total[None]
+        for layer, in_shape in zip(reversed(model.layers[:lead]), reversed(caches[:lead])):
+            total, _ = layer.backward(total, (1, *in_shape[1:]))
+        grads[k] = total[0]
     return grads if np.ndim(target) else grads[0]

@@ -91,8 +91,10 @@ def per_step_path_gradient(model, x, baseline, target, steps, offset=0.5):
     """Mean gradient along the straight path baseline -> x, one point per engine call.
 
     The points are baseline + (k - 1 + offset)/steps * (x - baseline) for
-    k = 1..steps, each differentiated alone at batch 1, and the gradients
-    are summed in step order: the reference for attribution's chunked path.
+    k = 1..steps, each differentiated alone at batch 1, through every layer,
+    and the gradients are summed in step order: the reference for
+    attribution's path engine, which sums the points before the model's
+    leading conv2d/dense layers and so runs those once per map.
     """
     x = np.asarray(x, dtype=np.float64)
     baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, np.float64)

@@ -1,5 +1,6 @@
 """Attribution method tests: completeness, exactness on linear models, identities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -245,14 +246,93 @@ class TestBatchedPath:
                 assert max_rel_error(a.values, avg * x) <= 1e-12
                 assert max_rel_error(b.values, avg) <= 1e-12
 
-    def test_one_point_chunks_equal_per_step_loop_bitwise(self, frames, monkeypatch):
-        monkeypatch.setattr(attribution, "CHUNK_BYTES", 1)
+    @pytest.mark.parametrize("chunk_bytes", [1, attribution.CHUNK_BYTES],
+                             ids=["one-point-chunks", "default-chunks"])
+    def test_path_equals_per_step_loop(self, frames, monkeypatch, chunk_bytes):
+        # The engine sums the whole path's gradient, in step order, before the
+        # leading conv2d/dense layers. A relu-first model has none, so its sum is
+        # the per-step loop's bit for bit however the points are chunked; the
+        # detector's leading conv runs once on the sum, not once per point.
+        # The relu-first model ends in dense, whose backward reads no forward
+        # value: the dense forward rounds differently at batch 5 than at
+        # batch 1 (gemm against gemv).
+        monkeypatch.setattr(attribution, "CHUNK_BYTES", chunk_bytes)
         fr = frames[0]
-        x = fr.pseudo_image.astype(np.float64)
-        idx = self.indices(fr)
-        for i, m in zip(idx, modified_integrated_gradients(fr.model, x, idx, steps=7)):
-            assert m.values.tobytes() == oracles.per_step_path_gradient(
-                fr.model, x, None, i, 7).tobytes()
+        relu_first = build_model({"input_shape": [40, 40, 4], "seed": 3, "layers": [
+            {"kind": "relu"},
+            {"kind": "conv2d", "in_channels": 4, "out_channels": 3, "kernel": [3, 3]},
+            {"kind": "relu"},
+            {"kind": "dense", "in_features": 40 * 40 * 3, "out_features": 4}]})
+        signed = np.random.default_rng(7).normal(size=(40, 40, 4))
+        for model, x, lead in ((relu_first, signed, 0),
+                               (fr.model, fr.pseudo_image.astype(np.float64), 1)):
+            assert model.n_leading_affine == lead
+            idx = self.indices(fr) if lead else [0, 1, 2, 3]
+            for i, m in zip(idx, modified_integrated_gradients(model, x, idx, steps=13)):
+                want = oracles.per_step_path_gradient(model, x, None, i, 13)
+                if lead == 0:
+                    assert m.values.tobytes() == want.tobytes()
+                else:
+                    assert max_rel_error(m.values, want) <= 1e-12
+
+    def test_leading_conv_backward_runs_once_per_map(self, frames, monkeypatch):
+        fr = frames[0]
+        conv = fr.model.layers[0]
+        assert conv.kind == "conv2d" and fr.model.n_leading_affine == 1
+        calls = []
+
+        def counted(g, in_shape, backward=conv.backward):
+            calls.append(len(g))
+            return backward(g, in_shape)
+
+        monkeypatch.setattr(conv, "backward", counted)
+        counts = {}
+        for steps in (8, 32):
+            calls.clear()
+            frame_attributions(fr, "ig", steps)
+            counts[steps] = len(calls)
+            assert set(calls) == {1}
+        assert 0 < counts[8] == counts[32] <= len(fr.preds)
+
+    # sha256 of the "<f4" bytes of each frame's maps, concatenated in prediction
+    # order, for criterion 07's first 10 frames
+    GOLDEN_F4_SHA256 = {
+        "backprop": [
+            "3c73d1246b1b5c1398df43a43507579fcc6842719275bcdeaa72fedf682c96df",
+            "2aaf0123d19cb09f12968cfb32db56bd837bdcb4c9071255dbbbb2cef06a0ccf",
+            "ce499be8bbbc047ca822debb28d966e68e6eb615f0423a8e5f49f34375cafcc5",
+            "cff4e97a7edfe53ab65959d3cb922d105334f8dc69e52ba49e09af13434aea08",
+            "5c36d69c13ac811df9980be917206d31c592a72be7938baadfefd6c57bfeb7c8",
+            "4f624a8b1305a0996e27ede271741155fcce454856960c6dd8ab85fd9e929eba",
+            "247f2088f808a96cf349f9e2237f87289ecaf827cf77266f377d8036d6af1dbc",
+            "1790d64aa88a73f5c1be1a681d6b17ff9efae1ab90dc87fdbaa52c1977702cc0",
+            "20210834dc84d8373dd2fbb63d5005aed25687c4f09187ecc1d15024ef3d1d5e",
+            "587ecabf3b56fc0ad0ac7ea49d99d684929be1ce2f0b0986c67456e9ef17c60d",
+        ],
+        "ig": [
+            "a24ccf347e87f172687e30ef57a7040714d0181c197a60001a50d278b4674323",
+            "05f8d2d01029cc565018135803a76bef9eaa0345a2d69130b0ee9196269803a0",
+            "2c9d51b20df2039df3e1c372101e1edb510d1f069dd886b2de13d04bd7350da1",
+            "3b946c7ec8eb2dbbe9a4d08be90f4f31e0af289aceb0dcc856de8880b2e35b24",
+            "ed204df2197a8a10717fe9c1e2616a227efdf6b3437a9e7827d5b787003276e0",
+            "9da0120625d07e209ffd260d7b8cec7142271313c1361bc4cfe2991b415bb4a4",
+            "1286430a5ba4414440d5a7d76e7b5ea548ddab9301559892df35831189e538a5",
+            "712a1b5b8782cda2af9ca8392cab4a0d4d4fcda8b8cf4f3d70312df3101c5364",
+            "7732eabe30166892fbc4513cf13ebc6e90583e29438bd0a47982c39df4dfd9a0",
+            "46206b80cc89cc6a221d94d63566f9b4624f01b725e62db3300ba5b1a3839bc2",
+        ],
+    }
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN_F4_SHA256))
+    def test_written_map_bytes_pinned(self, frames, method):
+        # the float32 bytes that attribute writes must not move
+        got = []
+        for fr in frames[:10]:
+            h = hashlib.sha256()
+            for m in frame_attributions(fr, method, 32):
+                h.update(m.values.astype("<f4").tobytes())
+            got.append(h.hexdigest())
+        assert got == self.GOLDEN_F4_SHA256[method]
 
     def test_targets_together_equal_one_at_a_time(self, frames):
         for fr in frames[:3]:

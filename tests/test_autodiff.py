@@ -226,6 +226,25 @@ class TestInputGradient:
                 denom = max(abs(fd), abs(exact[i]), 1e-8)
                 assert abs(fd - exact[i]) / denom < 1e-4
 
+    def test_empty_batch_or_iterator_rejected(self):
+        m = seeded_convnet(9)
+        x = np.ones((2, 8, 8, 2))
+        with pytest.raises(ShapeMismatch, match=r"batch 0 is empty: shape \(0, 8, 8, 2\)"):
+            input_gradient_array(m, np.empty((0, 8, 8, 2)), 0)
+        with pytest.raises(ShapeMismatch, match="batch 1 is empty"):
+            input_gradient_array(m, iter([x, x[:0]]), [0, 1])
+        with pytest.raises(ShapeMismatch, match="no input batches"):
+            input_gradient_array(m, iter([]), 0)
+
+    def test_iterator_of_batches_equals_one_batch(self):
+        # one sum over every point, whether the points come in one batch or several
+        m = seeded_convnet(9)
+        pts = np.random.default_rng(5).normal(size=(7, 8, 8, 2))
+        whole = input_gradient_array(m, pts, [0, 2])
+        assert whole.tobytes() == input_gradient_array(
+            m, (pts[s : s + 3] for s in range(0, 7, 3)), [0, 2]).tobytes()
+        assert whole.tobytes() == input_gradient_array(m, iter(pts), [0, 2]).tobytes()
+
     def test_gradient_is_deterministic(self):
         m = seeded_convnet(9)
         x = np.random.default_rng(2).normal(size=(8, 8, 2)).astype(np.float32)
