@@ -11,10 +11,11 @@ Three methods are provided:
 
 All three share one path engine: the maps of every target on an input come
 from the same chunked forward passes over the path points, made lazily in
-one engine call, and each map costs one backward of the model's leading
-conv2d/dense layers, on the gradient summed over the whole path. Attribution
-values are kept at float64; the path average accumulates in float64
-regardless of parameter storage.
+one engine call. Each map costs one batch-1 backward of the model's leading
+conv2d/dense layers, on the gradient summed over the whole path, and one of
+the affine run under its output's elementwise layers, on a unit seed; only
+the layers between run once per chunk. Values are kept, and the path average
+accumulates, in float64 regardless of parameter storage.
 """
 
 from __future__ import annotations
@@ -76,12 +77,9 @@ def _path_maps(model, input, output_index, target, method, steps, baseline, offs
         raise ZeroSteps(f"steps must be >= 1, got {steps}")
     single = np.ndim(output_index) == 0
     indices = [output_index] if single else list(output_index)
-    if single or target is None:
-        targets = [target] * len(indices)
-    else:
-        targets = list(target)
-        if len(targets) != len(indices):
-            raise ShapeMismatch(f"{len(targets)} targets for {len(indices)} output indices")
+    targets = [target] * len(indices) if single or target is None else list(target)
+    if len(targets) != len(indices):
+        raise ShapeMismatch(f"{len(targets)} targets for {len(indices)} output indices")
     x = np.asarray(input).astype(np.float64)
     b = _resolve_baseline(x, baseline)
     dx = x - b

@@ -5,9 +5,10 @@ respect to its input grid. This engine computes exactly that, for the layer
 set of the toy detectors: conv2d (stride 1, zero padding), relu, sigmoid and
 dense (which flattens its input). It computes no parameter gradients, and it
 skips backward work that cannot change the answer: dense multiplies only the
-non-zero columns of its output gradient (one for a one-hot seed through
-elementwise tail layers), and the conv2d/dense layers at the model input run
-once per target, at batch 1, on the gradient summed over all of a call's points.
+non-zero columns of its output gradient, and two affine runs go once per target
+at batch 1, the one under the output's elementwise layers (the toy's dense head
+and 1x1 conv) on a unit seed, and the one at the model input on the gradient
+summed over all of a call's points.
 Parameters are stored as float32. A float64 input runs on float64 copies made
 once when the layer is built, so no call casts and ``--jobs`` threads share
 them read-only; any other input runs on the float32 arrays.
@@ -101,12 +102,7 @@ class _Dense(_Affine):
         # zero columns of g add exact zeros, so only the others are multiplied
         w, _ = self._params(g.dtype)
         cols = np.flatnonzero(g.any(axis=0))
-        if len(cols) == 1:  # one product per element; += 0.0 makes -0.0 the +0.0 BLAS sums
-            dx = g[:, cols] * w[:, cols[0]].copy()
-            dx += 0.0
-        else:
-            dx = g[:, cols] @ w[:, cols].T
-        return dx.reshape(in_shape), ()
+        return (g[:, cols] @ w[:, cols].T).reshape(in_shape), ()
 
 
 class _Conv2d(_Affine):
@@ -125,18 +121,15 @@ class _Conv2d(_Affine):
             )
         return (in_shape[0], in_shape[1], self.weight.shape[3])
 
-    def _pad(self, x):
-        kh, kw = self.weight.shape[:2]
-        ph, pw = kh // 2, kw // 2
-        if ph == 0 and pw == 0:
-            return x
-        return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-
     def forward(self, x):
-        b, h, w_, _ = x.shape
+        b, h, w_, cin = x.shape
         kh, kw, _, cout = self.weight.shape
+        ph, pw = kh // 2, kw // 2
         wk, bias, _ = self._params(x.dtype)
-        xp = self._pad(x)
+        xp = x
+        if ph or pw:  # zero padding by slice assignment, cheaper per call than np.pad
+            xp = np.zeros((b, h + 2 * ph, w_ + 2 * pw, cin), dtype=x.dtype)
+            xp[:, ph : ph + h, pw : pw + w_] = x
         y = np.zeros((b, h, w_, cout), dtype=x.dtype)
         for i in range(kh):
             for j in range(kw):
@@ -195,10 +188,14 @@ class ModelGraph:
         for layer in self.layers:
             shape = layer.out_shape(shape)
         self.output_shape = tuple(shape)
-        # the conv2d/dense run at the input, whose backward is linear and the same at every point
-        self.n_leading_affine = next(
-            (i for i, layer in enumerate(self.layers) if not isinstance(layer, _Affine)),
-            len(self.layers))
+        # the conv2d/dense run at the input, and the last affine run, layers[run:top],
+        # under the elementwise output layers (empty when it is the leading run)
+        affine = [isinstance(layer, _Affine) for layer in self.layers] + [False]
+        self.n_leading_affine = affine.index(False)
+        run = top = max((i + 1 for i, a in enumerate(affine) if a), default=0)
+        while run > self.n_leading_affine and affine[run - 1]:
+            run -= 1
+        self.affine_tail = (run, top)
 
     @property
     def n_outputs(self):
@@ -334,21 +331,24 @@ def input_gradient_array(model: ModelGraph, arr, target) -> np.ndarray:
 
     ``arr`` is one input, a (B, *input_shape) batch of them, or an iterator
     (a generator, say) of such batches; ``target`` is one output index or a
-    sequence of them. Each batch gets one forward pass, shared by every
-    target, and each target its own backward. A target's result is its
-    gradient summed over all points, in point order across the batches (one
-    point gives the single input's gradient). The sum is taken where the
-    gradient reaches the model's leading conv2d/dense layers, whose backward
-    is linear and the same at every point, so they run once per target, at
-    batch 1, on the whole sum. The result is shaped like one input, with a
-    leading target axis when ``target`` is a sequence.
+    sequence of them (possibly empty). Each batch gets one forward pass, shared
+    by every target. A target's result is its gradient summed over all points,
+    in point order across the batches (one point gives the single input's
+    gradient), shaped like one input, with a leading target axis when
+    ``target`` is a sequence.
+
+    The output's elementwise layers give every target's per-point scale in one
+    call. The affine run under them maps each target's unit seed once, at batch
+    1, and backward goes on at batch B from that map times each point's scale.
+    The points are summed, in order, where the gradient reaches the leading
+    conv2d/dense layers, which then run once per target, at batch 1.
     """
     targets = [int(t) for t in np.atleast_1d(target)]
     for t in targets:
         if not 0 <= t < model.n_outputs:
             raise TargetOutOfRange(f"target {t} outside [0, {model.n_outputs})")
-    lead = model.n_leading_affine
-    sums = None
+    lead, (run, top) = model.n_leading_affine, model.affine_tail
+    units = sums = None
     for i, batch in enumerate(arr if isinstance(arr, Iterator) else [arr]):
         batch = np.asarray(batch)
         batch = batch[None] if batch.shape == model.input_shape else batch
@@ -356,20 +356,31 @@ def input_gradient_array(model: ModelGraph, arr, target) -> np.ndarray:
         if len(batch) == 0:
             raise ShapeMismatch(f"input batch {i} is empty: shape {batch.shape}")
         y, caches = _forward(model, batch)
-        for k, t in enumerate(targets):
-            g = np.zeros_like(y)
-            g.reshape(len(batch), -1)[:, t] = 1.0
-            for layer, cache in zip(reversed(model.layers[lead:]), reversed(caches[lead:])):
+        if units is None:
+            units = []
+            for t in targets:
+                u = np.zeros((1,) + model.output_shape, dtype=y.dtype)
+                u.reshape(-1)[t] = 1.0
+                for layer, in_shape in zip(reversed(model.layers[run:top]),
+                                           reversed(caches[run:top])):
+                    u, _ = layer.backward(u, (1, *in_shape[1:]))
+                units.append(u)
+        scales = np.ones((len(batch), len(targets)), dtype=y.dtype)
+        for layer, cache in zip(reversed(model.layers[top:]), reversed(caches[top:])):
+            scales, _ = layer.backward(scales, cache.reshape(len(batch), -1)[:, targets])
+        for k, u in enumerate(units):
+            g = scales[:, k].reshape((-1,) + (1,) * (u.ndim - 1)) * u
+            for layer, cache in zip(reversed(model.layers[lead:run]), reversed(caches[lead:run])):
                 g, _ = layer.backward(g, cache)
             if sums is None:
                 sums = np.zeros((len(targets),) + g.shape[1:], dtype=g.dtype)
             for point in g:
                 sums[k] += point
-    if sums is None:
+    if units is None:
         raise ShapeMismatch("no input batches given")
-    grads = np.empty((len(targets),) + model.input_shape, dtype=sums.dtype)
-    for k, total in enumerate(sums):
-        total = total[None]
+    grads = np.empty((len(targets),) + model.input_shape, dtype=y.dtype)
+    for k in range(len(targets)):
+        total = sums[k][None]
         for layer, in_shape in zip(reversed(model.layers[:lead]), reversed(caches[:lead])):
             total, _ = layer.backward(total, (1, *in_shape[1:]))
         grads[k] = total[0]

@@ -2,9 +2,10 @@
 
 Everything here is computed without the library's own backward pass or
 aggregation code, so a test that compares against these functions is a real
-dual-route check. The one exception is ``per_step_path_gradient``: it checks
-how attribution batches path points, so it calls the engine one point at a
-time.
+dual-route check. The exceptions are ``layerwise_input_gradient`` and
+``per_step_path_gradient``: they check how the engine schedules backward work
+(shared forwards, rank-one tail, point sums), so they chain each layer's own
+``backward`` through every layer at batch 1 without going through the engine.
 """
 
 import math
@@ -87,11 +88,26 @@ def near_relu_kink(model, x, flat_index, h=1e-3):
     return False
 
 
+def layerwise_input_gradient(model, x, target):
+    """Gradient of output[target] at one input: ``_forward``, then every layer's backward.
+
+    All at batch 1, with the one-hot seed carried through every layer in full.
+    The result is added to zeros, as the engine adds each point's gradient to
+    zeros, so a -0.0 comes out +0.0.
+    """
+    y, caches = autodiff._forward(model, np.asarray(x)[None])
+    g = np.zeros_like(y)
+    g.reshape(-1)[target] = 1.0
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        g, _ = layer.backward(g, cache)
+    return g[0] + 0.0
+
+
 def per_step_path_gradient(model, x, baseline, target, steps, offset=0.5):
-    """Mean gradient along the straight path baseline -> x, one point per engine call.
+    """Mean gradient along the straight path baseline -> x, one point at a time.
 
     The points are baseline + (k - 1 + offset)/steps * (x - baseline) for
-    k = 1..steps, each differentiated alone at batch 1, through every layer,
+    k = 1..steps, each differentiated alone by ``layerwise_input_gradient``,
     and the gradients are summed in step order: the reference for
     attribution's path engine, which sums the points before the model's
     leading conv2d/dense layers and so runs those once per map.
@@ -102,7 +118,7 @@ def per_step_path_gradient(model, x, baseline, target, steps, offset=0.5):
     acc = np.zeros_like(x)
     for k in range(1, steps + 1):
         alpha = (k - 1 + offset) / steps
-        acc += autodiff.input_gradient_array(model, baseline + alpha * dx, target)
+        acc += layerwise_input_gradient(model, baseline + alpha * dx, target)
     return acc / steps
 
 

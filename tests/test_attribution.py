@@ -197,6 +197,14 @@ class TestModifiedIG:
         assert np.array_equal(avg, backprop_saliency(m, x, 0).values)
 
 
+def test_no_output_indices_give_no_maps():
+    m = convnet(12)
+    x = np.random.default_rng(19).normal(size=(8, 8, 2))
+    assert backprop_saliency(m, x, []) == []
+    assert integrated_gradients(m, x, [], steps=7) == []
+    assert modified_integrated_gradients(m, x, [], steps=7, target=[]) == []
+
+
 class TestSaliency:
     def test_matches_engine_gradient(self):
         m = convnet(12)
@@ -293,6 +301,22 @@ class TestBatchedPath:
             counts[steps] = len(calls)
             assert set(calls) == {1}
         assert 0 < counts[8] == counts[32] <= len(fr.preds)
+
+    def test_tail_backward_runs_once_per_target_at_batch_one(self, frames, monkeypatch):
+        # the toy's 1x1 conv and dense head map each target's unit seed once per
+        # map, however many path points and chunks the map takes
+        fr = frames[0]
+        assert fr.model.affine_tail == (2, 4)
+        calls = {}
+        for layer in fr.model.layers[2:4]:
+            def counted(g, in_shape, backward=layer.backward, kind=layer.kind):
+                calls[kind].append(len(g))
+                return backward(g, in_shape)
+            monkeypatch.setattr(layer, "backward", counted)
+        for steps in (8, 32):
+            calls.update(conv2d=[], dense=[])
+            frame_attributions(fr, "ig", steps)
+            assert calls == {"conv2d": [1] * len(fr.preds), "dense": [1] * len(fr.preds)}
 
     # sha256 of the "<f4" bytes of each frame's maps, concatenated in prediction
     # order, for criterion 07's first 10 frames

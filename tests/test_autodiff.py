@@ -236,6 +236,13 @@ class TestInputGradient:
         with pytest.raises(ShapeMismatch, match="no input batches"):
             input_gradient_array(m, iter([]), 0)
 
+    def test_empty_target_sequence_gives_empty_result(self):
+        m = seeded_convnet(9)
+        x = np.ones((2, 8, 8, 2))
+        for arr in (x[0], x, iter([x, x[:1]])):
+            got = input_gradient_array(m, arr, [])
+            assert got.shape == (0, 8, 8, 2) and got.dtype == np.float64
+
     def test_iterator_of_batches_equals_one_batch(self):
         # one sum over every point, whether the points come in one batch or several
         m = seeded_convnet(9)
@@ -318,6 +325,96 @@ class TestPointSummedBatch:
                     == input_gradient_array(m, x, t).tobytes())
         assert (input_gradient_array(m, x[None], [1, 3]).tobytes()
                 == input_gradient_array(m, x, [1, 3]).tobytes())
+
+
+def conv(cin, cout, k=3):
+    return {"kind": "conv2d", "in_channels": cin, "out_channels": cout, "kernel": [k, k]}
+
+
+def dense(n_in, n_out):
+    return {"kind": "dense", "in_features": n_in, "out_features": n_out}
+
+
+RELU, SIGMOID = {"kind": "relu"}, {"kind": "sigmoid"}
+IDENTITY_1X1 = {**conv(3, 3, 1), "weight": np.eye(3, dtype=np.float32).reshape(1, 1, 3, 3),
+                "bias": np.zeros(3, np.float32)}
+RANK_ONE_MODELS = {
+    # name: (layers, affine tail as (run, top), exact): exact when the tail's
+    # affine run is one layer or an identity, so each point's gradient is the
+    # full materialized backward's bit for bit
+    "conv-tail": ([conv(C, 3), RELU, conv(3, 2), dense(H * W * 2, 4), SIGMOID], (2, 4), False),
+    "relu-above-affine": ([conv(C, 3), RELU, dense(H * W * 3, 5), RELU, dense(5, 4), SIGMOID],
+                          (4, 5), True),
+    "dense-end": ([conv(C, 3), RELU, dense(H * W * 3, 4)], (2, 3), True),
+    "identity-1x1": ([conv(C, 3), RELU, IDENTITY_1X1, dense(H * W * 3, 4), SIGMOID], (2, 4), True),
+}
+RANK_ONE_CASES = [(name, first) for name in sorted(RANK_ONE_MODELS)
+                  for first in ("conv-first", "relu-first")]
+
+
+def rank_one_model(name, first):
+    # relu-first puts a relu at the input: no leading affine layer, so the points
+    # are summed at the input, as the oracle sums them
+    layers, (run, top), _ = RANK_ONE_MODELS[name]
+    shift = first == "relu-first"
+    m = seeded_model([RELU] * shift + layers)
+    assert m.affine_tail == (run + shift, top + shift)
+    assert m.n_leading_affine == 1 - shift
+    return m
+
+
+class TestRankOneTail:
+    """The tail's affine run runs once per target on a unit seed, scaled per point."""
+
+    TARGETS = [2, 0, 2, 3]  # a duplicate target gets the same gradient twice
+
+    @pytest.mark.parametrize("name, first", RANK_ONE_CASES)
+    def test_single_point_equals_layerwise_oracle(self, name, first):
+        m = rank_one_model(name, first)
+        x = np.random.default_rng(6).normal(size=(H, W, C))
+        got = input_gradient_array(m, x, self.TARGETS)
+        assert got[0].tobytes() == got[2].tobytes()
+        for g, t in zip(got, self.TARGETS):
+            want = oracles.layerwise_input_gradient(m, x, t)
+            if RANK_ONE_MODELS[name][2]:
+                assert g.tobytes() == want.tobytes()
+            else:
+                assert max_norm_error(g, want) <= 1e-12
+
+    @pytest.mark.parametrize("name, first", RANK_ONE_CASES)
+    def test_points_equal_point_order_sum_of_oracle(self, name, first):
+        # one point per batch, so every forward runs at batch 1 as the oracle's does;
+        # a leading affine run sums the points before its backward, the oracle after
+        m = rank_one_model(name, first)
+        pts = np.random.default_rng(7).normal(size=(6, H, W, C))
+        got = input_gradient_array(m, iter(pts), self.TARGETS)
+        for g, t in zip(got, self.TARGETS):
+            want = np.zeros((H, W, C))
+            for p in pts:
+                want += oracles.layerwise_input_gradient(m, p, t)
+            if RANK_ONE_MODELS[name][2] and first == "relu-first":
+                assert g.tobytes() == want.tobytes()
+            else:
+                assert max_norm_error(g, want) <= 1e-12
+
+    def test_zero_sigmoid_derivative_gives_positive_zeros(self):
+        # at the larger scales the target's sigmoid is exactly 1.0, so its derivative
+        # is 0 and the rank-one point gradient 0 * u holds -0.0 wherever u < 0
+        m = rank_one_model("relu-above-affine", "relu-first")
+        x = np.abs(np.random.default_rng(8).normal(size=(H, W, C)))
+        t = int(np.argmax(forward_array(m, 1e3 * x)))
+        pts = np.stack([s * x for s in (0.01, 1e3, 0.1, 2e3)])
+        probs = np.array([forward_array(m, p)[t] for p in pts])
+        assert list(probs == 1.0) == [False, True, False, True]
+        u = m.layers[-2].backward(np.eye(4)[t][None], (1, 5))[0]
+        assert np.any(u < 0)
+        for p, saturated in zip(pts, probs == 1.0):
+            g = input_gradient_array(m, p, [t, 0])
+            assert g[0].tobytes() == oracles.layerwise_input_gradient(m, p, t).tobytes()
+            if saturated:
+                assert g[0].tobytes() == np.zeros((H, W, C)).tobytes()
+        want = sum(oracles.layerwise_input_gradient(m, p, t) for p in pts)
+        assert input_gradient_array(m, iter(pts), t).tobytes() == want.tobytes()
 
 
 @st.composite

@@ -383,6 +383,25 @@ class TestXcAndMatch:
         n_preds = sum(1 for _ in open(os.path.join(store, "preds.jsonl")))
         assert len(rows) == n_preds  # all synthetic scores clear the ignore bar
 
+    @pytest.mark.parametrize("method", ["backprop", "ig"])
+    def test_frame_without_predictions(self, tmp_path, method):
+        # the store keeps a frame whose prediction lines are gone; it gets no maps
+        store = make_store(tmp_path, frames=3)
+        preds = os.path.join(store, "preds.jsonl")
+        kept = [line for line in open(preds) if json.loads(line)["frame_id"] != "000001"]
+        assert 0 < len(kept) < sum(1 for _ in open(preds))
+        with open(preds, "w") as f:
+            f.writelines(kept)
+        attribs = str(tmp_path / "attribs")
+        assert run(["attribute", "--frames", store, "--out", attribs, "--method", method,
+                    "--steps", "4"]) == 0
+        assert len(os.listdir(attribs)) == len(kept)
+        assert not any(name.startswith("000001_") for name in os.listdir(attribs))
+        csv_path = str(tmp_path / "features.csv")
+        assert run(["xc", "--frames", store, "--attribs", attribs,
+                    "--a-thresh", "0.0015", "--out", csv_path]) == 0
+        assert len(read_feature_csv(csv_path)) == len(kept)
+
     def test_missing_map_is_data_error(self, tmp_path):
         store = make_store(tmp_path, frames=2)
         attribs = str(tmp_path / "attribs")
