@@ -30,7 +30,6 @@ from .matching import (
 from .meta import (
     DEFAULT_FEATURES,
     FeatureRow,
-    MetaTrainConfig,
     build_feature_dataset,
     cross_validate,
     train_mlp,
@@ -77,7 +76,6 @@ __all__ = [
     "IGNORE",
     "MatchConfig",
     "MatchOutcome",
-    "MetaTrainConfig",
     "MetricReport",
     "ParseError",
     "PlacementFailure",

@@ -146,12 +146,7 @@ def aggregate_signed(map: AttributionMap):
         v = v[:, :, None]
     if v.ndim != 3:
         raise ShapeMismatch(f"expected (H, W, C) or (H, W) values, got shape {v.shape}")
-    clipped_pos = np.maximum(v, 0.0)
-    clipped_neg = np.maximum(-v, 0.0)
-    if v.shape[2] <= 2:
-        # a sum of at most two floats rounds once; already exact
-        return clipped_pos.sum(axis=2), clipped_neg.sum(axis=2)
-    clipped = np.stack([clipped_pos, clipped_neg])
+    clipped = np.stack([np.maximum(v, 0.0), np.maximum(-v, 0.0)])
     s = clipped[..., 0]
     exact = np.ones(s.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # such pixels go to fsum

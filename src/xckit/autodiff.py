@@ -171,7 +171,8 @@ class _Sigmoid:
         return in_shape
 
     def forward(self, x):
-        y = 1.0 / (1.0 + np.exp(-x))
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives the right y, 0.0
+            y = 1.0 / (1.0 + np.exp(-x))
         return y, y
 
     def backward(self, g, cache):

@@ -46,7 +46,8 @@ from .io_formats import (
 from .matching import DEFAULT_IOU_THRESH, MatchConfig, categorize
 from .meta import (
     DEFAULT_FEATURES,
-    MetaTrainConfig,
+    FOLDS,
+    REPEATS,
     build_feature_dataset,
     cross_validate,
     split_groups,
@@ -336,7 +337,7 @@ def _cmd_train_meta(args) -> int:
     lines = [
         f"features: {report.feature}",
         f"rows: {len(rows)} ({report.n_pos} tp / {report.n_neg} fp)",
-        f"protocol: {MetaTrainConfig().repeats}x{MetaTrainConfig().folds}-fold cross-validation",
+        f"protocol: {REPEATS}x{FOLDS}-fold cross-validation",
         f"auroc: {report.auroc:.4f}",
         f"aupr: {report.aupr:.4f}",
         f"aupr_op: {report.aupr_op:.4f}",

@@ -65,18 +65,19 @@ def write_xcam(path, map: AttributionMap) -> None:
 def read_xcam(path) -> AttributionMap:
     with open(path, "rb") as f:
         raw = f.read()
+    at = f"{path}: byte offset"
     if len(raw) < _HEADER.size:
-        raise TruncatedPayload(f"file is {len(raw)} bytes, header needs {_HEADER.size}")
+        raise TruncatedPayload(f"{at} 0: file is {len(raw)} bytes, header needs {_HEADER.size}")
     magic, version, h, w, c = _HEADER.unpack_from(raw)
     if magic != XCAM_MAGIC:
-        raise BadMagic(f"magic {magic!r} != {XCAM_MAGIC!r}")
+        raise BadMagic(f"{at} 0: magic {magic!r} != {XCAM_MAGIC!r}")
     if version != XCAM_VERSION:
-        raise VersionUnsupported(f"version {version}, reader supports {XCAM_VERSION}")
+        raise VersionUnsupported(f"{at} 4: version {version}, reader supports {XCAM_VERSION}")
     n_payload = 4 * h * w * c
     offset = _HEADER.size
     if len(raw) < offset + n_payload + 4:
         raise TruncatedPayload(
-            f"payload+metadata need {n_payload + 4} bytes after header, "
+            f"{at} {offset}: payload+metadata need {n_payload + 4} bytes after header, "
             f"have {len(raw) - offset}"
         )
     values = (
@@ -88,7 +89,9 @@ def read_xcam(path) -> AttributionMap:
     (meta_len,) = struct.unpack_from("<I", raw, offset)
     offset += 4
     if len(raw) < offset + meta_len:
-        raise TruncatedPayload(f"metadata block truncated ({len(raw) - offset}/{meta_len})")
+        raise TruncatedPayload(
+            f"{at} {offset}: metadata block needs {meta_len} bytes, has {len(raw) - offset}"
+        )
     try:
         meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
     except ValueError:  # UnicodeDecodeError or JSONDecodeError

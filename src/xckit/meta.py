@@ -7,9 +7,10 @@ holds its own float32 weights and computes its own binary-cross-entropy
 gradients; Adam updates the weights in float64, once per step over one flat
 float32 vector that W1, b1, W2, b2 view (elementwise, so bitwise equal to
 per-array updates); it stores no normalization statistics, so callers pass
-normalized features. Cross-validation follows a fixed recipe: z-score with
-training-fold statistics, 4x duplication with uniform feature noise on the
-training folds only, 5 folds, 5 repeats, 25 metric triples averaged.
+normalized features. Cross-validation follows one fixed protocol, stated
+once in the constants below: z-score with training-fold statistics, 4x
+duplication with U(-0.05, 0.05) feature noise on the training folds only,
+5 repeats of 5 stratified folds, 25 metric triples averaged.
 """
 
 from __future__ import annotations
@@ -42,37 +43,18 @@ DEFAULT_FEATURES = ("top_score", *XC_RATIOS)
 
 POINT_SPLIT = 100  # rows with n_points >= POINT_SPLIT form the "large" bucket
 
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    mean: np.ndarray
-    sd: np.ndarray
-
-
-@dataclass(frozen=True)
-class MetaTrainConfig:
-    epochs: int = 12
-    batch_size: int = 16
-    learning_rate: float = 0.001
-    duplication_factor: int = 4
-    noise_half_width: float = 0.05
-    folds: int = 5
-    repeats: int = 5
-    hidden_width: int = 3
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "duplication_factor", "folds", "repeats", "hidden_width"):
-            if getattr(self, name) < 1:
-                raise XckitError(f"{name} must be >= 1")
-        if self.learning_rate <= 0 or self.noise_half_width < 0:
-            raise XckitError("learning_rate must be > 0 and noise_half_width >= 0")
+# the one meta-classifier protocol: repeated stratified k-fold CV, noisy
+# duplication of the training folds, and the MLP's width and Adam schedule
+FOLDS, REPEATS = 5, 5
+DUPLICATION, NOISE_HALF_WIDTH = 4, 0.05
+HIDDEN, EPOCHS, BATCH_SIZE, LEARNING_RATE = 3, 12, 16, 0.001
 
 
 def build_feature_dataset(
     frames: Iterable[tuple],
     grid: GridMeta,
     xc_cfg: XcConfig = XcConfig(),
-    match_cfg: MatchConfig = None,
+    match_cfg: MatchConfig = MatchConfig(),
 ) -> List[FeatureRow]:
     """Assemble one FeatureRow per kept (non-Ignored) prediction.
 
@@ -80,8 +62,6 @@ def build_feature_dataset(
     ``preds`` and holds each prediction's attribution map for its top class.
     A kept prediction without a map is an error; ignored ones may omit it.
     """
-    if match_cfg is None:
-        match_cfg = MatchConfig()
     rows: List[FeatureRow] = []
     for frame_no, (preds, maps, gts) in enumerate(frames):
         if len(maps) != len(preds):
@@ -113,15 +93,15 @@ def build_feature_dataset(
 
 
 def split_groups(
-    rows: Sequence[FeatureRow], by: Sequence[str] = (), point_split: int = POINT_SPLIT
+    rows: Sequence[FeatureRow], by: Sequence[str] = ()
 ) -> List[Tuple[str, List[FeatureRow]]]:
     """Named row groups for evaluation: all rows (named ""), then the ``by`` splits.
 
     ``by`` may hold "class" (one group per label present, in sorted order)
-    and "points100" (below / at-or-above ``point_split`` points; the boundary
-    count goes to the ">=" bucket). With both, each label is split by point
-    count, named like "car,<100". Groups keep the input row order and may be
-    empty.
+    and "points100" (below / at-or-above ``POINT_SPLIT`` = 100 points; the
+    boundary count goes to the ">=" bucket). With both, each label is split
+    by point count, named like "car,<100". Groups keep the input row order
+    and may be empty.
     """
     unknown = set(by) - {"class", "points100"}
     if unknown:
@@ -132,13 +112,13 @@ def split_groups(
     labels = sorted({r.pred_label for r in rows}) if "class" in by else [None]
     buckets = [(None, None)]
     if "points100" in by:
-        buckets = [(f"<{point_split}", False), (f">={point_split}", True)]
+        buckets = [(f"<{POINT_SPLIT}", False), (f">={POINT_SPLIT}", True)]
     for lab in labels:
         for bucket, large in buckets:
             members = [
                 r for r in rows
                 if (lab is None or r.pred_label == lab)
-                and (large is None or (r.n_points >= point_split) == large)
+                and (large is None or (r.n_points >= POINT_SPLIT) == large)
             ]
             groups.append((",".join(p for p in (lab, bucket) if p is not None), members))
     return groups
@@ -152,11 +132,12 @@ def feature_matrix(rows: Sequence[FeatureRow], feature_subset: Sequence[str]):
     return X, y, tuple(names)
 
 
-def normalize(X: np.ndarray, stats: Optional[NormalizationStats] = None):
-    """z = (x - mu) / s per column, population standard deviation.
+def normalize(X: np.ndarray, stats: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+    """z = (x - mean) / sd per column, population standard deviation.
 
-    With ``stats`` given (a validation fold), they are applied unchanged;
-    otherwise they are computed from X, rejecting constant columns.
+    Returns (z, (mean, sd)). With ``stats`` given as a (mean, sd) pair (a
+    validation fold), they are applied unchanged; otherwise they are computed
+    from X, rejecting constant columns.
     """
     X = np.asarray(X, dtype=np.float64)
     if stats is None:
@@ -167,23 +148,21 @@ def normalize(X: np.ndarray, stats: Optional[NormalizationStats] = None):
         if np.any(sd == 0):
             cols = np.flatnonzero(sd == 0).tolist()
             raise ConstantFeature(f"constant feature column(s) {cols}")
-        stats = NormalizationStats(mean=mean, sd=sd)
-    return (X - stats.mean) / stats.sd, stats
+        stats = (mean, sd)
+    mean, sd = stats
+    return (X - mean) / sd, stats
 
 
-def augment(X: np.ndarray, y: np.ndarray, cfg: MetaTrainConfig, rng) -> tuple:
-    """Duplicate training rows to ``duplication_factor`` x size, then jitter.
+def augment(X: np.ndarray, y: np.ndarray, rng) -> tuple:
+    """Duplicate training rows ``DUPLICATION`` (4) times, then jitter.
 
-    Every copy of every feature receives independent U(-w, +w) noise; labels
-    are copied verbatim. Deterministic for a given generator state.
+    Every copy of every feature receives independent U(-0.05, +0.05) noise
+    (``NOISE_HALF_WIDTH``); labels are copied verbatim. Deterministic for a
+    given generator state.
     """
-    X = np.asarray(X, dtype=np.float64)
-    reps = cfg.duplication_factor
-    Xd = np.tile(X, (reps, 1))
-    yd = np.tile(np.asarray(y), reps)
-    if cfg.noise_half_width > 0:
-        Xd = Xd + rng.uniform(-cfg.noise_half_width, cfg.noise_half_width, size=Xd.shape)
-    return Xd, yd
+    Xd = np.tile(np.asarray(X, dtype=np.float64), (DUPLICATION, 1))
+    Xd = Xd + rng.uniform(-NOISE_HALF_WIDTH, NOISE_HALF_WIDTH, size=Xd.shape)
+    return Xd, np.tile(np.asarray(y), DUPLICATION)
 
 
 @dataclass
@@ -224,13 +203,8 @@ def _bce_gradients(params, X32, y32):
     )
 
 
-def train_mlp(
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: MetaTrainConfig = MetaTrainConfig(),
-    rng_seed=0,
-) -> MetaClassifier:
-    """Train the d -> hidden -> 1 logistic MLP on a prepared training matrix.
+def train_mlp(X: np.ndarray, y: np.ndarray, rng_seed=0) -> MetaClassifier:
+    """Train the d -> HIDDEN -> 1 logistic MLP on a prepared training matrix.
 
     ``X`` must already be normalized/augmented as desired; this function
     only shuffles, batches, and optimizes. Deterministic for a given seed.
@@ -250,7 +224,7 @@ def train_mlp(
     ss = np.random.SeedSequence(rng_seed)
     init_seed, shuffle_seed = ss.generate_state(2)
     init_rng = np.random.default_rng(int(init_seed))
-    d, width = X.shape[1], cfg.hidden_width
+    d, width = X.shape[1], HIDDEN
     init = [_init_array(init_rng, shape, fan_in) for shape, fan_in in
             (((d, width), d), ((width,), d), ((width, 1), width), ((1,), width))]
     # one float32 vector holds W1, b1, W2, b2 (as views), so Adam runs once per step
@@ -258,15 +232,15 @@ def train_mlp(
     ends = np.cumsum([a.size for a in init])[:-1]
     params = tuple(part.reshape(a.shape) for part, a in zip(np.split(flat, ends), init))
     grad, m, v = np.empty(flat.size), np.zeros(flat.size), np.zeros(flat.size)
-    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, LEARNING_RATE
     rng = np.random.default_rng(shuffle_seed)
     X32, y32 = X.astype(np.float32), y.astype(np.float32)
     t = 0
-    for _ in range(cfg.epochs):
+    for _ in range(EPOCHS):
         order = rng.permutation(X.shape[0])
         X_epoch, y_epoch = X32[order], y32[order]
-        for start in range(0, X.shape[0], cfg.batch_size):
-            stop = start + cfg.batch_size
+        for start in range(0, X.shape[0], BATCH_SIZE):
+            stop = start + BATCH_SIZE
             grads = _bce_gradients(params, X_epoch[start:stop], y_epoch[start:stop])
             np.concatenate([g.ravel() for g in grads], out=grad)  # float32 -> float64 is exact
             t += 1
@@ -285,41 +259,40 @@ def _subset_seed_key(feature_subset: Sequence[str]) -> List[int]:
 def cross_validate(
     rows: Sequence[FeatureRow],
     feature_subset: Sequence[str] = DEFAULT_FEATURES,
-    cfg: MetaTrainConfig = MetaTrainConfig(),
     rng_seed=0,
 ) -> MetricReport:
-    """Repeated k-fold protocol; returns the averaged metric triple.
+    """``REPEATS`` x ``FOLDS``-fold protocol; returns the averaged metric triple.
 
     Folds are stratified by class, so whenever each class has at least
-    ``folds`` rows every validation fold contains both classes and every
+    ``FOLDS`` rows every validation fold contains both classes and every
     metric stays defined. Normalization stats come from the training folds;
     validation rows are normalized with those stats and never duplicated or
     jittered. The seed stream is keyed by the sorted feature names, so a
     reordered subset gives identical results.
     """
     n = len(rows)
-    if n < cfg.folds:
-        raise InsufficientRows(f"{n} rows cannot fill {cfg.folds} folds")
+    if n < FOLDS:
+        raise InsufficientRows(f"{n} rows cannot fill {FOLDS} folds")
     X_all, y_all, names = feature_matrix(rows, feature_subset)
     for cls in (0.0, 1.0):
-        if int((y_all == cls).sum()) < cfg.folds:
+        if int((y_all == cls).sum()) < FOLDS:
             raise InsufficientRows(
-                f"class {int(cls)} has fewer rows than folds ({cfg.folds})"
+                f"class {int(cls)} has fewer rows than folds ({FOLDS})"
             )
 
     base = np.random.SeedSequence([int(rng_seed) & 0xFFFFFFFF, *_subset_seed_key(feature_subset)])
-    repeat_seqs = base.spawn(cfg.repeats)
+    repeat_seqs = base.spawn(REPEATS)
     aurocs, auprs, auprs_op = [], [], []
-    for r in range(cfg.repeats):
-        fold_seqs = repeat_seqs[r].spawn(cfg.folds + 1)
+    for r in range(REPEATS):
+        fold_seqs = repeat_seqs[r].spawn(FOLDS + 1)
         rng_order = np.random.default_rng(fold_seqs[0])
-        val_parts = [[] for _ in range(cfg.folds)]
+        val_parts = [[] for _ in range(FOLDS)]
         for cls in (1.0, 0.0):
             idx = rng_order.permutation(np.flatnonzero(y_all == cls))
-            b = np.linspace(0, idx.size, cfg.folds + 1, dtype=int)
-            for f in range(cfg.folds):
+            b = np.linspace(0, idx.size, FOLDS + 1, dtype=int)
+            for f in range(FOLDS):
                 val_parts[f].append(idx[b[f] : b[f + 1]])
-        for f in range(cfg.folds):
+        for f in range(FOLDS):
             val_idx = np.concatenate(val_parts[f])
             mask = np.ones(n, dtype=bool)
             mask[val_idx] = False
@@ -328,8 +301,8 @@ def cross_validate(
 
             X_train, stats = normalize(X_all[train_idx])
             X_val, _ = normalize(X_all[val_idx], stats)
-            X_aug, y_aug = augment(X_train, y_all[train_idx], cfg, fold_rng)
-            clf = train_mlp(X_aug, y_aug, cfg, rng_seed=int(fold_rng.integers(2**32)))
+            X_aug, y_aug = augment(X_train, y_all[train_idx], fold_rng)
+            clf = train_mlp(X_aug, y_aug, rng_seed=int(fold_rng.integers(2**32)))
             scores, labels = clf.predict(X_val), y_all[val_idx]
             aurocs.append(auroc(scores, labels))
             auprs.append(aupr(scores, labels, TP_AS_POSITIVE))

@@ -320,7 +320,7 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
 
     # phase 1: place all boxes (TPs first so FP overlap checks see every gt)
     gts: List[GroundTruth] = []
-    placed = []  # (label, is_fp, anchor, pred_box, gt_index or None)
+    placed = []  # (label, is_fp, anchor, pred_box)
     for (label, is_fp), anchor in zip(slots, anchors):
         if is_fp:
             continue
@@ -332,7 +332,7 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
                 break
         else:
             raise PlacementFailure(f"no TP jitter met IoU >= {thresh} in {_MAX_ATTEMPTS} tries")
-        placed.append((label, False, int(anchor), pred_box, len(gts)))
+        placed.append((label, False, int(anchor), pred_box))
         gts.append(GroundTruth(box=gt_box, label=label))
     for (label, is_fp), anchor in zip(slots, anchors):
         if not is_fp:
@@ -344,18 +344,18 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
                 break
         else:
             raise PlacementFailure(f"no FP placement cleared every gt in {_MAX_ATTEMPTS} tries")
-        placed.append((label, True, int(anchor), box, None))
+        placed.append((label, True, int(anchor), box))
 
     # phase 2: plant signal; scatter must dodge every enlarged box footprint
     img = np.zeros((grid.height, grid.width, 4), dtype=np.float64)
     forbidden = np.zeros((grid.height, grid.width), dtype=bool)
-    for _, _, _, box, _ in placed:
+    for _, _, _, box in placed:
         forbidden |= membership_mask(project_to_bev(enlarge(box, 0.2)), grid)
     for g in gts:
         forbidden |= membership_mask(project_to_bev(enlarge(g.box, 0.2)), grid)
 
     channel = {c: i for i, c in enumerate(CLASSES)}
-    for label, is_fp, anchor, box, _ in placed:
+    for label, is_fp, anchor, box in placed:
         block = _block_pixel_mask(grid, anchor)
         in_box = membership_mask(project_to_bev(box), grid) & block
         in_pool = np.argwhere(in_box)
@@ -384,7 +384,7 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
     outputs = forward_array(model, pseudo)
     sigma_pts = _points_sigma(spec)
     preds: List[Detection] = []
-    for label, is_fp, anchor, box, _ in placed:
+    for label, is_fp, anchor, box in placed:
         scores = {
             c: float(outputs[output_index(anchor, c)]) for c in CLASSES
         }

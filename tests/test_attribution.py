@@ -425,7 +425,10 @@ class TestAggregateSigned:
         # 1e16 + 1 + 1 + 1 rounds at each step but not in fsum; zeros and subnormals
         np.array([[[1e16, 1, 1, 1], [1, 1e16, -1, 1], [0.0, -0.0, 0.0, -0.0],
                    [5e-324, 5e-324, -5e-324, 1e-310]]]),
-    ], ids=["float32-exact", "float64-fallback", "hand-cases"])
+        # one and two channels take the same path as four
+        np.random.default_rng(8).normal(size=(5, 6, 1)) * 1e300,
+        np.array([[[1e16, 1.0], [np.inf, -np.inf], [5e-324, -0.0], [-3.5, 2.25]]]),
+    ], ids=["float32-exact", "float64-fallback", "hand-cases", "one-channel", "two-channel"])
     def test_bitwise_equal_to_per_pixel_fsum(self, values):
         got = aggregate_signed(attribution.AttributionMap(values, method="saliency"))
         for g, want in zip(got, self.fsum_reference(values)):
@@ -446,5 +449,7 @@ class TestAggregateSigned:
         assert pos[0, 1] == neg[0, 2] == np.inf
 
     def test_overflow_raises_like_fsum(self):
-        with pytest.raises(OverflowError):
-            aggregate_signed(attribution.AttributionMap(np.full((1, 1, 3), 1e308), "saliency"))
+        for channels in (2, 3):
+            values = np.full((1, 1, channels), 1e308)
+            with pytest.raises(OverflowError):
+                aggregate_signed(attribution.AttributionMap(values, "saliency"))

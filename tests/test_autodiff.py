@@ -1,5 +1,7 @@
 """Engine tests: forward shapes and values, exact input gradients, spec round-trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,20 @@ def tiny_linear():
             "layers": [
                 {"kind": "dense", "in_features": 2, "out_features": 1,
                  "weight": [[2.0], [3.0]], "bias": [0.0]}
+            ],
+        }
+    )
+
+
+def unit_sigmoid():
+    # f(x) = sigmoid(x)
+    return build_model(
+        {
+            "input_shape": [1],
+            "layers": [
+                {"kind": "dense", "in_features": 1, "out_features": 1,
+                 "weight": [[1.0]], "bias": [0.0]},
+                {"kind": "sigmoid"},
             ],
         }
     )
@@ -177,18 +193,17 @@ class TestInputGradient:
             assert np.allclose(g, [2.0, 3.0])
 
     def test_sigmoid_prime_quarter(self):
-        m = build_model(
-            {
-                "input_shape": [1],
-                "layers": [
-                    {"kind": "dense", "in_features": 1, "out_features": 1,
-                     "weight": [[1.0]], "bias": [0.0]},
-                    {"kind": "sigmoid"},
-                ],
-            }
-        )
-        g = input_gradient_array(m, f32([0.0]), 0)
+        g = input_gradient_array(unit_sigmoid(), f32([0.0]), 0)
         assert float(g[0]) == pytest.approx(0.25, abs=1e-7)
+
+    def test_saturated_sigmoid_does_not_warn(self):
+        # exp(800) overflows, yet sigmoid(-800) is 0.0 and so is its slope
+        m = unit_sigmoid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = forward_array(m, f32([-800.0]))
+            g = input_gradient_array(m, f32([-800.0]), 0)
+        assert y[0] == 0.0 and g[0] == 0.0
 
     def test_relu_subgradient_zero_at_kink(self):
         m = build_model({"input_shape": [3], "layers": [{"kind": "relu"}]})

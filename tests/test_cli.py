@@ -85,6 +85,19 @@ def set_pseudo_target(store, target):
     open(path, "wb").write(raw[:end] + struct.pack("<I", len(blob)) + blob)
 
 
+def truncate_first_map(store):
+    # attribution maps go next to the store; the first one loses its tail
+    attribs = os.path.join(os.path.dirname(store), "attribs")
+    assert run(["attribute", "--frames", store, "--out", attribs, "--jobs", "1"]) == 0
+    path = os.path.join(attribs, "000000_000.xcam")
+    open(path, "r+b").truncate(100)
+
+
+def bad_pseudo_magic(store):
+    with open(os.path.join(store, "frames", "000000.xcam"), "r+b") as f:
+        f.write(b"MAXC")
+
+
 def writes(name, data, argv):
     """An ``argv`` callable that first writes ``data`` to ``name`` in the working directory."""
     def build(store):
@@ -97,6 +110,10 @@ def writes(name, data, argv):
 def match_argv(store):
     return ["match", "--preds", os.path.join(store, "preds.jsonl"),
             "--gts", os.path.join(store, "gts.jsonl"), "--out", "tags.jsonl"]
+
+
+def xc_argv(store):
+    return ["xc", "--frames", store, "--attribs", "attribs", "--out", "features.csv"]
 
 
 def attribute_argv(store):
@@ -223,6 +240,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "preds.jsonl: line 1: bad box: box footprint is degenerate"),
         (degenerate_first_pred(1e200), match_argv, 1,
          "preds.jsonl: line 1: bad box: box footprint is degenerate: polygon area overflows"),
+        (truncate_first_map, xc_argv, 1, "000000_000.xcam: byte offset 18: payload+metadata"),
+        (bad_pseudo_magic, attribute_argv, 1, "000000.xcam: byte offset 0: magic b'MAXC'"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -238,7 +257,7 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "model-weight-nan-bits", "model-weight-f32le-not-string", "model-weight-shape-not-a-list",
          "model-weight-not-numbers", "prediction-box-underflow-near-gt",
          "prediction-box-underflow-far", "prediction-box-extent-below-center-ulp",
-         "prediction-box-area-overflow"],
+         "prediction-box-area-overflow", "xcam-map-truncated", "xcam-pseudo-bad-magic"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

@@ -19,9 +19,9 @@ from xckit.matching import Detection, GroundTruth
 from xckit.meta import (
     DEFAULT_FEATURES,
     _bce_gradients,
+    FOLDS,
+    REPEATS,
     FeatureRow,
-    MetaTrainConfig,
-    NormalizationStats,
     augment,
     build_feature_dataset,
     cross_validate,
@@ -142,12 +142,12 @@ class TestSplitGroups:
 
 class TestNormalize:
     def test_two_point_example(self):
-        z, stats = normalize(np.array([[1.0], [3.0]]))
-        assert stats.mean[0] == 2.0 and stats.sd[0] == 1.0
+        z, (mean, sd) = normalize(np.array([[1.0], [3.0]]))
+        assert mean[0] == 2.0 and sd[0] == 1.0
         assert z.tolist() == [[-1.0], [1.0]]
 
     def test_supplied_stats_are_applied_not_refit(self):
-        stats = NormalizationStats(mean=np.array([2.0]), sd=np.array([1.0]))
+        stats = (np.array([2.0]), np.array([1.0]))
         z, out = normalize(np.array([[5.0]]), stats)
         assert z[0, 0] == 3.0
         assert out is stats
@@ -171,31 +171,22 @@ class TestNormalize:
 
 class TestAugment:
     def test_four_times_size(self):
-        cfg = MetaTrainConfig()
         X = np.arange(20.0).reshape(10, 2)
         y = np.arange(10.0) % 2
-        Xa, ya = augment(X, y, cfg, np.random.default_rng(0))
+        Xa, ya = augment(X, y, np.random.default_rng(0))
         assert Xa.shape == (40, 2) and ya.shape == (40,)
         assert np.array_equal(ya, np.tile(y, 4))
 
-    def test_zero_noise_exact_duplicates(self):
-        cfg = MetaTrainConfig(noise_half_width=0.0)
-        X = np.random.default_rng(1).normal(size=(6, 3))
-        Xa, _ = augment(X, np.zeros(6), cfg, np.random.default_rng(0))
-        assert np.array_equal(Xa, np.tile(X, (4, 1)))
-
     def test_seed_determinism(self):
-        cfg = MetaTrainConfig()
         X = np.random.default_rng(2).normal(size=(8, 5))
         y = np.arange(8.0) % 2
-        a1 = augment(X, y, cfg, np.random.default_rng(42))
-        a2 = augment(X, y, cfg, np.random.default_rng(42))
+        a1 = augment(X, y, np.random.default_rng(42))
+        a2 = augment(X, y, np.random.default_rng(42))
         assert np.array_equal(a1[0], a2[0])
 
     def test_noise_bounded(self):
-        cfg = MetaTrainConfig(noise_half_width=0.05)
         X = np.zeros((50, 4))
-        Xa, _ = augment(X, np.zeros(50), cfg, np.random.default_rng(3))
+        Xa, _ = augment(X, np.zeros(50), np.random.default_rng(3))
         assert np.max(np.abs(Xa)) <= 0.05
 
 
@@ -264,8 +255,7 @@ class TestTrainMlp:
         Xn, stats = normalize(X)
         X_tr, y_tr = Xn[:200], y[:200]
         X_va, y_va = Xn[200:], y[200:]
-        cfg = MetaTrainConfig(duplication_factor=1, noise_half_width=0.0)
-        clf = train_mlp(X_tr, y_tr, cfg, rng_seed=0)
+        clf = train_mlp(X_tr, y_tr, rng_seed=0)
         ours = auroc(clf.predict(X_va), y_va)
         lr = sklearn_linear.LogisticRegression().fit(X_tr, y_tr)
         theirs = auroc(lr.predict_proba(X_va)[:, 1], y_va)
@@ -403,7 +393,6 @@ class TestCrossValidate:
 
         rng = np.random.default_rng(41)
         rows = informative_rows(rng, n=100)
-        cfg = MetaTrainConfig(repeats=2)
         fit_sizes, apply_sizes, augment_sizes = [], [], []
 
         real_normalize, real_augment = meta_mod.normalize, meta_mod.augment
@@ -412,15 +401,15 @@ class TestCrossValidate:
             (fit_sizes if stats is None else apply_sizes).append(len(X))
             return real_normalize(X, stats)
 
-        def spy_augment(X, y, cfg_, rng_):
+        def spy_augment(X, y, rng_):
             augment_sizes.append(len(X))
-            return real_augment(X, y, cfg_, rng_)
+            return real_augment(X, y, rng_)
 
         monkeypatch.setattr(meta_mod, "normalize", spy_normalize)
         monkeypatch.setattr(meta_mod, "augment", spy_augment)
-        cross_validate(rows, ("top_score", "xc_c_plus"), cfg, rng_seed=5)
+        cross_validate(rows, ("top_score", "xc_c_plus"), rng_seed=5)
 
-        runs = cfg.repeats * cfg.folds
+        runs = REPEATS * FOLDS
         assert len(fit_sizes) == len(apply_sizes) == len(augment_sizes) == runs
         # each run fits stats on the training complement and only applies
         # them to the held-out rows; no validation row is ever augmented

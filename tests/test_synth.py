@@ -6,6 +6,8 @@ from xckit.autodiff import forward_array, model_to_spec
 from xckit.errors import PlacementFailure, XckitError
 from xckit.geometry import enlarge, iou_3d, membership_mask, project_to_bev
 from xckit.matching import DEFAULT_IOU_THRESH, MatchConfig, TP, FP, categorize
+from xckit.meta import XC_RATIOS, build_feature_dataset
+from xckit.metrics import evaluate_feature
 from xckit.synth import (
     BENCHMARK_A_THRESH,
     BLOCK_PX,
@@ -216,6 +218,26 @@ class TestAttributionConcentration:
         assert gap >= 0.2
         # calibrated margin, frozen after measuring ~0.61 at this seed
         assert gap > 0.5
+
+    # Each XC ratio's AUROC (TP as positive, matcher tags) over 100 backprop
+    # frames at seed 0. Bands span scene seeds 0-9, whose AUROCs of all four
+    # ratios ran 0.966-0.985 at 0.6/0.45 (n_points 0.683-0.834, top_score
+    # 0.640-0.697) and 0.705-0.800 at 0.55/0.5. A weaker planted gap fails the
+    # lower bound and an inflated one the upper; the default 0.9/0.3 scores 1.000.
+    @pytest.mark.parametrize("tp_inside, fp_inside, lo, hi, beats_baselines", [
+        (0.6, 0.45, 0.95, 0.995, True),
+        (0.55, 0.5, 0.68, 0.83, False),
+    ], ids=["hard", "near-chance"])
+    def test_xc_auroc_tracks_planted_gap(self, tp_inside, fp_inside, lo, hi, beats_baselines):
+        spec = SceneSpec(concentration_profile=ConcentrationProfile(tp_inside, fp_inside))
+        frames, _ = generate_benchmark(spec, 100)
+        rows = build_feature_dataset([(f.preds, frame_attributions(f), f.gts) for f in frames],
+                                     spec.grid, XcConfig(a_thresh=BENCHMARK_A_THRESH))
+        xc = [evaluate_feature(rows, f).auroc for f in XC_RATIOS]
+        assert lo <= min(xc) and max(xc) <= hi, xc
+        if beats_baselines:
+            baselines = [evaluate_feature(rows, f).auroc for f in ("n_points", "top_score")]
+            assert min(xc) > max(baselines), (xc, baselines)
 
 
 class TestGenerateBenchmark:
