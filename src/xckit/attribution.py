@@ -9,13 +9,13 @@ Three methods are provided:
   the final (input - baseline) multiplication, so a zero-signal cell can
   still receive attribution from the model's sensitivity to it.
 
-All three share one path engine: the maps of every target on an input come
-from the same chunked forward passes over the path points, made lazily in
-one engine call. Each map costs one batch-1 backward of the model's leading
-conv2d/dense layers, on the gradient summed over the whole path, and one of
-the affine run under its output's elementwise layers, on a unit seed; only
-the layers between run once per chunk. Values are kept, and the path average
-accumulates, in float64 regardless of parameter storage.
+All three are one engine call: ``input_gradient_array`` takes the input, the
+baseline and the path's alphas, and returns every target's gradient summed
+over the straight path, from forward passes over chunks of its points that
+all targets share. This module picks the alphas (the midpoints, or the one
+point at the input) and divides by the step count, and integrated gradients
+multiplies by (x - b). Values are kept, and the path average accumulates, in
+float64 regardless of parameter storage.
 """
 
 from __future__ import annotations
@@ -48,30 +48,13 @@ class AttributionMap:
     steps: Optional[int] = None
 
 
-def _resolve_baseline(x, baseline):
-    if baseline is None:
-        return np.zeros_like(x)
-    b = np.asarray(baseline).astype(np.float64)
-    if b.shape != x.shape:
-        raise ShapeMismatch(f"baseline shape {b.shape} != input shape {x.shape}")
-    return b
-
-
-# Path points per chunk: as many float64 inputs as fit in this many bytes
-# (5 at 40x40x4), so memory stays flat however many steps a map takes.
-CHUNK_BYTES = 256 * 1024
-
-
 def _path_maps(model, input, output_index, target, method, steps, baseline, offset):
     """Maps for one target or a sequence of them, from one shared path.
 
-    The path points are b + (k - 1 + offset)/steps * (x - b) for k = 1..steps
-    (offset 0.5 is the midpoint rule; steps 1, offset 1 is the input itself).
-    The chunks of points go to one engine call as a generator, so at most
-    one chunk is held at a time. Each chunk gets one forward pass, shared by
-    every target, and the engine returns each target's gradient summed over
-    all points in step order. The mean gradient is multiplied by (x - b) for
-    integrated gradients only.
+    The path points are b + alpha_k * (x - b) with alpha_k = (k - 1 + offset)/steps
+    for k = 1..steps (offset 0.5 is the midpoint rule; steps 1, offset 1 is
+    the input itself). One engine call sums every target's gradient over them;
+    the mean gradient is multiplied by (x - b) for integrated gradients only.
     """
     if steps < 1:
         raise ZeroSteps(f"steps must be >= 1, got {steps}")
@@ -81,12 +64,9 @@ def _path_maps(model, input, output_index, target, method, steps, baseline, offs
     if len(targets) != len(indices):
         raise ShapeMismatch(f"{len(targets)} targets for {len(indices)} output indices")
     x = np.asarray(input).astype(np.float64)
-    b = _resolve_baseline(x, baseline)
-    dx = x - b
-    alphas = ((np.arange(steps) + offset) / steps).reshape((steps,) + (1,) * x.ndim)
-    per_chunk = max(1, CHUNK_BYTES // x.nbytes)
-    chunks = (b + alphas[s : s + per_chunk] * dx for s in range(0, steps, per_chunk))
-    avg = input_gradient_array(model, chunks, indices) / steps
+    alphas = (np.arange(steps) + offset) / steps
+    avg = input_gradient_array(model, x, indices, baseline, alphas) / steps
+    dx = x if baseline is None else x - np.asarray(baseline, dtype=np.float64)
     maps = [
         AttributionMap(
             values=a * dx if method == "integrated-gradients" else a,

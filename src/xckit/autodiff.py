@@ -8,7 +8,8 @@ skips backward work that cannot change the answer: dense multiplies only the
 non-zero columns of its output gradient, and two affine runs go once per target
 at batch 1, the one under the output's elementwise layers (the toy's dense head
 and 1x1 conv) on a unit seed, and the one at the model input on the gradient
-summed over all of a call's points.
+summed over all of a call's points: a straight path from a baseline to the
+input, run in chunks of ``CHUNK_BYTES``.
 Parameters are stored as float32. A float64 input runs on float64 copies made
 once when the layer is built, so no call casts and ``--jobs`` threads share
 them read-only; any other input runs on the float32 arrays.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import base64
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -327,35 +327,45 @@ def forward_array(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
     return y[0]
 
 
-def input_gradient_array(model: ModelGraph, arr, target) -> np.ndarray:
-    """Exact reverse-mode gradient of output[target] w.r.t. the input, in its dtype.
+# Path points per chunk: as many inputs as fit in this many bytes (5 float64
+# inputs at 40x40x4), so memory stays flat however many points a path has.
+CHUNK_BYTES = 256 * 1024
 
-    ``arr`` is one input, a (B, *input_shape) batch of them, or an iterator
-    (a generator, say) of such batches; ``target`` is one output index or a
-    sequence of them (possibly empty). Each batch gets one forward pass, shared
-    by every target. A target's result is its gradient summed over all points,
-    in point order across the batches (one point gives the single input's
-    gradient), shaped like one input, with a leading target axis when
-    ``target`` is a sequence.
 
-    The output's elementwise layers give every target's per-point scale in one
-    call. The affine run under them maps each target's unit seed once, at batch
-    1, and backward goes on at batch B from that map times each point's scale.
-    The points are summed, in order, where the gradient reaches the leading
-    conv2d/dense layers, which then run once per target, at batch 1.
+def input_gradient_array(model: ModelGraph, x, target, baseline=None, alphas=(1.0,)):
+    """Exact reverse-mode gradient of output[target], summed along a straight path.
+
+    The points are b + alpha * (x - b), in x's dtype, for each of ``alphas``,
+    with b the ``baseline`` (zeros when None): by default, x alone. ``target``
+    is one output index or a sequence of them (possibly empty). A target's
+    result is its gradient summed over the points in ``alphas`` order, shaped
+    like x, with a leading target axis when ``target`` is a sequence.
+
+    Each chunk of points gets one forward pass, shared by every target. The
+    output's elementwise layers give every target's per-point scale in one
+    call. The affine run under them maps each target's unit seed once, at
+    batch 1, and backward goes on per chunk from that map times each point's
+    scale. The points are summed, in order, where the gradient reaches the
+    leading conv2d/dense layers, which then run once per target, at batch 1.
     """
+    x = np.asarray(x)
+    b = np.zeros_like(x) if baseline is None else np.asarray(baseline).astype(x.dtype)
+    if b.shape != x.shape:
+        raise ShapeMismatch(f"baseline shape {b.shape} != input shape {x.shape}")
+    alphas = np.asarray(alphas, dtype=x.dtype).reshape((-1,) + (1,) * x.ndim)
+    if len(alphas) == 0:
+        raise ShapeMismatch("the path has no points")
     targets = [int(t) for t in np.atleast_1d(target)]
     for t in targets:
         if not 0 <= t < model.n_outputs:
             raise TargetOutOfRange(f"target {t} outside [0, {model.n_outputs})")
     lead, (run, top) = model.n_leading_affine, model.affine_tail
-    units = sums = None
-    for i, batch in enumerate(arr if isinstance(arr, Iterator) else [arr]):
-        batch = np.asarray(batch)
-        batch = batch[None] if batch.shape == model.input_shape else batch
+    dx = x - b
+    per_chunk = max(1, CHUNK_BYTES // max(1, x.nbytes))
+    units, sums = None, [0.0] * len(targets)  # from +0.0, so a lone -0.0 comes out +0.0
+    for s in range(0, len(alphas), per_chunk):
+        batch = b + alphas[s : s + per_chunk] * dx
         _check_input(model, batch)
-        if len(batch) == 0:
-            raise ShapeMismatch(f"input batch {i} is empty: shape {batch.shape}")
         y, caches = _forward(model, batch)
         if units is None:
             units = []
@@ -373,12 +383,8 @@ def input_gradient_array(model: ModelGraph, arr, target) -> np.ndarray:
             g = scales[:, k].reshape((-1,) + (1,) * (u.ndim - 1)) * u
             for layer, cache in zip(reversed(model.layers[lead:run]), reversed(caches[lead:run])):
                 g, _ = layer.backward(g, cache)
-            if sums is None:
-                sums = np.zeros((len(targets),) + g.shape[1:], dtype=g.dtype)
             for point in g:
                 sums[k] += point
-    if units is None:
-        raise ShapeMismatch("no input batches given")
     grads = np.empty((len(targets),) + model.input_shape, dtype=y.dtype)
     for k in range(len(targets)):
         total = sums[k][None]

@@ -253,9 +253,9 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_xc(args) -> int:
-    spec, fids, store = read_frame_store(args.frames)
     xc_cfg = XcConfig(a_thresh=args.a_thresh, margin_m=args.margin)
     match_cfg = _match_config(args)
+    spec, fids, store = read_frame_store(args.frames)
 
     def triple(fid):
         pseudo, preds, gts = store[fid]
@@ -297,7 +297,14 @@ def _cmd_match(args) -> int:
     return 0
 
 
+def _checked_seed(args):
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
+    return args
+
+
 def _cmd_eval(args) -> int:
+    _checked_seed(args)
     rows = read_feature_csv(args.features)
     tokens = [t.strip() for t in args.group_by.split(",") if t.strip()]
     try:
@@ -377,6 +384,8 @@ def _cmd_pipeline(args) -> int:
     xc_args = _stage_args("xc", {
         "a_thresh": manifest["a_thresh"], **section("xc"),
         "frames": store_dir, "attribs": attribs_dir, "out": features_csv})
+    XcConfig(a_thresh=xc_args.a_thresh, margin_m=xc_args.margin)  # raises before any write
+    _match_config(xc_args)
     tm = section("train_meta")
     enabled = tm.pop("enabled", True)
     if not isinstance(enabled, bool):
@@ -392,9 +401,9 @@ def _cmd_pipeline(args) -> int:
             "preds": os.path.join(store_dir, "preds.jsonl"),
             "gts": os.path.join(store_dir, "gts.jsonl"),
             "out": os.path.join(out_dir, "tags.jsonl")})),
-        (_cmd_eval, _stage_args("eval", {
+        (_cmd_eval, _checked_seed(_stage_args("eval", {
             **section("eval"), "features": features_csv,
-            "out": os.path.join(out_dir, "table.txt")})),
+            "out": os.path.join(out_dir, "table.txt")}))),
     ]
     if enabled:
         stages.append((_cmd_train_meta, _stage_args("train-meta", {

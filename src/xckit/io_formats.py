@@ -175,11 +175,14 @@ def read_detections(path) -> Iterator[tuple]:
             raise ParseError(line_no, "scores must be an object", path)
         try:
             scores = {str(k): float(v) for k, v in row["scores"].items()}
-            n_points = int(row["n_points"])
             distance = None if row.get("distance") is None else float(row["distance"])
+            if not np.all(np.isfinite([*scores.values(), distance or 0.0])):
+                raise ValueError(f"got {scores} and {distance}")
         except (TypeError, ValueError, OverflowError) as e:
-            raise ParseError(line_no, f"scores, n_points and distance must be numbers: {e}", path)
-        anchor = row.get("anchor_index")
+            raise ParseError(line_no, f"scores and distance must be finite numbers: {e}", path)
+        n_points, anchor = row["n_points"], row.get("anchor_index")
+        if type(n_points) is not int or n_points < 0:
+            raise ParseError(line_no, f"n_points must be an integer >= 0, got {n_points!r}", path)
         if anchor is not None and type(anchor) is not int:
             raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}", path)
         yield str(row["frame_id"]), Detection(

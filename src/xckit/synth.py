@@ -116,6 +116,8 @@ class SceneSpec:
             raise XckitError("points_correlation must be in (0,1)")
         if self.grid.height % BLOCK_PX or self.grid.width % BLOCK_PX:
             raise XckitError(f"grid dimensions must be multiples of {BLOCK_PX}")
+        if self.rng_seed < 0:
+            raise XckitError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
 
 
 _SCENE_FIELDS = {

@@ -32,10 +32,9 @@ class XcConfig:
     margin_m: float = 0.2
 
     def __post_init__(self):
-        if self.a_thresh < 0:
-            raise XckitError(f"a_thresh must be >= 0, got {self.a_thresh}")
-        if self.margin_m < 0:
-            raise XckitError(f"margin_m must be >= 0, got {self.margin_m}")
+        for name in ("a_thresh", "margin_m"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise XckitError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ def significance_mask(agg: np.ndarray, a_thresh: float) -> np.ndarray:
     The comparison is inclusive: a value exactly equal to a_thresh counts
     as significant. With a_thresh = 0 every pixel qualifies.
     """
-    if a_thresh < 0:
-        raise XckitError(f"a_thresh must be >= 0, got {a_thresh}")
+    if not 0 <= a_thresh < math.inf:
+        raise XckitError(f"a_thresh must be finite and >= 0, got {a_thresh}")
     return np.asarray(agg, dtype=np.float64) >= a_thresh
 
 

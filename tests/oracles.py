@@ -2,10 +2,11 @@
 
 Everything here is computed without the library's own backward pass or
 aggregation code, so a test that compares against these functions is a real
-dual-route check. The exceptions are ``layerwise_input_gradient`` and
-``per_step_path_gradient``: they check how the engine schedules backward work
-(shared forwards, rank-one tail, point sums), so they chain each layer's own
-``backward`` through every layer at batch 1 without going through the engine.
+dual-route check; ``exact_ig`` reads only the layers' weights and biases. The
+exceptions are ``layerwise_input_gradient`` and ``per_step_path_gradient``:
+they check how the engine schedules backward work (shared forwards, rank-one
+tail, point sums), so they chain each layer's own ``backward`` through every
+layer at batch 1 without going through the engine.
 """
 
 import math
@@ -120,6 +121,104 @@ def per_step_path_gradient(model, x, baseline, target, steps, offset=0.5):
         alpha = (k - 1 + offset) / steps
         acc += layerwise_input_gradient(model, baseline + alpha * dx, target)
     return acc / steps
+
+
+def _affine(layer, h, bias=True):
+    """A dense or conv2d layer on a (B, ...) float64 batch, with or without its bias."""
+    w = layer.weight.astype(np.float64)
+    if layer.kind == "dense":
+        y = h.reshape(len(h), -1) @ w
+    else:
+        kh, kw = w.shape[:2]
+        _, rows, cols, _ = h.shape
+        hp = np.pad(h, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+        y = sum(hp[:, i : i + rows, j : j + cols] @ w[i, j] for i in range(kh) for j in range(kw))
+    return y + layer.bias if bias else y
+
+
+def _affine_transposed(layer, g, in_shape):
+    """The transpose of ``_affine``'s linear part: a flipped-kernel conv, or g @ W.T."""
+    w = layer.weight.astype(np.float64)
+    if layer.kind == "dense":
+        return (g.reshape(len(g), -1) @ w.T).reshape(in_shape)
+    kh, kw = w.shape[:2]
+    _, rows, cols, _ = in_shape
+    gp = np.pad(g, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    return sum(gp[:, i : i + rows, j : j + cols] @ w[kh - 1 - i, kw - 1 - j].T
+               for i in range(kh) for j in range(kw))
+
+
+def _sigmoid(z):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def exact_ig(model, x, baseline, target):
+    """Integrated gradients of output[target] along baseline -> x, with no quadrature.
+
+    For models of the form (affine)* -> relu -> (affine)* -> [sigmoid], with
+    odd conv kernels. On the path b + alpha * (x - b) the leading affine run
+    gives the relu input A + alpha * Q: A is the run at b with its biases, Q
+    the run on x - b without them. So each relu unit switches once, at
+    tau = -A/Q, and between switches the logit is linear in alpha: the sum over
+    the active units of (A + alpha * Q) * u, plus c, where u is the tail's unit
+    map for the target and c the tail at zero. Over a segment of length L
+    and slope s, the integral of sigmoid' is (sigma(z1) - sigma(z0)) / s,
+    evaluated as sigma(z_hi) * sigma(-z_lo) * L * (-expm1(-|s| L) / (|s| L)),
+    which stays exact as s goes to 0 (then it is sigma' * L). Without a
+    sigmoid it is L. A unit's weight w is the integral over the segments
+    where it is active, read off prefix sums, and the map is
+    (x - b) * (the leading run's transpose of u * w).
+    """
+    kinds = [layer.kind for layer in model.layers]
+    r = kinds.index("relu")
+    lead, tail = model.layers[:r], model.layers[r + 1 :]
+    squash = bool(tail) and tail[-1].kind == "sigmoid"
+    tail = tail[:-1] if squash else tail
+    if any(layer.kind not in ("dense", "conv2d") for layer in lead + tail):
+        raise ValueError(f"not an (affine)* -> relu -> (affine)* -> [sigmoid] model: {kinds}")
+    x = np.asarray(x, dtype=np.float64)
+    b = np.zeros_like(x) if baseline is None else np.asarray(baseline, np.float64)
+    d = x - b
+    a_run, q_run, lead_shapes = b[None], d[None], []
+    for layer in lead:
+        lead_shapes.append(q_run.shape)
+        a_run, q_run = _affine(layer, a_run), _affine(layer, q_run, bias=False)
+    A, Q = a_run.reshape(-1), q_run.reshape(-1)
+    c, tail_shapes = np.zeros(a_run.shape), []
+    for layer in tail:
+        tail_shapes.append(c.shape)
+        c = _affine(layer, c)
+    u = np.zeros(c.shape)
+    u.reshape(-1)[target] = 1.0
+    for layer, shape in zip(reversed(tail), reversed(tail_shapes)):
+        u = _affine_transposed(layer, u, shape)
+    u, c = u.reshape(-1), c.reshape(-1)[target]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = -A / Q
+    cuts = np.unique(np.concatenate([[0.0, 1.0], tau[(tau > 0) & (tau < 1)]]))
+    mids = (cuts[:-1] + cuts[1:]) / 2
+    z = np.concatenate([np.maximum(A + a[:, None] * Q, 0.0) @ u + c
+                        for a in np.array_split(cuts, len(cuts) // 256 + 1)])
+    slope = np.concatenate([(A + m[:, None] * Q > 0) @ (Q * u)
+                            for m in np.array_split(mids, len(mids) // 256 + 1)])
+    length = np.diff(cuts)
+    if squash:
+        t = np.abs(slope) * length
+        safe = np.where(t > 0, t, 1.0)
+        ratio = np.where(t > 0, -np.expm1(-safe) / safe, 1.0)
+        lo, hi = np.minimum(z[:-1], z[1:]), np.maximum(z[:-1], z[1:])
+        seg = _sigmoid(hi) * _sigmoid(-lo) * length * ratio
+    else:
+        seg = length
+    prefix = np.concatenate([[0.0], np.cumsum(seg)])
+    k = np.searchsorted(cuts, np.clip(np.nan_to_num(tau), 0.0, 1.0))
+    w = np.where(Q > 0, prefix[-1] - prefix[k], np.where(Q < 0, prefix[k], prefix[-1] * (A > 0)))
+    g = (u * w).reshape(a_run.shape)
+    for layer, shape in zip(reversed(lead), reversed(lead_shapes)):
+        g = _affine_transposed(layer, g, shape)
+    return d * g[0]
 
 
 def fd_param_gradient(params, batch, index, h=1e-4):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from xckit import attribution
+from xckit import attribution, autodiff
 from xckit.attribution import (
     AttributionTarget,
     aggregate_signed,
@@ -142,7 +142,7 @@ class TestIntegratedGradients:
                 integrated_gradients(m, np.ones(3), 0, steps=steps)
 
     def test_baseline_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=r"baseline shape \(4,\) != input shape \(3,\)"):
             integrated_gradients(linear_model(), np.ones(3), 0, baseline=np.ones(4))
 
     def test_deterministic(self):
@@ -254,7 +254,7 @@ class TestBatchedPath:
                 assert max_rel_error(a.values, avg * x) <= 1e-12
                 assert max_rel_error(b.values, avg) <= 1e-12
 
-    @pytest.mark.parametrize("chunk_bytes", [1, attribution.CHUNK_BYTES],
+    @pytest.mark.parametrize("chunk_bytes", [1, autodiff.CHUNK_BYTES],
                              ids=["one-point-chunks", "default-chunks"])
     def test_path_equals_per_step_loop(self, frames, monkeypatch, chunk_bytes):
         # The engine sums the whole path's gradient, in step order, before the
@@ -264,7 +264,7 @@ class TestBatchedPath:
         # The relu-first model ends in dense, whose backward reads no forward
         # value: the dense forward rounds differently at batch 5 than at
         # batch 1 (gemm against gemv).
-        monkeypatch.setattr(attribution, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(autodiff, "CHUNK_BYTES", chunk_bytes)
         fr = frames[0]
         relu_first = build_model({"input_shape": [40, 40, 4], "seed": 3, "layers": [
             {"kind": "relu"},
@@ -377,6 +377,41 @@ class TestBatchedPath:
         assert [mp.target for mp in maps] == ts
         with pytest.raises(ShapeMismatch):
             integrated_gradients(m, x, [2, 0], steps=4, target=ts)
+
+
+class TestExactIG:
+    """Midpoint-rule IG against ``oracles.exact_ig``, the path integral with no step count."""
+
+    # n * (max-normalized error of IG-n), over the first 8 frames of criterion 07's
+    # scene (32 maps, n = 8, 32 and 128): min 0.035, median 0.52, max 0.73. The
+    # relu kinks make the midpoint rule first order, so n * error does not shrink.
+    C = 0.75
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return generate_benchmark(SceneSpec(rng_seed=12345), 3)[0]
+
+    def test_completeness_residual(self, frames):
+        for fr in frames:
+            x = fr.pseudo_image.astype(np.float64)
+            fx, f0 = forward_array(fr.model, x), forward_array(fr.model, np.zeros_like(x))
+            for p in fr.preds:
+                i = output_index(p.anchor_index, p.label)
+                gap = fx[i] - f0[i]
+                assert abs(oracles.exact_ig(fr.model, x, None, i).sum() - gap) <= 1e-12 * abs(gap)
+
+    def test_midpoint_ig_within_c_over_n(self, frames):
+        for fr in frames:
+            idx = [output_index(p.anchor_index, p.label) for p in fr.preds]
+            x = fr.pseudo_image.astype(np.float64)
+            exact = [oracles.exact_ig(fr.model, x, None, i) for i in idx]
+            errors = []
+            for n in (8, 32, 128):
+                maps = integrated_gradients(fr.model, fr.pseudo_image, idx, steps=n)
+                errors.append([max_rel_error(m.values, e) for m, e in zip(maps, exact)])
+                assert max(errors[-1]) <= self.C / n
+            for e8, e32, e128 in zip(*errors):
+                assert e8 > e32 > e128
 
 
 class TestAggregateSigned:

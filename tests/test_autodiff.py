@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from xckit import autodiff
 from xckit.autodiff import build_model, forward_array, input_gradient_array, model_to_spec
 from xckit.errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitError
 
@@ -241,31 +242,51 @@ class TestInputGradient:
                 denom = max(abs(fd), abs(exact[i]), 1e-8)
                 assert abs(fd - exact[i]) / denom < 1e-4
 
-    def test_empty_batch_or_iterator_rejected(self):
+    def test_empty_path_rejected(self):
         m = seeded_convnet(9)
-        x = np.ones((2, 8, 8, 2))
-        with pytest.raises(ShapeMismatch, match=r"batch 0 is empty: shape \(0, 8, 8, 2\)"):
-            input_gradient_array(m, np.empty((0, 8, 8, 2)), 0)
-        with pytest.raises(ShapeMismatch, match="batch 1 is empty"):
-            input_gradient_array(m, iter([x, x[:0]]), [0, 1])
-        with pytest.raises(ShapeMismatch, match="no input batches"):
-            input_gradient_array(m, iter([]), 0)
+        for target in (0, [0, 1], []):
+            with pytest.raises(ShapeMismatch, match="the path has no points"):
+                input_gradient_array(m, np.ones((8, 8, 2)), target, alphas=[])
+
+    def test_batch_is_not_an_input(self):
+        with pytest.raises(ShapeMismatch, match=r"input shape \(2, 8, 8, 2\)"):
+            input_gradient_array(seeded_convnet(9), np.ones((2, 8, 8, 2)), 0)
 
     def test_empty_target_sequence_gives_empty_result(self):
         m = seeded_convnet(9)
-        x = np.ones((2, 8, 8, 2))
-        for arr in (x[0], x, iter([x, x[:1]])):
-            got = input_gradient_array(m, arr, [])
+        x = np.ones((8, 8, 2))
+        for alphas in ((1.0,), (0.25, 0.5, 1.0)):
+            got = input_gradient_array(m, x, [], alphas=alphas)
             assert got.shape == (0, 8, 8, 2) and got.dtype == np.float64
 
-    def test_iterator_of_batches_equals_one_batch(self):
-        # one sum over every point, whether the points come in one batch or several
+    def test_sum_does_not_depend_on_chunking(self, monkeypatch):
+        # one sum over every point in alphas order, however the points are chunked
         m = seeded_convnet(9)
-        pts = np.random.default_rng(5).normal(size=(7, 8, 8, 2))
-        whole = input_gradient_array(m, pts, [0, 2])
-        assert whole.tobytes() == input_gradient_array(
-            m, (pts[s : s + 3] for s in range(0, 7, 3)), [0, 2]).tobytes()
-        assert whole.tobytes() == input_gradient_array(m, iter(pts), [0, 2]).tobytes()
+        rng = np.random.default_rng(5)
+        x, b = rng.normal(size=(2, 8, 8, 2))
+        alphas = rng.uniform(-1, 2, size=7)  # past both ends of the path
+        sums = []
+        for chunk_bytes in (1, 3 * x.nbytes, autodiff.CHUNK_BYTES):
+            monkeypatch.setattr(autodiff, "CHUNK_BYTES", chunk_bytes)
+            sums.append(input_gradient_array(m, x, [0, 2], b, alphas).tobytes())
+        assert sums[0] == sums[1] == sums[2]
+
+    def test_forward_sees_at_most_one_chunk(self, monkeypatch):
+        m = seeded_convnet(9)
+        x = np.ones((8, 8, 2))
+        seen = []
+
+        def counted(model, batch, forward=autodiff._forward):
+            seen.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(autodiff, "_forward", counted)
+        for chunk_bytes in (1, 3 * x.nbytes + 5, autodiff.CHUNK_BYTES):
+            monkeypatch.setattr(autodiff, "CHUNK_BYTES", chunk_bytes)
+            per_chunk = max(1, chunk_bytes // x.nbytes)
+            seen.clear()
+            input_gradient_array(m, x, [0, 1], alphas=np.linspace(0, 1, 2 * per_chunk + 1))
+            assert max(seen) == per_chunk and sum(seen) == 2 * per_chunk + 1
 
     def test_gradient_is_deterministic(self):
         m = seeded_convnet(9)
@@ -311,20 +332,23 @@ def seeded_model(layers):
 
 
 class TestPointSummedBatch:
-    """A batch returns each target's gradient summed over its points."""
+    """A path returns each target's gradient summed over its points."""
 
     @pytest.mark.parametrize("kind", sorted(POINT_SUM_MODELS))
     def test_batch_equals_point_order_sum_of_single_points(self, kind):
         lead, layers = POINT_SUM_MODELS[kind]
         m = seeded_model(layers)
         assert m.n_leading_affine == lead
-        batch = np.random.default_rng(3).normal(size=(5, H, W, C))
+        rng = np.random.default_rng(3)
+        x, b = rng.normal(size=(2, H, W, C))
+        alphas = rng.uniform(-1, 2, size=5)
+        points = [b + a * (x - b) for a in alphas]  # as the engine forms them
         targets = [2, 0, 3]
-        got = input_gradient_array(m, batch, targets)
+        got = input_gradient_array(m, x, targets, b, alphas)
         assert got.shape == (len(targets), H, W, C)
         for k, t in enumerate(targets):
-            want = input_gradient_array(m, batch[0], t)
-            for point in batch[1:]:
+            want = input_gradient_array(m, points[0], t)
+            for point in points[1:]:
                 want = want + input_gradient_array(m, point, t)
             if lead == 0:
                 assert np.array_equal(got[k], want)
@@ -333,13 +357,14 @@ class TestPointSummedBatch:
 
     @pytest.mark.parametrize("kind", sorted(POINT_SUM_MODELS))
     def test_batch_of_one_equals_single_input_bitwise(self, kind):
+        # a one-point path at alpha is the single input at that point
         m = seeded_model(POINT_SUM_MODELS[kind][1])
-        x = np.random.default_rng(4).normal(size=(H, W, C))
-        for t in range(4):
-            assert (input_gradient_array(m, x[None], t).tobytes()
-                    == input_gradient_array(m, x, t).tobytes())
-        assert (input_gradient_array(m, x[None], [1, 3]).tobytes()
-                == input_gradient_array(m, x, [1, 3]).tobytes())
+        x, b = np.random.default_rng(4).normal(size=(2, H, W, C))
+        alpha = 0.375
+        point = b + alpha * (x - b)
+        for t in (0, 1, 2, 3, [1, 3]):
+            assert (input_gradient_array(m, x, t, b, [alpha]).tobytes()
+                    == input_gradient_array(m, point, t).tobytes())
 
 
 def conv(cin, cout, k=3):
@@ -397,28 +422,33 @@ class TestRankOneTail:
                 assert max_norm_error(g, want) <= 1e-12
 
     @pytest.mark.parametrize("name, first", RANK_ONE_CASES)
-    def test_points_equal_point_order_sum_of_oracle(self, name, first):
-        # one point per batch, so every forward runs at batch 1 as the oracle's does;
+    def test_points_equal_point_order_sum_of_oracle(self, name, first, monkeypatch):
+        # one point per chunk, so every forward runs at batch 1 as the oracle's does;
         # a leading affine run sums the points before its backward, the oracle after
+        monkeypatch.setattr(autodiff, "CHUNK_BYTES", 1)
         m = rank_one_model(name, first)
-        pts = np.random.default_rng(7).normal(size=(6, H, W, C))
-        got = input_gradient_array(m, iter(pts), self.TARGETS)
+        rng = np.random.default_rng(7)
+        x, b = rng.normal(size=(2, H, W, C))
+        alphas = rng.uniform(-1, 2, size=6)
+        got = input_gradient_array(m, x, self.TARGETS, b, alphas)
         for g, t in zip(got, self.TARGETS):
             want = np.zeros((H, W, C))
-            for p in pts:
-                want += oracles.layerwise_input_gradient(m, p, t)
+            for a in alphas:
+                want += oracles.layerwise_input_gradient(m, b + a * (x - b), t)
             if RANK_ONE_MODELS[name][2] and first == "relu-first":
                 assert g.tobytes() == want.tobytes()
             else:
                 assert max_norm_error(g, want) <= 1e-12
 
-    def test_zero_sigmoid_derivative_gives_positive_zeros(self):
+    def test_zero_sigmoid_derivative_gives_positive_zeros(self, monkeypatch):
         # at the larger scales the target's sigmoid is exactly 1.0, so its derivative
         # is 0 and the rank-one point gradient 0 * u holds -0.0 wherever u < 0
+        monkeypatch.setattr(autodiff, "CHUNK_BYTES", 1)
         m = rank_one_model("relu-above-affine", "relu-first")
         x = np.abs(np.random.default_rng(8).normal(size=(H, W, C)))
         t = int(np.argmax(forward_array(m, 1e3 * x)))
-        pts = np.stack([s * x for s in (0.01, 1e3, 0.1, 2e3)])
+        scales = (0.01, 1e3, 0.1, 2e3)
+        pts = np.stack([s * x for s in scales])  # the zero baseline's path points, bitwise
         probs = np.array([forward_array(m, p)[t] for p in pts])
         assert list(probs == 1.0) == [False, True, False, True]
         u = m.layers[-2].backward(np.eye(4)[t][None], (1, 5))[0]
@@ -429,7 +459,7 @@ class TestRankOneTail:
             if saturated:
                 assert g[0].tobytes() == np.zeros((H, W, C)).tobytes()
         want = sum(oracles.layerwise_input_gradient(m, p, t) for p in pts)
-        assert input_gradient_array(m, iter(pts), t).tobytes() == want.tobytes()
+        assert input_gradient_array(m, x, t, alphas=scales).tobytes() == want.tobytes()
 
 
 @st.composite

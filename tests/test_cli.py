@@ -242,6 +242,12 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "preds.jsonl: line 1: bad box: box footprint is degenerate: polygon area overflows"),
         (truncate_first_map, xc_argv, 1, "000000_000.xcam: byte offset 18: payload+metadata"),
         (bad_pseudo_magic, attribute_argv, 1, "000000.xcam: byte offset 0: magic b'MAXC'"),
+        (lambda s: edit_first_pred(s, scores={"car": float("nan")}), match_argv, 1,
+         "preds.jsonl: line 1: scores and distance must be finite numbers: got {'car': nan}"),
+        (lambda s: edit_first_pred(s, distance=float("inf")), match_argv, 1,
+         "preds.jsonl: line 1: scores and distance must be finite numbers: got {"),
+        (lambda s: edit_first_pred(s, n_points=3.7), match_argv, 1,
+         "preds.jsonl: line 1: n_points must be an integer >= 0, got 3.7"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -257,7 +263,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "model-weight-nan-bits", "model-weight-f32le-not-string", "model-weight-shape-not-a-list",
          "model-weight-not-numbers", "prediction-box-underflow-near-gt",
          "prediction-box-underflow-far", "prediction-box-extent-below-center-ulp",
-         "prediction-box-area-overflow", "xcam-map-truncated", "xcam-pseudo-bad-magic"],
+         "prediction-box-area-overflow", "xcam-map-truncated", "xcam-pseudo-bad-magic",
+         "prediction-score-nan", "prediction-distance-infinity", "prediction-n-points-float"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -280,6 +287,16 @@ def test_huge_box_matches_without_warnings(tmp_path, monkeypatch, dy, code):
     proc = run_subprocess(match_argv(store), cwd=tmp_path)
     assert proc.returncode == code, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [(["synth", "--out", "s", "--seed", "-1"], 1),
+                                        (["eval", "--features", "f.csv", "--seed", "-1"], 2)],
+                         ids=["synth", "eval"])
+def test_negative_seed_flag_exits_cleanly(tmp_path, argv, code):
+    proc = run_subprocess(argv, cwd=tmp_path)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    assert "seed must be a non-negative integer, got -1" in proc.stderr
+    assert not (tmp_path / "s").exists()
 
 
 class TestParserDefaults:
@@ -429,6 +446,17 @@ class TestXcAndMatch:
         assert run(
             ["xc", "--frames", store, "--attribs", attribs, "--out", str(tmp_path / "f.csv")]
         ) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--a-thresh", "nan"), ("--a-thresh", "inf"),
+                                             ("--margin", "nan"), ("--margin", "inf")])
+    def test_non_finite_xc_threshold_exits_1(self, tmp_path, capsys, flag, value):
+        # checked before the store is read: the flag's key and value are named, nothing written
+        out = tmp_path / "f.csv"
+        assert run(["xc", "--frames", str(tmp_path / "nope"), "--attribs", "a",
+                    "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and f"got {value}" in err
+        assert not out.exists()
 
     def test_match_tags_every_prediction(self, tmp_path):
         store = make_store(tmp_path, frames=4)
@@ -584,6 +612,27 @@ class TestPipeline:
                                    "n_frames": 4, "attribute": {"steps": "abc"}}))
         proc = run_subprocess(["pipeline", "--config", str(cfg)], cwd=tmp_path)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("section, code", [({"scene": {"rng_seed": -1}}, 1),
+                                               ({"eval": {"seed": -3}}, 2)],
+                             ids=["scene-rng-seed", "eval-seed"])
+    def test_negative_seed_rejected_before_writing(self, tmp_path, section, code):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, **section}))
+        proc = run_subprocess(["pipeline", "--config", str(path)], cwd=tmp_path)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        assert "seed must be a non-negative integer" in proc.stderr
+        assert not (tmp_path / "pipe").exists()
+
+    @pytest.mark.parametrize("xc, needle", [({"a_thresh": float("nan")}, "a_thresh must be finite"),
+                                            ({"score_thresh": 2}, "score_thresh must be in [0, 1]")],
+                             ids=["a-thresh-nan", "score-thresh-2"])
+    def test_xc_thresholds_checked_before_writing(self, tmp_path, capsys, xc, needle):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, "xc": xc}))
+        assert run(["pipeline", "--config", str(path)]) == 1
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "pipe").exists()
 
     def test_unknown_section_key_exits_2(self, tmp_path):
         # a misspelt key in a section or at the top level, before anything is written

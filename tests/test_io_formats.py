@@ -183,6 +183,8 @@ class TestDetectionStream:
     @pytest.mark.parametrize("field, value", [
         ("scores", {"car": "abc"}), ("n_points", "many"), ("distance", "far"),
         ("anchor_index", "3"), ("anchor_index", True), ("anchor_index", 1.5),
+        ("scores", {"car": float("nan")}), ("distance", float("inf")), ("n_points", 3.7),
+        ("n_points", "12"), ("n_points", -1), ("n_points", True),
     ])
     def test_bad_field_value_names_line(self, tmp_path, field, value):
         p = tmp_path / "d.jsonl"

@@ -46,6 +46,11 @@ class TestSignificanceMask:
         with pytest.raises(XckitError):
             significance_mask(np.zeros((2, 2)), -0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(XckitError, match=f"a_thresh must be finite and >= 0, got {value}"):
+            significance_mask(np.zeros((2, 2)), value)
+
 
 class TestHandCase:
     def test_summing_and_counting_scores(self):
@@ -105,6 +110,12 @@ class TestHandCase:
             XcConfig(a_thresh=-0.1)
         with pytest.raises(XckitError):
             XcConfig(margin_m=-0.5)
+
+    @pytest.mark.parametrize("field", ["a_thresh", "margin_m"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(XckitError, match=f"{field} must be finite and >= 0, got {value}"):
+            XcConfig(**{field: value})
 
 
 def random_instance(rng):
