@@ -12,8 +12,9 @@ Artifact layout for a frame store (written by `synth`, read downstream):
 
 Exit codes: 0 success, 2 usage problems, 1 data problems (bad files, failed
 invariants). A JSON config given via --config overrides any flag of that
-subcommand; XCKIT_JOBS is the fallback for --jobs. `pipeline` calls the
-other subcommands' handlers directly, with Namespaces built by _stage_args.
+subcommand; XCKIT_JOBS is the fallback for --jobs. Each handler checks its
+flags, then returns its reading and writing as a call. `pipeline` runs every
+stage's checks, on Namespaces built by _stage_args, before it writes anything.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from .attribution import AttributionMap
-from .errors import ParseError, XckitError
+from .errors import ParseError, XckitError, ZeroSteps
 from .io_formats import (
+    json_typed,
     load_json,
     load_model,
     read_detections,
@@ -54,6 +56,7 @@ from .meta import (
 )
 from .metrics import evaluate_feature, render_table
 from .synth import (
+    BENCHMARK_A_THRESH,
     SceneSpec,
     SyntheticFrame,
     build_toy_model,
@@ -88,10 +91,6 @@ def _parse_iou_spec(text: str) -> Dict[str, float]:
     return out
 
 
-def _match_config(args) -> MatchConfig:
-    return MatchConfig(score_thresh=args.score_thresh, iou_thresh=_parse_iou_spec(args.iou))
-
-
 def _resolve_jobs(value: Optional[int]) -> int:
     if value is None:
         env = os.environ.get("XCKIT_JOBS")
@@ -122,10 +121,10 @@ def _typed(key: str, value, kind=str, choices=None):
             value = kind(value)
         except ValueError:
             raise UsageError(f"{key}: invalid {kind.__name__} value {value!r}")
-    elif kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:
-        raise UsageError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    try:
+        value = json_typed(value, kind)
+    except TypeError as e:
+        raise UsageError(f"{key} {e}")
     if choices is not None and value not in choices:
         raise UsageError(f"{key} must be one of {list(choices)}, got {value!r}")
     return value
@@ -151,10 +150,6 @@ def _stage_args(command: str, values: dict, args=None) -> argparse.Namespace:
 
 # --- frame store helpers ---
 
-def _frame_id(i: int) -> str:
-    return f"{i:06d}"
-
-
 def write_frame_store(out_dir, spec, frames, manifest) -> None:
     os.makedirs(os.path.join(out_dir, "frames"), exist_ok=True)
     save_scene_spec(os.path.join(out_dir, "scene.json"), spec)
@@ -165,7 +160,7 @@ def write_frame_store(out_dir, spec, frames, manifest) -> None:
     det_records = []
     gt_records = []
     for i, frame in enumerate(frames):
-        fid = _frame_id(i)
+        fid = f"{i:06d}"
         det_records.extend((fid, pred) for pred in frame.preds)
         gt_records.extend((fid, gt) for gt in frame.gts)
         write_xcam(
@@ -207,159 +202,163 @@ def read_frame_store(store_dir):
     return spec, fids, out
 
 
-# --- subcommands ---
+# --- subcommands: each checks its flags, then returns its reading and writing as a call ---
 
-def _cmd_synth(args) -> int:
-    spec = load_scene_spec(args.spec) if args.spec else SceneSpec()
-    if args.seed is not None:
-        spec = replace(spec, rng_seed=args.seed)
-    frames, manifest = generate_benchmark(spec, args.frames)
-    write_frame_store(args.out, spec, frames, manifest)
-    print(
-        f"wrote {len(frames)} frames, "
-        f"{sum(manifest['tp_counts'].values())} tp / "
-        f"{sum(manifest['fp_counts'].values())} fp predictions -> {args.out}"
-    )
-    return 0
+def _split(text: str) -> list:
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _cmd_attribute(args) -> int:
-    spec, fids, store = read_frame_store(args.frames)
-    model_path = args.model or os.path.join(args.frames, "model.json")
-    model = load_model(model_path)
-    os.makedirs(args.out, exist_ok=True)
+def _emit(text: str, out) -> None:
+    """``text`` to the file ``out`` when one is given, then to stdout."""
+    if out:
+        with open(out, "w") as f:
+            f.write(text + "\n")
+    print(text)
+
+
+def _cmd_synth(args):
+    def run():
+        spec = load_scene_spec(args.spec) if args.spec else SceneSpec()
+        if args.seed is not None:
+            spec = replace(spec, rng_seed=args.seed)
+        frames, manifest = generate_benchmark(spec, args.frames)
+        write_frame_store(args.out, spec, frames, manifest)
+        print(
+            f"wrote {len(frames)} frames, "
+            f"{sum(manifest['tp_counts'].values())} tp / "
+            f"{sum(manifest['fp_counts'].values())} fp predictions -> {args.out}"
+        )
+    return run
+
+
+def _cmd_attribute(args):
     jobs = _resolve_jobs(args.jobs)
+    if args.method != "backprop" and args.steps < 1:  # backprop takes no path steps
+        raise ZeroSteps(f"steps must be >= 1, got {args.steps}")
 
-    def one_frame(fid):
-        pseudo, preds, gts = store[fid]
-        for pred in preds:
-            if pred.anchor_index is None:
-                raise XckitError(
-                    f"frame {fid}: prediction lacks anchor_index; cannot pick its output"
-                )
-        frame = SyntheticFrame(pseudo_image=pseudo, gts=gts, preds=preds, model=model)
-        return frame_attributions(frame, method=args.method, steps=args.steps)
+    def run():
+        spec, fids, store = read_frame_store(args.frames)
+        model = load_model(args.model or os.path.join(args.frames, "model.json"))
+        os.makedirs(args.out, exist_ok=True)
 
-    n = 0
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        per_frame = pool.map(one_frame, fids) if jobs > 1 else map(one_frame, fids)
-        # written frame by frame, so only the frames in flight are held in memory
-        for fid, maps in zip(fids, per_frame):
-            for i, m in enumerate(maps):
-                write_xcam(os.path.join(args.out, f"{fid}_{i:03d}.xcam"), m)
-                n += 1
-    print(f"wrote {n} attribution maps ({args.method}) -> {args.out}")
-    return 0
-
-
-def _cmd_xc(args) -> int:
-    xc_cfg = XcConfig(a_thresh=args.a_thresh, margin_m=args.margin)
-    match_cfg = _match_config(args)
-    spec, fids, store = read_frame_store(args.frames)
-
-    def triple(fid):
-        pseudo, preds, gts = store[fid]
-        maps = []
-        for i in range(len(preds)):
-            path = os.path.join(args.attribs, f"{fid}_{i:03d}.xcam")
-            if not os.path.exists(path):
-                raise XckitError(f"missing attribution map {path}")
-            maps.append(read_xcam(path))
-        return preds, maps, gts
-
-    # frames are read as they are scored, so one frame's maps are held at a time
-    rows = build_feature_dataset(map(triple, fids), spec.grid, xc_cfg=xc_cfg,
-                                 match_cfg=match_cfg)
-    write_feature_csv(args.out, rows)
-    print(f"wrote {len(rows)} feature rows -> {args.out}")
-    return 0
-
-
-def _cmd_match(args) -> int:
-    by_frame = _records_by_frame(args.preds, args.gts)
-    cfg = _match_config(args)
-    counts = {"TP": 0, "FP": 0, "Ignore": 0}
-    with open(args.out, "w") as f:
-        for fid in sorted(by_frame):
-            outcome = categorize(*by_frame[fid], cfg)
-            for i, (tag, gt_idx) in enumerate(zip(outcome.tags, outcome.matched_gt)):
-                counts[tag] += 1
-                f.write(
-                    json.dumps(
-                        {"frame_id": fid, "index": i, "tag": tag, "matched_gt": gt_idx}
+        def one_frame(fid):
+            pseudo, preds, gts = store[fid]
+            for pred in preds:
+                if pred.anchor_index is None:
+                    raise XckitError(
+                        f"frame {fid}: prediction lacks anchor_index; cannot pick its output"
                     )
-                    + "\n"
-                )
-    print(
-        f"tagged {sum(counts.values())} predictions "
-        f"({counts['TP']} TP, {counts['FP']} FP, {counts['Ignore']} Ignore) -> {args.out}"
-    )
-    return 0
+            frame = SyntheticFrame(pseudo_image=pseudo, gts=gts, preds=preds, model=model)
+            return frame_attributions(frame, method=args.method, steps=args.steps)
+
+        n = 0
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_frame = pool.map(one_frame, fids) if jobs > 1 else map(one_frame, fids)
+            # written frame by frame, so only the frames in flight are held in memory
+            for fid, maps in zip(fids, per_frame):
+                for i, m in enumerate(maps):
+                    write_xcam(os.path.join(args.out, f"{fid}_{i:03d}.xcam"), m)
+                    n += 1
+        print(f"wrote {n} attribution maps ({args.method}) -> {args.out}")
+    return run
 
 
-def _checked_seed(args):
+def _cmd_xc(args):
+    xc_cfg = XcConfig(a_thresh=args.a_thresh, margin_m=args.margin)
+    match_cfg = MatchConfig(score_thresh=args.score_thresh, iou_thresh=_parse_iou_spec(args.iou))
+
+    def run():
+        spec, fids, store = read_frame_store(args.frames)
+
+        def triple(fid):
+            pseudo, preds, gts = store[fid]
+            maps = []
+            for i in range(len(preds)):
+                path = os.path.join(args.attribs, f"{fid}_{i:03d}.xcam")
+                if not os.path.exists(path):
+                    raise XckitError(f"missing attribution map {path}")
+                maps.append(read_xcam(path))
+            return preds, maps, gts
+
+        # frames are read as they are scored, so one frame's maps are held at a time
+        rows = build_feature_dataset(map(triple, fids), spec.grid, xc_cfg=xc_cfg,
+                                     match_cfg=match_cfg)
+        write_feature_csv(args.out, rows)
+        print(f"wrote {len(rows)} feature rows -> {args.out}")
+    return run
+
+
+def _cmd_match(args):
+    cfg = MatchConfig(score_thresh=args.score_thresh, iou_thresh=_parse_iou_spec(args.iou))
+
+    def run():
+        by_frame = _records_by_frame(args.preds, args.gts)
+        counts = {"TP": 0, "FP": 0, "Ignore": 0}
+        with open(args.out, "w") as f:
+            for fid in sorted(by_frame):
+                outcome = categorize(*by_frame[fid], cfg)
+                for i, (tag, gt_idx) in enumerate(zip(outcome.tags, outcome.matched_gt)):
+                    counts[tag] += 1
+                    row = {"frame_id": fid, "index": i, "tag": tag, "matched_gt": gt_idx}
+                    f.write(json.dumps(row) + "\n")
+        print(
+            f"tagged {sum(counts.values())} predictions "
+            f"({counts['TP']} TP, {counts['FP']} FP, {counts['Ignore']} Ignore) -> {args.out}"
+        )
+    return run
+
+
+def _cmd_eval(args):
     if args.seed < 0:  # numpy's generators take no negative seed
         raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
-    return args
-
-
-def _cmd_eval(args) -> int:
-    _checked_seed(args)
-    rows = read_feature_csv(args.features)
-    tokens = [t.strip() for t in args.group_by.split(",") if t.strip()]
+    keys = _split(args.group_by)
     try:
-        groups = split_groups(rows, tokens)
+        split_groups([], keys)  # checks the keys
     except XckitError as e:
         raise UsageError(f"--group-by: {e}")
-    reports = []
-    for feature in EVAL_FEATURES:
-        for name, members in groups:
-            try:
-                reports.append(
-                    evaluate_feature(members, feature, group_name=name, rng_seed=args.seed)
-                )
-            except XckitError as e:
-                # a group can be single-class or empty; skip its row and say why
-                print(f"eval: skipped feature {feature!r} in group {name or 'all'!r}: "
-                      f"{type(e).__name__}: {e}", file=sys.stderr)
-    table = render_table(reports)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(table + "\n")
-    print(table)
-    return 0
+
+    def run():
+        rows = read_feature_csv(args.features)
+        groups = split_groups(rows, keys)
+        reports = []
+        for feature in EVAL_FEATURES:
+            for name, members in groups:
+                try:
+                    reports.append(
+                        evaluate_feature(members, feature, group_name=name, rng_seed=args.seed)
+                    )
+                except XckitError as e:
+                    # a group can be single-class or empty; skip its row and say why
+                    print(f"eval: skipped feature {feature!r} in group {name or 'all'!r}: "
+                          f"{type(e).__name__}: {e}", file=sys.stderr)
+        _emit(render_table(reports), args.out)
+    return run
 
 
-def _cmd_train_meta(args) -> int:
-    rows = read_feature_csv(args.features)
-    subset = (
-        [t.strip() for t in args.subset.split(",") if t.strip()]
-        if args.subset
-        else list(DEFAULT_FEATURES)
-    )
+def _cmd_train_meta(args):
+    subset = _split(args.subset) if args.subset else list(DEFAULT_FEATURES)
     bad = set(subset) - set(DEFAULT_FEATURES)
     if bad:
         raise UsageError(f"unknown meta features: {sorted(bad)}")
-    report = cross_validate(rows, feature_subset=subset, rng_seed=args.seed)
-    lines = [
-        f"features: {report.feature}",
-        f"rows: {len(rows)} ({report.n_pos} tp / {report.n_neg} fp)",
-        f"protocol: {REPEATS}x{FOLDS}-fold cross-validation",
-        f"auroc: {report.auroc:.4f}",
-        f"aupr: {report.aupr:.4f}",
-        f"aupr_op: {report.aupr_op:.4f}",
-    ]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    print(text)
-    return 0
+
+    def run():
+        rows = read_feature_csv(args.features)
+        report = cross_validate(rows, feature_subset=subset, rng_seed=args.seed)
+        _emit("\n".join([
+            f"features: {report.feature}",
+            f"rows: {len(rows)} ({report.n_pos} tp / {report.n_neg} fp)",
+            f"protocol: {REPEATS}x{FOLDS}-fold cross-validation",
+            f"auroc: {report.auroc:.4f}",
+            f"aupr: {report.aupr:.4f}",
+            f"aupr_op: {report.aupr_op:.4f}",
+        ]), args.out)
+    return run
 
 
-def _cmd_pipeline(args) -> int:
-    """Every stage from one config: each section holds its stage's flags, checked
-    before anything is written; only jobs (1) and a_thresh (the manifest's) differ."""
+def _cmd_pipeline(args):
+    """Every stage from one config: each section holds its stage's flags, and every
+    stage's checks run before anything is written; only jobs (1) and a_thresh (the
+    benchmark's, which the manifest records) differ from the flag defaults."""
     cfg = _load_config(args.config)
     unknown = sorted(set(cfg) - {"out", "n_frames", "scene", "attribute", "xc", "eval",
                                  "train_meta"})
@@ -377,15 +376,12 @@ def _cmd_pipeline(args) -> int:
 
     spec = scene_spec_from_dict(section("scene"))
     n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
-    frames, manifest = generate_benchmark(spec, n_frames)
     store_dir = os.path.join(out_dir, "store")
     attribs_dir = os.path.join(out_dir, "attribs")
     features_csv = os.path.join(out_dir, "features.csv")
     xc_args = _stage_args("xc", {
-        "a_thresh": manifest["a_thresh"], **section("xc"),
+        "a_thresh": BENCHMARK_A_THRESH, **section("xc"),
         "frames": store_dir, "attribs": attribs_dir, "out": features_csv})
-    XcConfig(a_thresh=xc_args.a_thresh, margin_m=xc_args.margin)  # raises before any write
-    _match_config(xc_args)
     tm = section("train_meta")
     enabled = tm.pop("enabled", True)
     if not isinstance(enabled, bool):
@@ -393,27 +389,30 @@ def _cmd_pipeline(args) -> int:
     if isinstance(tm.get("subset"), list):
         tm["subset"] = ",".join(map(str, tm["subset"]))
     stages = [
-        (_cmd_attribute, _stage_args("attribute", {
+        _cmd_attribute(_stage_args("attribute", {
             "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),
-        (_cmd_xc, xc_args),
-        (_cmd_match, _stage_args("match", {
+        _cmd_xc(xc_args),
+        _cmd_match(_stage_args("match", {
             "score_thresh": xc_args.score_thresh, "iou": xc_args.iou,
             "preds": os.path.join(store_dir, "preds.jsonl"),
             "gts": os.path.join(store_dir, "gts.jsonl"),
             "out": os.path.join(out_dir, "tags.jsonl")})),
-        (_cmd_eval, _checked_seed(_stage_args("eval", {
+        _cmd_eval(_stage_args("eval", {
             **section("eval"), "features": features_csv,
-            "out": os.path.join(out_dir, "table.txt")}))),
+            "out": os.path.join(out_dir, "table.txt")})),
     ]
     if enabled:
-        stages.append((_cmd_train_meta, _stage_args("train-meta", {
+        stages.append(_cmd_train_meta(_stage_args("train-meta", {
             **tm, "features": features_csv, "out": os.path.join(out_dir, "meta_report.txt")})))
-    os.makedirs(out_dir, exist_ok=True)
-    write_frame_store(store_dir, spec, frames, manifest)
-    for handler, stage_args in stages:
-        handler(stage_args)
-    print(f"pipeline complete -> {out_dir}")
-    return 0
+
+    def run():
+        frames, manifest = generate_benchmark(spec, n_frames)
+        os.makedirs(out_dir, exist_ok=True)
+        write_frame_store(store_dir, spec, frames, manifest)
+        for stage in stages:
+            stage()
+        print(f"pipeline complete -> {out_dir}")
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--seed", type=int, default=None, help="override the spec's rng_seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("attribute", help="attribution map per prediction")
@@ -438,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=32)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_attribute)
 
     p = sub.add_parser("xc", help="concentration scores -> feature CSV")
@@ -450,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou", default=DEFAULT_IOU_SPEC,
                    help="per-class IoU thresholds, e.g. car=0.5,pedestrian=0.25")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_xc)
 
     p = sub.add_parser("match", help="tag predictions TP/FP/Ignore")
@@ -459,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score-thresh", type=float, default=0.1)
     p.add_argument("--iou", default=DEFAULT_IOU_SPEC)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("eval", help="threshold-independent metrics table")
@@ -468,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of class, points100; empty = overall only")
     p.add_argument("--seed", type=int, default=0, help="seed for the random baseline")
     p.add_argument("--out", default=None)
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("train-meta", help="cross-validated meta-classifier report")
@@ -477,12 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of meta features (default: all five)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_train_meta)
 
     p = sub.add_parser("pipeline", help="run every stage from one config")
-    p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_pipeline)
+    for name, p in sub.choices.items():
+        p.add_argument("--config", required=name == "pipeline")
 
     parser.stages = sub.choices  # subcommand name -> its parser, for _stage_args
     return parser
@@ -494,18 +488,16 @@ def main(argv=None) -> int:
     try:
         if args.command != "pipeline" and args.config:
             args = _stage_args(args.command, _load_config(args.config), args)
-        return args.func(args)
+        args.func(args)()
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 1
     except XckitError as e:
         print(f"data error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"data error: {e}", file=sys.stderr)
         return 1
 
 

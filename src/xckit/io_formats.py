@@ -118,6 +118,15 @@ def read_xcam(path) -> AttributionMap:
 
 # --- JSONL box streams ---
 
+def json_typed(value, kind=float):
+    """``value`` if its type is exactly ``kind``, so never a bool; an int may stand for a float."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError(f"must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _box_to_list(box: Box3D) -> list:
     return [box.cx, box.cy, box.cz, box.dx, box.dy, box.dz, box.yaw]
 
@@ -126,7 +135,7 @@ def _box_from_list(vals, line_no, path) -> Box3D:
     if not isinstance(vals, list) or len(vals) != 7:
         raise ParseError(line_no, f"box must be a 7-element array, got {vals!r}", path)
     try:
-        return Box3D(*[float(v) for v in vals])
+        return Box3D(*[json_typed(v) for v in vals])
     except (TypeError, ValueError, XckitError) as e:
         raise ParseError(line_no, f"bad box: {e}", path)
 
@@ -174,8 +183,8 @@ def read_detections(path) -> Iterator[tuple]:
         if not isinstance(row["scores"], dict):
             raise ParseError(line_no, "scores must be an object", path)
         try:
-            scores = {str(k): float(v) for k, v in row["scores"].items()}
-            distance = None if row.get("distance") is None else float(row["distance"])
+            scores = {str(k): json_typed(v) for k, v in row["scores"].items()}
+            distance = None if row.get("distance") is None else json_typed(row["distance"])
             if not np.all(np.isfinite([*scores.values(), distance or 0.0])):
                 raise ValueError(f"got {scores} and {distance}")
         except (TypeError, ValueError, OverflowError) as e:

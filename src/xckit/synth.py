@@ -43,8 +43,8 @@ from .attribution import (
 )
 from .autodiff import ModelGraph, build_model, forward_array
 from .errors import ParseError, PlacementFailure, UnknownLabel, XckitError
-from .geometry import Box3D, GridMeta, enlarge, membership_mask, project_to_bev, wrap_angle
-from .io_formats import load_json
+from .geometry import Box3D, GridMeta, enlarge, iou_3d, membership_mask, project_to_bev, wrap_angle
+from .io_formats import json_typed, load_json
 from .matching import DEFAULT_IOU_THRESH, Detection, GroundTruth
 
 CLASSES = ("car", "pedestrian", "cyclist")
@@ -122,16 +122,16 @@ class SceneSpec:
 
 _SCENE_FIELDS = {
     "grid": lambda v: GridMeta(**v),
-    "n_objects": lambda v: {str(k): int(n) for k, n in v.items()},
+    "n_objects": lambda v: {str(k): json_typed(n, int) for k, n in v.items()},
     "size_ranges": lambda v: {
-        k: tuple(tuple(float(x) for x in r) for r in ranges) for k, ranges in v.items()
+        k: tuple(tuple(json_typed(x) for x in r) for r in ranges) for k, ranges in v.items()
     },
     "concentration_profile": lambda v: ConcentrationProfile(**v),
-    "fp_rate": float,
-    "points_correlation": float,
-    "points_base": int,
-    "points_delta": int,
-    "rng_seed": int,
+    "fp_rate": json_typed,
+    "points_correlation": json_typed,
+    "points_base": lambda v: json_typed(v, int),
+    "points_delta": lambda v: json_typed(v, int),
+    "rng_seed": lambda v: json_typed(v, int),
 }
 
 
@@ -303,8 +303,6 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
     been built for the same grid. When omitted, a fresh (identical) one is
     built here.
     """
-    from .geometry import iou_3d  # local import keeps the module header lean
-
     grid = spec.grid
     rng = np.random.default_rng(spec.rng_seed)
     if model is None:

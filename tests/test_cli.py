@@ -248,6 +248,11 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "preds.jsonl: line 1: scores and distance must be finite numbers: got {"),
         (lambda s: edit_first_pred(s, n_points=3.7), match_argv, 1,
          "preds.jsonl: line 1: n_points must be an integer >= 0, got 3.7"),
+        (lambda s: edit_first_pred(s, scores={"car": "0.9"}), match_argv, 1,
+         "preds.jsonl: line 1: scores and distance must be finite numbers: "
+         "must be of type float, got '0.9'"),
+        (lambda s: None, writes("spec.json", b'{"rng_seed": 7.9}', SYNTH_SPEC), 1,
+         "spec.json: bad scene spec field 'rng_seed': must be of type int, got 7.9"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -264,7 +269,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "model-weight-not-numbers", "prediction-box-underflow-near-gt",
          "prediction-box-underflow-far", "prediction-box-extent-below-center-ulp",
          "prediction-box-area-overflow", "xcam-map-truncated", "xcam-pseudo-bad-magic",
-         "prediction-score-nan", "prediction-distance-infinity", "prediction-n-points-float"],
+         "prediction-score-nan", "prediction-distance-infinity", "prediction-n-points-float",
+         "prediction-score-string", "scene-spec-seed-float"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -403,6 +409,28 @@ class TestAttribute:
 
     def test_missing_store_is_data_error(self, tmp_path):
         assert run(["attribute", "--frames", str(tmp_path / "nope"), "--out", "x"]) == 1
+
+    def test_backprop_ignores_steps(self, tmp_path):
+        store = make_store(tmp_path, frames=1)
+        out = str(tmp_path / "attribs")
+        assert run(["attribute", "--frames", store, "--out", out, "--steps", "0"]) == 0
+        assert os.listdir(out)
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["eval", "--features", "missing.csv", "--group-by", "bogus"], 2,
+     "--group-by: unknown grouping keys: ['bogus']"),
+    (["train-meta", "--features", "missing.csv", "--subset", "volume"], 2,
+     "unknown meta features: ['volume']"),
+    (["attribute", "--frames", "missing", "--out", "a", "--jobs", "0"], 2, "--jobs must be >= 1"),
+    (["attribute", "--frames", "missing", "--out", "a", "--method", "ig", "--steps", "0"], 1,
+     "ZeroSteps: steps must be >= 1, got 0"),
+], ids=["eval-group-by", "train-meta-subset", "attribute-jobs", "attribute-steps"])
+def test_flags_checked_before_reading(tmp_path, monkeypatch, capsys, argv, code, needle):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == code
+    assert needle in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 class TestXcAndMatch:
@@ -632,6 +660,20 @@ class TestPipeline:
         path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, "xc": xc}))
         assert run(["pipeline", "--config", str(path)]) == 1
         assert needle in capsys.readouterr().err
+        assert not (tmp_path / "pipe").exists()
+
+    @pytest.mark.parametrize("section, code, needle", [
+        ({"attribute": {"method": "ig", "steps": 0}}, 1, "ZeroSteps: steps must be >= 1, got 0"),
+        ({"attribute": {"jobs": 0}}, 2, "usage error: --jobs must be >= 1"),
+        ({"eval": {"group_by": "bogus"}}, 2, "--group-by: unknown grouping keys: ['bogus']"),
+        ({"train_meta": {"subset": ["bogus"]}}, 2, "unknown meta features: ['bogus']"),
+    ], ids=["attribute-steps", "attribute-jobs", "eval-group-by", "train-meta-subset"])
+    def test_stage_flags_checked_before_writing(self, tmp_path, section, code, needle):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, **section}))
+        proc = run_subprocess(["pipeline", "--config", str(path)], cwd=tmp_path)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        assert needle in proc.stderr
         assert not (tmp_path / "pipe").exists()
 
     def test_unknown_section_key_exits_2(self, tmp_path):

@@ -185,6 +185,8 @@ class TestDetectionStream:
         ("anchor_index", "3"), ("anchor_index", True), ("anchor_index", 1.5),
         ("scores", {"car": float("nan")}), ("distance", float("inf")), ("n_points", 3.7),
         ("n_points", "12"), ("n_points", -1), ("n_points", True),
+        ("scores", {"car": "0.9"}), ("scores", {"car": True}), ("distance", "12"),
+        ("box", [0.0, 0.0, 0.0, 4.0, 1.8, 1.6, "0"]), ("box", [True, 0.0, 0.0, 4.0, 1.8, 1.6, 0.0]),
     ])
     def test_bad_field_value_names_line(self, tmp_path, field, value):
         p = tmp_path / "d.jsonl"
@@ -457,6 +459,21 @@ class TestSceneSpecJson:
         p.write_text('{"fp_rate": "lots"}')
         with pytest.raises(ParseError):
             load_scene_spec(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rng_seed", 7.9), ("rng_seed", True), ("n_objects", {"car": 2.9}), ("fp_rate", "0.25"),
+        ("points_base", True), ("size_ranges", {"car": [["3.9", 4.7], [1.6, 2.0], [1.4, 1.6]]}),
+    ])
+    def test_field_of_wrong_json_type_rejected(self, tmp_path, field, value):
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps({field: value}))
+        with pytest.raises(ParseError, match=f"scene.json: bad scene spec field '{field}'"):
+            load_scene_spec(p)
+
+    def test_int_stands_for_float(self):
+        spec = scene_spec_from_dict({"fp_rate": 0,
+                                     "size_ranges": {"car": [[4, 5], [2, 2], [1, 2]]}})
+        assert type(spec.fp_rate) is float and spec.size_ranges["car"][0] == (4.0, 5.0)
 
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "scene.json"
