@@ -1,13 +1,13 @@
 """Command-line pipeline: synth -> attribute -> xc -> match -> eval -> train-meta.
 
-Artifact layout for a frame store (written by `synth`, read downstream):
+Frame store layout; every file the CLI writes appears whole or not at all:
 
     store/
       scene.json      generator spec (includes the grid)
       model.json      toy detector weights
       manifest.json   planted TP/FP accounting + suggested a_thresh
-      preds.jsonl     detections with frame ids
-      gts.jsonl       ground truths with frame ids
+      preds.jsonl     detections with frame ids (written after the frames)
+      gts.jsonl       ground truths with frame ids (written last)
       frames/<id>.xcam   pseudo image per frame (XCAM container)
 
 Exit codes: 0 success, 2 usage problems, 1 data problems (bad files, failed
@@ -32,6 +32,7 @@ import numpy as np
 from .attribution import AttributionMap
 from .errors import ParseError, XckitError, ZeroSteps
 from .io_formats import (
+    atomic_write,
     json_typed,
     load_json,
     load_model,
@@ -43,6 +44,7 @@ from .io_formats import (
     write_detections,
     write_feature_csv,
     write_ground_truths,
+    write_jsonl,
     write_xcam,
 )
 from .matching import DEFAULT_IOU_THRESH, MatchConfig, categorize
@@ -155,20 +157,17 @@ def write_frame_store(out_dir, spec, frames, manifest) -> None:
     save_scene_spec(os.path.join(out_dir, "scene.json"), spec)
     model = frames[0].model if frames else build_toy_model(spec.grid)
     save_model(os.path.join(out_dir, "model.json"), model)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+    with atomic_write(os.path.join(out_dir, "manifest.json")) as f:
         json.dump(manifest, f, indent=2)
-    det_records = []
-    gt_records = []
-    for i, frame in enumerate(frames):
-        fid = f"{i:06d}"
-        det_records.extend((fid, pred) for pred in frame.preds)
-        gt_records.extend((fid, gt) for gt in frame.gts)
-        write_xcam(
-            os.path.join(out_dir, "frames", f"{fid}.xcam"),
-            AttributionMap(values=frame.pseudo_image.astype(np.float64), method="pseudo-image"),
-        )
-    write_detections(os.path.join(out_dir, "preds.jsonl"), det_records)
-    write_ground_truths(os.path.join(out_dir, "gts.jsonl"), gt_records)
+    fids = [f"{i:06d}" for i in range(len(frames))]
+    for fid, frame in zip(fids, frames):
+        pseudo = AttributionMap(values=frame.pseudo_image.astype(np.float64), method="pseudo-image")
+        write_xcam(os.path.join(out_dir, "frames", f"{fid}.xcam"), pseudo)
+    # the streams go last, so a store cut short lacks one, and its readers name it
+    write_detections(os.path.join(out_dir, "preds.jsonl"),
+                     [(fid, p) for fid, frame in zip(fids, frames) for p in frame.preds])
+    write_ground_truths(os.path.join(out_dir, "gts.jsonl"),
+                        [(fid, g) for fid, frame in zip(fids, frames) for g in frame.gts])
 
 
 def _records_by_frame(preds_path, gts_path) -> Dict[str, tuple]:
@@ -193,12 +192,10 @@ def read_frame_store(store_dir):
             by_frame.setdefault(name[:-5], ([], []))
     fids = sorted(by_frame)
     out = {}
+    shape = (spec.grid.height, spec.grid.width, 4)  # three class channels, then inhibition
     for fid in fids:
-        pseudo_path = os.path.join(frames_dir, f"{fid}.xcam")
-        if not os.path.exists(pseudo_path):
-            raise XckitError(f"frame {fid} has records but no pseudo image")
-        pseudo = read_xcam(pseudo_path).values.astype(np.float32)
-        out[fid] = (pseudo, *by_frame[fid])
+        pseudo = read_xcam(os.path.join(frames_dir, f"{fid}.xcam"), shape).values
+        out[fid] = (pseudo.astype(np.float32), *by_frame[fid])
     return spec, fids, out
 
 
@@ -211,7 +208,7 @@ def _split(text: str) -> list:
 def _emit(text: str, out) -> None:
     """``text`` to the file ``out`` when one is given, then to stdout."""
     if out:
-        with open(out, "w") as f:
+        with atomic_write(out) as f:
             f.write(text + "\n")
     print(text)
 
@@ -272,12 +269,8 @@ def _cmd_xc(args):
 
         def triple(fid):
             pseudo, preds, gts = store[fid]
-            maps = []
-            for i in range(len(preds)):
-                path = os.path.join(args.attribs, f"{fid}_{i:03d}.xcam")
-                if not os.path.exists(path):
-                    raise XckitError(f"missing attribution map {path}")
-                maps.append(read_xcam(path))
+            maps = [read_xcam(os.path.join(args.attribs, f"{fid}_{i:03d}.xcam"), pseudo.shape)
+                    for i in range(len(preds))]
             return preds, maps, gts
 
         # frames are read as they are scored, so one frame's maps are held at a time
@@ -293,18 +286,14 @@ def _cmd_match(args):
 
     def run():
         by_frame = _records_by_frame(args.preds, args.gts)
-        counts = {"TP": 0, "FP": 0, "Ignore": 0}
-        with open(args.out, "w") as f:
-            for fid in sorted(by_frame):
-                outcome = categorize(*by_frame[fid], cfg)
-                for i, (tag, gt_idx) in enumerate(zip(outcome.tags, outcome.matched_gt)):
-                    counts[tag] += 1
-                    row = {"frame_id": fid, "index": i, "tag": tag, "matched_gt": gt_idx}
-                    f.write(json.dumps(row) + "\n")
-        print(
-            f"tagged {sum(counts.values())} predictions "
-            f"({counts['TP']} TP, {counts['FP']} FP, {counts['Ignore']} Ignore) -> {args.out}"
-        )
+        outcomes = [(fid, categorize(*by_frame[fid], cfg)) for fid in sorted(by_frame)]
+        rows = [{"frame_id": fid, "index": i, "tag": tag, "matched_gt": gt_idx}
+                for fid, outcome in outcomes
+                for i, (tag, gt_idx) in enumerate(zip(outcome.tags, outcome.matched_gt))]
+        write_jsonl(args.out, rows)
+        tags = [row["tag"] for row in rows]
+        print(f"tagged {len(rows)} predictions ({tags.count('TP')} TP, {tags.count('FP')} FP, "
+              f"{tags.count('Ignore')} Ignore) -> {args.out}")
     return run
 
 
@@ -343,7 +332,11 @@ def _cmd_train_meta(args):
 
     def run():
         rows = read_feature_csv(args.features)
-        report = cross_validate(rows, feature_subset=subset, rng_seed=args.seed)
+        try:
+            report = cross_validate(rows, feature_subset=subset, rng_seed=args.seed)
+        except XckitError as e:  # too few rows or one class only: a fault of the file
+            e.args = (f"{args.features}: {e}",)
+            raise
         _emit("\n".join([
             f"features: {report.feature}",
             f"rows: {len(rows)} ({report.n_pos} tp / {report.n_neg} fp)",

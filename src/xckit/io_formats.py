@@ -15,7 +15,7 @@ XCAM layout (all integers little-endian):
 The payload is 32-bit by format definition, so round-trips are bit-identical
 exactly when the map's values are float32-representable; higher-precision
 values are rounded once on write. Text formats use Python's shortest
-round-trip float repr and are lossless.
+round-trip float repr and are lossless. Files are written only by ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import io
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, List
 
@@ -32,13 +33,29 @@ import numpy as np
 
 from .attribution import AttributionMap, AttributionTarget
 from .autodiff import ModelGraph, build_model, model_to_spec
-from .errors import BadMagic, ParseError, TruncatedPayload, VersionUnsupported, XckitError
+from .errors import (
+    BadMagic, ParseError, ShapeMismatch, TruncatedPayload, VersionUnsupported, XckitError)
 from .geometry import Box3D
 from .matching import Detection, GroundTruth
 
 XCAM_MAGIC = b"XCAM"
 XCAM_VERSION = 1
 _HEADER = struct.Struct("<4sHIII")
+
+
+@contextmanager
+def atomic_write(path, mode="w", **open_kwargs):
+    """A temp file beside ``path``, renamed over it once the block completes; a block that
+    raises removes it, so ``path`` is never half written."""
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_xcam(path, map: AttributionMap) -> None:
@@ -55,14 +72,15 @@ def write_xcam(path, map: AttributionMap) -> None:
             "class_index": map.target.class_index,
         }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_HEADER.pack(XCAM_MAGIC, XCAM_VERSION, h, w, c))
         f.write(values.astype("<f4").tobytes(order="C"))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
 
 
-def read_xcam(path) -> AttributionMap:
+def read_xcam(path, shape=None) -> AttributionMap:
+    """The map at ``path``; its values must be finite, and of ``shape`` when one is given."""
     with open(path, "rb") as f:
         raw = f.read()
     at = f"{path}: byte offset"
@@ -73,6 +91,8 @@ def read_xcam(path) -> AttributionMap:
         raise BadMagic(f"{at} 0: magic {magic!r} != {XCAM_MAGIC!r}")
     if version != XCAM_VERSION:
         raise VersionUnsupported(f"{at} 4: version {version}, reader supports {XCAM_VERSION}")
+    if shape is not None and (h, w, c) != tuple(shape):
+        raise ShapeMismatch(f"{at} 6: shape {(h, w, c)} != expected {tuple(shape)}")
     n_payload = 4 * h * w * c
     offset = _HEADER.size
     if len(raw) < offset + n_payload + 4:
@@ -85,6 +105,8 @@ def read_xcam(path) -> AttributionMap:
         .reshape(h, w, c)
         .astype(np.float64)
     )
+    if not np.isfinite(values).all():
+        raise XckitError(f"{at} {offset + 4 * np.argmin(np.isfinite(values))}: value is not finite")
     offset += n_payload
     (meta_len,) = struct.unpack_from("<I", raw, offset)
     offset += 4
@@ -140,21 +162,20 @@ def _box_from_list(vals, line_no, path) -> Box3D:
         raise ParseError(line_no, f"bad box: {e}", path)
 
 
+def write_jsonl(path, rows: Iterable[dict]) -> None:
+    """One JSON object per line."""
+    with atomic_write(path) as f:
+        for row in rows:
+            f.write(json.dumps(row) + "\n")
+
+
 def write_detections(path, records: Iterable[tuple]) -> None:
     """Write (frame_id, Detection) pairs as JSONL."""
-    with open(path, "w") as f:
-        for frame_id, d in records:
-            row = {
-                "frame_id": frame_id,
-                "box": _box_to_list(d.box),
-                "label": d.label,
-                "scores": d.scores,
-                "n_points": d.n_points,
-                "distance": d.distance,
-            }
-            if d.anchor_index is not None:
-                row["anchor_index"] = d.anchor_index
-            f.write(json.dumps(row) + "\n")
+    write_jsonl(path, ({
+        "frame_id": frame_id, "box": _box_to_list(d.box), "label": d.label, "scores": d.scores,
+        "n_points": d.n_points, "distance": d.distance,
+        **({} if d.anchor_index is None else {"anchor_index": d.anchor_index}),
+    } for frame_id, d in records))
 
 
 def _jsonl_records(path, keys) -> Iterator[tuple]:
@@ -206,14 +227,8 @@ def read_detections(path) -> Iterator[tuple]:
 
 def write_ground_truths(path, records: Iterable[tuple]) -> None:
     """Write (frame_id, GroundTruth) pairs as JSONL."""
-    with open(path, "w") as f:
-        for frame_id, gt in records:
-            f.write(
-                json.dumps(
-                    {"frame_id": frame_id, "box": _box_to_list(gt.box), "label": gt.label}
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({"frame_id": frame_id, "box": _box_to_list(gt.box), "label": gt.label}
+                       for frame_id, gt in records))
 
 
 def read_ground_truths(path) -> Iterator[tuple]:
@@ -255,9 +270,15 @@ def _read_flag(cell: str) -> bool:
     return cell == "1"
 
 
+def _read_float(cell: str) -> float:
+    if not np.isfinite(value := float(cell)):
+        raise ValueError(f"must be finite, got {cell!r}")
+    return value
+
+
 # (write, read) per field annotation; floats use repr, so the round-trip is lossless
 _CELL_CODECS = {
-    "float": (repr, float),
+    "float": (repr, _read_float),
     "int": (str, int),
     "str": (str, str),
     "bool": (lambda v: str(int(v)), _read_flag),
@@ -267,7 +288,7 @@ FEATURE_CSV_COLUMNS = [name for name, _, _ in _FEATURE_CODECS]
 
 
 def write_feature_csv(path, rows: Iterable[FeatureRow]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(FEATURE_CSV_COLUMNS)
         for r in rows:
@@ -322,16 +343,8 @@ def load_json(path):
 
 def save_model(path, model: ModelGraph) -> None:
     """Write ``model`` as one JSON document; a failed save leaves ``path`` as it was."""
-    text = json.dumps(model_to_spec(model))  # dumps runs the C encoder; dump does not
-    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
-    try:
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as f:
+        f.write(json.dumps(model_to_spec(model)))  # dumps runs the C encoder; dump does not
 
 
 def load_model(path) -> ModelGraph:

@@ -44,7 +44,7 @@ from .attribution import (
 from .autodiff import ModelGraph, build_model, forward_array
 from .errors import ParseError, PlacementFailure, UnknownLabel, XckitError
 from .geometry import Box3D, GridMeta, enlarge, iou_3d, membership_mask, project_to_bev, wrap_angle
-from .io_formats import json_typed, load_json
+from .io_formats import atomic_write, json_typed, load_json
 from .matching import DEFAULT_IOU_THRESH, Detection, GroundTruth
 
 CLASSES = ("car", "pedestrian", "cyclist")
@@ -121,12 +121,14 @@ class SceneSpec:
 
 
 _SCENE_FIELDS = {
-    "grid": lambda v: GridMeta(**v),
+    "grid": lambda v: GridMeta(**{k: x if k in ("height", "width") else json_typed(x)
+                                  for k, x in v.items()}),  # GridMeta checks the integers
     "n_objects": lambda v: {str(k): json_typed(n, int) for k, n in v.items()},
     "size_ranges": lambda v: {
         k: tuple(tuple(json_typed(x) for x in r) for r in ranges) for k, ranges in v.items()
     },
-    "concentration_profile": lambda v: ConcentrationProfile(**v),
+    "concentration_profile": lambda v: ConcentrationProfile(
+        **{k: json_typed(x) for k, x in v.items()}),
     "fp_rate": json_typed,
     "points_correlation": json_typed,
     "points_base": lambda v: json_typed(v, int),
@@ -151,7 +153,7 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
 
 
 def save_scene_spec(path, spec: SceneSpec) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(asdict(spec), f, indent=2)
 
 

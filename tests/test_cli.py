@@ -11,7 +11,9 @@ import pytest
 
 import xckit
 from xckit.cli import EVAL_FEATURES, build_parser, main
-from xckit.io_formats import FEATURE_CSV_COLUMNS, FeatureRow, read_feature_csv, write_feature_csv
+from xckit.attribution import AttributionMap
+from xckit.io_formats import (
+    FEATURE_CSV_COLUMNS, FeatureRow, read_feature_csv, write_feature_csv, write_xcam)
 
 
 def run(argv):
@@ -85,12 +87,32 @@ def set_pseudo_target(store, target):
     open(path, "wb").write(raw[:end] + struct.pack("<I", len(blob)) + blob)
 
 
-def truncate_first_map(store):
-    # attribution maps go next to the store; the first one loses its tail
+def first_map(store):
+    # attribution maps go next to the store
     attribs = os.path.join(os.path.dirname(store), "attribs")
     assert run(["attribute", "--frames", store, "--out", attribs, "--jobs", "1"]) == 0
-    path = os.path.join(attribs, "000000_000.xcam")
-    open(path, "r+b").truncate(100)
+    return os.path.join(attribs, "000000_000.xcam")
+
+
+def truncate_first_map(store):
+    open(first_map(store), "r+b").truncate(100)
+
+
+def replace_xcam(where, values):
+    """A mutation that writes ``values`` over the XCAM that ``where(store)`` names."""
+    def mutate(store):
+        write_xcam(where(store), AttributionMap(values=values, method="replaced"))
+    return mutate
+
+
+def first_pseudo(store):
+    return os.path.join(store, "frames", "000000.xcam")
+
+
+def with_inf(shape):
+    values = np.zeros(shape)
+    values[0, 1, 0] = np.inf  # the fifth float, at byte offset 18 + 4 * 4
+    return values
 
 
 def bad_pseudo_magic(store):
@@ -148,11 +170,11 @@ def degenerate_first_pred(dx, offset=0.0):
     return mutate
 
 
-def features_csv(row):
-    """Eval argv on a feature CSV holding the header and ``row``."""
+def features_csv(row, command="eval"):
+    """``command``'s argv on a feature CSV holding the header and ``row``."""
     header = ",".join(FEATURE_CSV_COLUMNS).encode()
     return writes("features.csv", header + b"\n" + row + b"\n",
-                  ["eval", "--features", "features.csv"])
+                  [command, "--features", "features.csv"])
 
 
 CSV_ROW_HEAD = b"0.9,0.5,0.5,0.5,0.5,1,1,1,1,120,10.0,"
@@ -253,6 +275,17 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "must be of type float, got '0.9'"),
         (lambda s: None, writes("spec.json", b'{"rng_seed": 7.9}', SYNTH_SPEC), 1,
          "spec.json: bad scene spec field 'rng_seed': must be of type int, got 7.9"),
+        (replace_xcam(first_map, np.zeros((20, 40, 4))), xc_argv, 1,
+         "000000_000.xcam: byte offset 6: shape (20, 40, 4) != expected (40, 40, 4)"),
+        (replace_xcam(first_pseudo, np.zeros((40, 30, 4))), attribute_argv, 1,
+         "000000.xcam: byte offset 6: shape (40, 30, 4) != expected (40, 40, 4)"),
+        (replace_xcam(first_pseudo, with_inf((40, 40, 4))), attribute_argv, 1,
+         "000000.xcam: byte offset 34: value is not finite"),
+        (lambda s: None, features_csv(b"0.9,nan,0.5,0.5,0.5,1,1,1,1,120,10.0,car,1"), 1,
+         "features.csv: line 2: xc_s_plus: must be finite, got 'nan'"),
+        (lambda s: None, features_csv(b"0.9,0.5,0.5,0.5,inf,1,1,1,1,120,10.0,car,1",
+                                      "train-meta"), 1,
+         "features.csv: line 2: xc_c_minus: must be finite, got 'inf'"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -270,7 +303,9 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "prediction-box-underflow-far", "prediction-box-extent-below-center-ulp",
          "prediction-box-area-overflow", "xcam-map-truncated", "xcam-pseudo-bad-magic",
          "prediction-score-nan", "prediction-distance-infinity", "prediction-n-points-float",
-         "prediction-score-string", "scene-spec-seed-float"],
+         "prediction-score-string", "scene-spec-seed-float", "xcam-map-wrong-shape",
+         "xcam-pseudo-wrong-shape", "xcam-pseudo-infinity", "features-nan-eval",
+         "features-infinity-train-meta"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 import xckit.io_formats
 from xckit.attribution import AttributionMap, AttributionTarget
 from xckit.autodiff import build_model, forward_array, model_to_spec
-from xckit.errors import BadMagic, ParseError, TruncatedPayload, VersionUnsupported, XckitError
+from xckit.errors import (
+    BadMagic, ParseError, ShapeMismatch, TruncatedPayload, VersionUnsupported, XckitError)
 from xckit.geometry import Box3D
 from xckit.io_formats import (
     FEATURE_CSV_COLUMNS,
@@ -128,6 +129,23 @@ class TestXcam:
     def test_non_3d_rejected(self, tmp_path):
         with pytest.raises(XckitError):
             write_xcam(tmp_path / "m.xcam", AttributionMap(values=np.zeros((4, 4)), method="s"))
+
+    def test_expected_shape_checked(self, tmp_path):
+        p = tmp_path / "m.xcam"
+        write_xcam(p, AttributionMap(values=np.zeros((2, 3, 4)), method="s"))
+        assert read_xcam(p, (2, 3, 4)).values.shape == (2, 3, 4)
+        with pytest.raises(ShapeMismatch, match=r"m.xcam: byte offset 6: shape \(2, 3, 4\) != "
+                                                r"expected \(3, 2, 4\)"):
+            read_xcam(p, (3, 2, 4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_offset(self, tmp_path, value):
+        values = np.zeros((2, 3, 4))
+        values[1, 0, 2] = value  # the 15th float: 18 header bytes + 4 * 14
+        p = tmp_path / "m.xcam"
+        write_xcam(p, AttributionMap(values=values, method="s"))
+        with pytest.raises(XckitError, match="m.xcam: byte offset 74: value is not finite"):
+            read_xcam(p)
 
 
 def make_detection(rng, label="car"):
@@ -322,6 +340,19 @@ class TestFeatureCsv:
             read_feature_csv(p)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("column, cell", [("xc_s_plus", "nan"), ("xc_c_minus", "inf"),
+                                              ("distance", "-Infinity"), ("top_score", "NaN")])
+    def test_non_finite_float_positioned(self, tmp_path, column, cell):
+        p = tmp_path / "f.csv"
+        write_feature_csv(p, self.rows(2))
+        lines = p.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[FEATURE_CSV_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"f.csv: line 3: {column}: must be finite"):
+            read_feature_csv(p)
+
     def test_empty_file_missing_header(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("")
@@ -463,6 +494,10 @@ class TestSceneSpecJson:
     @pytest.mark.parametrize("field, value", [
         ("rng_seed", 7.9), ("rng_seed", True), ("n_objects", {"car": 2.9}), ("fp_rate", "0.25"),
         ("points_base", True), ("size_ranges", {"car": [["3.9", 4.7], [1.6, 2.0], [1.4, 1.6]]}),
+        ("grid", {**asdict(SceneSpec().grid), "origin_x": True}),
+        ("grid", {**asdict(SceneSpec().grid), "pixel_size": "0.4"}),
+        ("concentration_profile", {"tp_inside": True, "fp_inside": 0.3}),
+        ("concentration_profile", {"tp_inside": 0.9, "fp_inside": "0.3"}),
     ])
     def test_field_of_wrong_json_type_rejected(self, tmp_path, field, value):
         p = tmp_path / "scene.json"
@@ -472,8 +507,12 @@ class TestSceneSpecJson:
 
     def test_int_stands_for_float(self):
         spec = scene_spec_from_dict({"fp_rate": 0,
-                                     "size_ranges": {"car": [[4, 5], [2, 2], [1, 2]]}})
+                                     "size_ranges": {"car": [[4, 5], [2, 2], [1, 2]]},
+                                     "grid": {**asdict(SceneSpec().grid), "origin_x": -8},
+                                     "concentration_profile": {"tp_inside": 1}})
         assert type(spec.fp_rate) is float and spec.size_ranges["car"][0] == (4.0, 5.0)
+        assert type(spec.grid.origin_x) is float and type(spec.grid.height) is int
+        assert type(spec.concentration_profile.tp_inside) is float
 
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "scene.json"
