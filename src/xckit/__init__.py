@@ -61,57 +61,3 @@ from .io_formats import (
 from .xc import XcConfig, XcScores, xc_scores
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttributionMap",
-    "AttributionTarget",
-    "Box3D",
-    "ConcentrationProfile",
-    "DEFAULT_FEATURES",
-    "Detection",
-    "FP",
-    "FeatureRow",
-    "GridMeta",
-    "GroundTruth",
-    "IGNORE",
-    "MatchConfig",
-    "MatchOutcome",
-    "MetricReport",
-    "ParseError",
-    "PlacementFailure",
-    "SceneSpec",
-    "SyntheticFrame",
-    "TP",
-    "XcConfig",
-    "XcScores",
-    "XckitError",
-    "auroc",
-    "aupr",
-    "backprop_saliency",
-    "build_feature_dataset",
-    "build_model",
-    "categorize",
-    "cross_validate",
-    "enlarge",
-    "evaluate_feature",
-    "forward_array",
-    "frame_attributions",
-    "generate_benchmark",
-    "generate_frame",
-    "integrated_gradients",
-    "iou_3d",
-    "ks_statistic",
-    "membership_mask",
-    "model_to_spec",
-    "modified_integrated_gradients",
-    "project_to_bev",
-    "read_detections",
-    "read_feature_csv",
-    "read_xcam",
-    "render_table",
-    "train_mlp",
-    "write_detections",
-    "write_feature_csv",
-    "write_xcam",
-    "xc_scores",
-]

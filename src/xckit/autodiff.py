@@ -208,6 +208,7 @@ def _init_array(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
+MAX_PARAM_ELEMENTS = 2**28  # per parameter array: 3 GiB with the float64 draw it is cast from
 _LAYER_FIELDS = {
     "dense": ("in_features", "out_features"),
     "conv2d": ("in_channels", "out_channels", "kernel"),
@@ -233,6 +234,8 @@ def build_model(spec: dict) -> ModelGraph:
     rng = np.random.default_rng(seed) if seed is not None else None
 
     def param(entry, key, shape, fan_in, tag):
+        if math.prod(shape) > MAX_PARAM_ELEMENTS:
+            raise XckitError(f"{tag} {key}: {math.prod(shape)} elements exceed {MAX_PARAM_ELEMENTS}")
         if key in entry:
             return _as_f32(entry[key], shape, f"{tag} {key}")
         if rng is None:

@@ -12,11 +12,14 @@ plus planted ground truths and predictions. The detector is fixed-form:
   logit per class, weighting its own block strongly and the rest of the
   image weakly, minus an inhibition-channel term; sigmoid on top.
 
-Signal placement follows the concentration profile: a TP-like prediction
-gets most of its pixel budget inside its (predicted) box, an FP-like one
-scatters most of it around the box inside the same anchor block. Attribution
-maps of the toy model therefore concentrate inside boxes exactly when the
-planted signal does.
+``generate_frame`` makes a frame in one pass over its objects, each in its
+own anchor block: one loop places every box (TPs first, so each FP can be
+drawn to clear every ground truth), then one array write per prediction
+plants its pixels. Placement follows the concentration profile: a TP-like
+prediction gets most of its pixel budget inside its (predicted) box, an
+FP-like one scatters most of it around the box inside the same anchor block,
+outside every box's enlarged footprint. Attribution maps of the toy model
+therefore concentrate inside boxes exactly when the planted signal does.
 
 All magnitudes below are calibrated together; BENCHMARK_A_THRESH sits
 between the largest spurious attribution (weak context weights, conv bleed)
@@ -118,6 +121,9 @@ class SceneSpec:
             raise XckitError(f"grid dimensions must be multiples of {BLOCK_PX}")
         if self.rng_seed < 0:
             raise XckitError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
+        n, total = sum(int(self.n_objects.get(c, 0)) for c in CLASSES), n_anchors(self.grid)
+        if n > total:
+            raise PlacementFailure(f"n_objects: {n} objects cannot fit {total} anchor blocks")
 
 
 _SCENE_FIELDS = {
@@ -175,13 +181,14 @@ class SyntheticFrame:
     model: ModelGraph
 
 
-def _anchor_layout(grid: GridMeta) -> Tuple[int, int]:
-    return grid.height // BLOCK_PX, grid.width // BLOCK_PX
-
-
 def n_anchors(grid: GridMeta) -> int:
-    by, bx = _anchor_layout(grid)
-    return by * bx
+    return (grid.height // BLOCK_PX) * (grid.width // BLOCK_PX)
+
+
+def _block(grid: GridMeta, anchor: int) -> Tuple[int, int]:
+    """First pixel row and column of the anchor's block."""
+    by, bx = divmod(anchor, grid.width // BLOCK_PX)
+    return by * BLOCK_PX, bx * BLOCK_PX
 
 
 def output_index(anchor_index: int, class_name: str) -> int:
@@ -193,8 +200,8 @@ def output_index(anchor_index: int, class_name: str) -> int:
 def build_toy_model(grid: GridMeta) -> ModelGraph:
     """Deterministic analytic detector for the given grid (no RNG involved)."""
     h, w = grid.height, grid.width
-    nby, nbx = _anchor_layout(grid)
-    n_out = nby * nbx * len(CLASSES)
+    nbx = w // BLOCK_PX
+    n_out = n_anchors(grid) * len(CLASSES)
 
     conv1_w = np.full((3, 3, 4, 4), 0.0, dtype=np.float32)
     for c in range(4):
@@ -210,7 +217,7 @@ def build_toy_model(grid: GridMeta) -> ModelGraph:
     head = np.zeros((h * w * 4, n_out), dtype=np.float32)
     ys, xs = np.divmod(np.arange(h * w), w)
     block_of_pixel = (ys // BLOCK_PX) * nbx + (xs // BLOCK_PX)  # (h*w,)
-    for a in range(nby * nbx):
+    for a in range(n_anchors(grid)):
         in_block = block_of_pixel == a
         for k in range(len(CLASSES)):
             col = a * len(CLASSES) + k
@@ -237,23 +244,6 @@ def build_toy_model(grid: GridMeta) -> ModelGraph:
     )
 
 
-def _block_bounds_m(grid: GridMeta, anchor: int):
-    nby, nbx = _anchor_layout(grid)
-    by, bx = divmod(anchor, nbx)
-    x0 = grid.origin_x + bx * BLOCK_PX * grid.pixel_size
-    y0 = grid.origin_y + by * BLOCK_PX * grid.pixel_size
-    side = BLOCK_PX * grid.pixel_size
-    return x0, y0, side
-
-
-def _block_pixel_mask(grid: GridMeta, anchor: int) -> np.ndarray:
-    nby, nbx = _anchor_layout(grid)
-    by, bx = divmod(anchor, nbx)
-    mask = np.zeros((grid.height, grid.width), dtype=bool)
-    mask[by * BLOCK_PX : (by + 1) * BLOCK_PX, bx * BLOCK_PX : (bx + 1) * BLOCK_PX] = True
-    return mask
-
-
 def _points_sigma(spec: SceneSpec) -> float:
     """Noise scale making corr(n_points, is_tp) hit the configured target.
 
@@ -273,8 +263,11 @@ _MAX_ATTEMPTS = 1000
 
 def _sample_box(rng, spec, anchor, label) -> Box3D:
     (dxr, dyr, dzr) = spec.size_ranges[label]
-    x0, y0, side = _block_bounds_m(spec.grid, anchor)
-    jitter = side / 2.0 - 0.8 * spec.grid.pixel_size
+    grid = spec.grid
+    row, col = _block(grid, anchor)
+    x0, y0 = grid.origin_x + col * grid.pixel_size, grid.origin_y + row * grid.pixel_size
+    side = BLOCK_PX * grid.pixel_size
+    jitter = side / 2.0 - 0.8 * grid.pixel_size
     return Box3D(
         cx=x0 + side / 2.0 + float(rng.uniform(-jitter, jitter)) * 0.5,
         cy=y0 + side / 2.0 + float(rng.uniform(-jitter, jitter)) * 0.5,
@@ -309,65 +302,45 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
     rng = np.random.default_rng(spec.rng_seed)
     if model is None:
         model = build_toy_model(grid)
-    total = n_anchors(grid)
+    slots = [(label, bool(rng.random() < spec.fp_rate))
+             for label in CLASSES for _ in range(int(spec.n_objects.get(label, 0)))]
+    anchors = rng.permutation(n_anchors(grid))[: len(slots)].tolist()
 
-    slots = []  # (label, is_fp)
-    for label in CLASSES:
-        for _ in range(int(spec.n_objects.get(label, 0))):
-            slots.append((label, bool(rng.random() < spec.fp_rate)))
-    if len(slots) > total:
-        raise PlacementFailure(f"{len(slots)} objects cannot fit {total} anchor blocks")
-
-    anchors = rng.permutation(total)[: len(slots)]
-
-    # phase 1: place all boxes (TPs first so FP overlap checks see every gt)
+    # phase 1: place every box, TPs first so FP overlap checks see every gt
     gts: List[GroundTruth] = []
     placed = []  # (label, is_fp, anchor, pred_box)
-    for (label, is_fp), anchor in zip(slots, anchors):
-        if is_fp:
-            continue
+    for (label, is_fp), anchor in sorted(zip(slots, anchors), key=lambda slot: slot[0][1]):
         thresh = DEFAULT_IOU_THRESH[label]
-        for attempt in range(_MAX_ATTEMPTS):
-            gt_box = _sample_box(rng, spec, int(anchor), label)
-            pred_box = _jitter_box(rng, gt_box)
-            if iou_3d(pred_box, gt_box) >= thresh:
+        for _ in range(_MAX_ATTEMPTS):
+            box = _sample_box(rng, spec, anchor, label)
+            pred_box = box if is_fp else _jitter_box(rng, box)
+            if (all(iou_3d(box, g.box) < thresh for g in gts) if is_fp
+                    else iou_3d(pred_box, box) >= thresh):
                 break
         else:
-            raise PlacementFailure(f"no TP jitter met IoU >= {thresh} in {_MAX_ATTEMPTS} tries")
-        placed.append((label, False, int(anchor), pred_box))
-        gts.append(GroundTruth(box=gt_box, label=label))
-    for (label, is_fp), anchor in zip(slots, anchors):
+            raise PlacementFailure(
+                f"no FP placement cleared every gt in {_MAX_ATTEMPTS} tries" if is_fp
+                else f"no TP jitter met IoU >= {thresh} in {_MAX_ATTEMPTS} tries")
         if not is_fp:
-            continue
-        thresh = DEFAULT_IOU_THRESH[label]
-        for attempt in range(_MAX_ATTEMPTS):
-            box = _sample_box(rng, spec, int(anchor), label)
-            if all(iou_3d(box, g.box) < thresh for g in gts):
-                break
-        else:
-            raise PlacementFailure(f"no FP placement cleared every gt in {_MAX_ATTEMPTS} tries")
-        placed.append((label, True, int(anchor), box))
+            gts.append(GroundTruth(box=box, label=label))
+        placed.append((label, is_fp, anchor, pred_box))
 
     # phase 2: plant signal; scatter must dodge every enlarged box footprint
     img = np.zeros((grid.height, grid.width, 4), dtype=np.float64)
     forbidden = np.zeros((grid.height, grid.width), dtype=bool)
-    for _, _, _, box in placed:
+    for box in [p[3] for p in placed] + [g.box for g in gts]:
         forbidden |= membership_mask(project_to_bev(enlarge(box, 0.2)), grid)
-    for g in gts:
-        forbidden |= membership_mask(project_to_bev(enlarge(g.box, 0.2)), grid)
 
-    channel = {c: i for i, c in enumerate(CLASSES)}
+    profile = spec.concentration_profile
     for label, is_fp, anchor, box in placed:
-        block = _block_pixel_mask(grid, anchor)
-        in_box = membership_mask(project_to_bev(box), grid) & block
-        in_pool = np.argwhere(in_box)
+        row, col = _block(grid, anchor)
+        block = np.s_[row : row + BLOCK_PX, col : col + BLOCK_PX]
+        in_pool = np.argwhere(membership_mask(project_to_bev(box), grid)[block]) + (row, col)
         if len(in_pool) == 0:
             raise PlacementFailure("box footprint left no pixels inside its anchor block")
-        frac = spec.concentration_profile.fp_inside if is_fp else spec.concentration_profile.tp_inside
-        n_total = len(in_pool)
-        n_in = int(round(frac * n_total))
-        n_out = n_total - n_in
-        out_pool = np.argwhere(block & ~forbidden)
+        n_in = int(round((profile.fp_inside if is_fp else profile.tp_inside) * len(in_pool)))
+        n_out = len(in_pool) - n_in
+        out_pool = np.argwhere(~forbidden[block]) + (row, col)
         if len(out_pool) < n_out:
             raise PlacementFailure(
                 f"anchor block too crowded: {n_out} scatter pixels needed, "
@@ -375,11 +348,12 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
             )
         chosen_in = in_pool[rng.choice(len(in_pool), size=n_in, replace=False)]
         chosen_out = out_pool[rng.choice(len(out_pool), size=n_out, replace=False)]
-        amp = SIGNAL_AMP[label] * (FP_AMPLITUDE if is_fp else 1.0)
-        for (yy, xx) in np.concatenate([chosen_in, chosen_out] if n_out else [chosen_in]):
-            s = amp * SIGNAL * float(rng.uniform(0.9, 1.1))
-            img[yy, xx, channel[label]] += s
-            img[yy, xx, 3] += INHIB_FRACTION * s
+        # the two pools are disjoint and drawn without replacement: one term per pixel
+        ys, xs = np.concatenate([chosen_in, chosen_out]).T
+        u = rng.uniform(0.9, 1.1, size=len(ys))
+        s = SIGNAL_AMP[label] * (FP_AMPLITUDE if is_fp else 1.0) * SIGNAL * u
+        img[ys, xs, CLASSES.index(label)] += s
+        img[ys, xs, 3] += INHIB_FRACTION * s
 
     # phase 3: score the frame with the model and assemble detections
     pseudo = img.astype(np.float32)
@@ -387,18 +361,10 @@ def generate_frame(spec: SceneSpec, model: Optional[ModelGraph] = None) -> Synth
     sigma_pts = _points_sigma(spec)
     preds: List[Detection] = []
     for label, is_fp, anchor, box in placed:
-        scores = {
-            c: float(outputs[output_index(anchor, c)]) for c in CLASSES
-        }
-        n_points = max(
-            1,
-            int(round(spec.points_base + (0 if is_fp else spec.points_delta)
-                      + rng.normal(0.0, sigma_pts))),
-        )
-        preds.append(
-            Detection(box=box, label=label, scores=scores,
-                      n_points=n_points, anchor_index=anchor)
-        )
+        scores = {c: float(outputs[output_index(anchor, c)]) for c in CLASSES}
+        points = spec.points_base + (0 if is_fp else spec.points_delta) + rng.normal(0.0, sigma_pts)
+        preds.append(Detection(box=box, label=label, scores=scores,
+                               n_points=max(1, int(round(points))), anchor_index=anchor))
     return SyntheticFrame(pseudo_image=pseudo, gts=gts, preds=preds, model=model)
 
 

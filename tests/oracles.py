@@ -396,6 +396,36 @@ def mann_whitney_auc(scores, labels):
     )
 
 
+def _midranks(x):
+    """1-based ranks of ``x``, each tie group taking the mean of the ranks it spans."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def delong(scores, labels):
+    """AUROCs of k score vectors sharing ``labels``, and their k x k DeLong covariance.
+
+    Sun and Xu's midrank form (IEEE SPL 21(11), 2014) of DeLong, DeLong and
+    Clarke-Pearson (Biometrics 44(3), 1988): each positive's placement value
+    is the share of negatives it outranks (ties count half), and each
+    negative's is the share of positives that outrank it. The covariance is
+    S10/m + S01/n, from the sample covariances of those placement values over
+    the m positives and the n negatives.
+    """
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    labels = np.asarray(labels, dtype=bool)
+    x, y = scores[:, labels], scores[:, ~labels]
+    m, n = x.shape[1], y.shape[1]
+    tx = np.array([_midranks(r) for r in x])
+    ty = np.array([_midranks(r) for r in y])
+    tz = np.array([_midranks(r) for r in np.hstack([x, y])])
+    aucs = tz[:, :m].sum(axis=1) / (m * n) - (m + 1) / (2.0 * n)
+    v10 = (tz[:, :m] - tx) / n
+    v01 = 1.0 - (tz[:, m:] - ty) / m
+    cov = np.atleast_2d(np.cov(v10)) / m + np.atleast_2d(np.cov(v01)) / n
+    return aucs, cov
+
+
 def ap_step_oracle(scores, labels):
     """Average precision by direct threshold sweep (scalar, definition-first)."""
     scores = [float(s) for s in scores]

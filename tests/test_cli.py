@@ -286,6 +286,14 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
         (lambda s: None, features_csv(b"0.9,0.5,0.5,0.5,inf,1,1,1,1,120,10.0,car,1",
                                       "train-meta"), 1,
          "features.csv: line 2: xc_c_minus: must be finite, got 'inf'"),
+        (lambda s: None, writes("spec.json", b'{"n_objects": {"car": 1000000000}}', SYNTH_SPEC),
+         1, "spec.json: n_objects: 1000000000 objects cannot fit 16 anchor blocks"),
+        (lambda s: None, writes("cfg.json", b'{"out": "run", "scene": {"n_objects": '
+                                b'{"car": 1000000000}}}', PIPELINE), 1,
+         "n_objects: 1000000000 objects cannot fit 16 anchor blocks"),
+        (write_model('{"input_shape": [1], "seed": 1, "layers": [{"kind": "dense", '
+                     '"in_features": 1, "out_features": 4000000000}]}'), attribute_argv, 1,
+         "model.json: layers.0 (dense) weight: 4000000000 elements exceed 268435456"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -305,7 +313,8 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "prediction-score-nan", "prediction-distance-infinity", "prediction-n-points-float",
          "prediction-score-string", "scene-spec-seed-float", "xcam-map-wrong-shape",
          "xcam-pseudo-wrong-shape", "xcam-pseudo-infinity", "features-nan-eval",
-         "features-infinity-train-meta"],
+         "features-infinity-train-meta", "scene-spec-too-many-objects",
+         "pipeline-scene-too-many-objects", "model-seeded-layer-too-large"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

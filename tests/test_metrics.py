@@ -211,6 +211,57 @@ class TestTieGrouping:
         assert tot.tolist() == want_tot
 
 
+def pairwise_delong(scores, labels):
+    """DeLong's AUCs and covariance from the full pos x neg comparison matrix, O(mn)."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    labels = np.asarray(labels, dtype=bool)
+    pos, neg = scores[:, labels, None], scores[:, None, ~labels]  # (k, m, 1), (k, 1, n)
+    psi = (pos > neg) + 0.5 * (pos == neg)
+    m, n = psi.shape[1:]
+    v10, v01 = psi.mean(axis=2), psi.mean(axis=1)
+    s10 = [[np.sum((a - a.mean()) * (b - b.mean())) / (m - 1) for b in v10] for a in v10]
+    s01 = [[np.sum((a - a.mean()) * (b - b.mean())) / (n - 1) for b in v01] for a in v01]
+    return psi.mean(axis=(1, 2)), np.array(s10) / m + np.array(s01) / n
+
+
+@st.composite
+def scored_labels(draw):
+    """(k x N scores, N labels) with k in 1..3, N in 4..40, at least 2 of each class."""
+    n = draw(st.integers(4, 40))
+    n_pos = draw(st.integers(2, n - 2))
+    labels = draw(st.permutations([True] * n_pos + [False] * (n - n_pos)))
+    k = draw(st.integers(1, 3))
+    scores = [draw(st.lists(TIED_SCORES, min_size=n, max_size=n)) for _ in range(k)]
+    return np.array(scores, dtype=np.float64), np.array(labels)
+
+
+class TestDelongOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(scored_labels())
+    def test_matches_pairwise_estimator(self, case):
+        scores, labels = case
+        aucs, cov = oracles.delong(scores, labels)
+        want_aucs, want_cov = pairwise_delong(scores, labels)
+        assert np.allclose(aucs, want_aucs, rtol=0, atol=1e-12)
+        assert np.allclose(cov, want_cov, rtol=0, atol=1e-12)
+        for row, got in zip(scores, aucs):
+            assert abs(got - auroc(row, labels)) <= 1e-12
+
+    def test_hand_case(self):
+        # placements: positives 0.8 -> 1, 0.6 -> 1/2; negatives 0.7 -> 1/2, 0.5 -> 1;
+        # each pair's sample variance is 1/8
+        aucs, cov = oracles.delong([0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0])
+        assert aucs.tolist() == [0.75]
+        assert cov.tolist() == [[0.125 / 2 + 0.125 / 2]]
+
+    def test_identical_scores_have_equal_auc_and_full_covariance(self):
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=50)
+        aucs, cov = oracles.delong([s, s], rng.random(50) < 0.5)
+        assert aucs[0] == aucs[1]
+        assert np.allclose(cov, cov[0, 0], rtol=0, atol=1e-15)
+
+
 @dataclass
 class Row:
     is_tp: bool

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,9 +145,57 @@ class TestGenerateFrame:
         assert not gray.any()
 
     def test_too_many_objects_fails(self):
-        spec = SceneSpec(n_objects={"car": n_anchors(SceneSpec().grid) + 1}, fp_rate=0.0)
-        with pytest.raises(PlacementFailure):
-            generate_frame(spec)
+        # rejected by the spec itself, before anything is drawn or allocated
+        with pytest.raises(PlacementFailure, match="n_objects"):
+            SceneSpec(n_objects={"car": n_anchors(SceneSpec().grid) + 1}, fp_rate=0.0)
+
+    # sha256 per frame over the pseudo image bytes and the repr of every
+    # prediction's and ground truth's fields, seeds 0-9: any change to the
+    # generator must keep every RNG draw, and its order, to keep stores stable
+    GOLDEN_FRAME_SHA256 = {
+        "default": [
+            "1374058c93f2e8ad24d9b140c21024b543f7c3feeb53f579eff486cdf1bc7aff",
+            "b33a5faaafd41b4b12e65d4451a4aa1e1b9ac000864f35638d12dadfaea07c01",
+            "6bfc810b4f6a0164b92554704227f51af8410e34deddf2da24e759e578261e6f",
+            "94113449c113e2f448057e9f6e0127511b08334348ce1ad49982722c82f59db1",
+            "11e23a8bb3cc3ec2ad0e729ff90981dfe6f03e72ef298d1154a3097b70bf97c6",
+            "3f83cd7ce063ceb8349416deb87fed83c4269cb9a95786f1a2e3144cc5b1ee37",
+            "f56f62454c54a2444a5eaae73737b00ffc7221017a5bebd9468d2948b8abf3fd",
+            "83134212d512123c07f2c64adb7ee3a1eaf1e99355697dbcdd44a74aa98bf250",
+            "b8da25244e9beba9f6c35e8c3878559c7193606e3020260b8ddecf73253e8573",
+            "49f1941b9b0d18ee8fcb83e133e1588bf4035c009110e23c6e7584dfcc65cf56",
+        ],
+        "hard": [
+            "bdb6103c2950574ce9fe089322aa26bdea306600cae7b8d2b52463bdb33a4cf7",
+            "9e8e4e94842d2cf440f5bb99c209fc5849de163936882fcae84b8106c7921d08",
+            "722223afcd971c65b6d712512e7b17f95dfa79f59225342b80dff87d42c8e88d",
+            "fda267015c49492abaf93f7a8398382b3f07881c8620009e7781c9bbdcb8e3f2",
+            "606cc79e64d159735ce4d9d928a8a32107ca3591173f078aa968f7278e39b5a3",
+            "9274c05ada86dee72048086f5210a9a036733990d59dac8a187c0d6e0303d844",
+            "d0996ddb34763edf0f61f98169284e355a426da6eb157a213eb5b81ffb7b797e",
+            "98b42884fd22c5cdf120c757dda0ba94167b98d28b97ee3c4d4b60fd28eff128",
+            "247b74225cdccb2a28d1d50028f371b5553df1faa5924cc9770dbf8e976ce868",
+            "0d0e29a93666d29d4bfb7d3b861c90f7995526a8c0b0da6f8550c278f732282c",
+        ],
+    }
+    PROFILES = {"default": {}, "hard": dict(
+        concentration_profile=ConcentrationProfile(0.6, 0.45), fp_rate=0.4)}
+
+    def test_frame_bytes_pinned(self):
+        for profile, kwargs in self.PROFILES.items():
+            got = []
+            for seed in range(10):
+                frame = generate_frame(SceneSpec(rng_seed=seed, **kwargs))
+                h = hashlib.sha256(frame.pseudo_image.tobytes())
+                for p in frame.preds:
+                    h.update(repr((p.box, p.label, p.scores, p.n_points, p.anchor_index)).encode())
+                for g in frame.gts:
+                    h.update(repr((g.box, g.label)).encode())
+                got.append(h.hexdigest())
+            assert got == self.GOLDEN_FRAME_SHA256[profile], profile
+        with pytest.raises(PlacementFailure) as e:
+            generate_benchmark(SceneSpec(rng_seed=11), 60)
+        assert str(e.value) == "anchor block too crowded: 34 scatter pixels needed, 29 free"
 
     def test_inhibition_channel_planted_with_signal(self):
         frame = generate_frame(SceneSpec(rng_seed=2))
