@@ -122,10 +122,8 @@ def aggregate_signed(map: AttributionMap):
     the other pixels call fsum, which keeps its NaN results and OverflowError.
     """
     v = np.asarray(map.values, dtype=np.float64)
-    if v.ndim == 2:
-        v = v[:, :, None]
     if v.ndim != 3:
-        raise ShapeMismatch(f"expected (H, W, C) or (H, W) values, got shape {v.shape}")
+        raise ShapeMismatch(f"expected (H, W, C) values, got shape {v.shape}")
     clipped = np.stack([np.maximum(v, 0.0), np.maximum(-v, 0.0)])
     s = clipped[..., 0]
     exact = np.ones(s.shape, dtype=bool)

@@ -31,8 +31,11 @@ def _as_f32(values, shape, what):
     if isinstance(values, dict):
         arr = _decode_f32(values, shape, what)
     else:
-        try:
-            arr = np.asarray(values, dtype=np.float32)
+        try:  # JSON numbers only: a string or a boolean is no parameter
+            arr = np.asarray(values)
+            if arr.dtype.kind not in "iuf":
+                raise TypeError(f"got {arr.dtype} values")
+            arr = arr.astype(np.float32, copy=False)
         except (TypeError, ValueError) as e:
             raise XckitError(f"{what}: parameters must be nested lists of numbers: {e}")
     if arr.shape != shape:

@@ -12,9 +12,9 @@ Frame store layout; every file the CLI writes appears whole or not at all:
 
 Exit codes: 0 success, 2 usage problems, 1 data problems (bad files, failed
 invariants). A JSON config given via --config overrides any flag of that
-subcommand; XCKIT_JOBS is the fallback for --jobs. Each handler checks its
-flags, then returns its reading and writing as a call. `pipeline` runs every
-stage's checks, on Namespaces built by _stage_args, before it writes anything.
+subcommand. Each handler checks its flags, then returns its reading and
+writing as a call. `pipeline` runs every stage's checks, on Namespaces built
+by _stage_args, before it writes anything.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -93,21 +93,6 @@ def _parse_iou_spec(text: str) -> Dict[str, float]:
     return out
 
 
-def _resolve_jobs(value: Optional[int]) -> int:
-    if value is None:
-        env = os.environ.get("XCKIT_JOBS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"XCKIT_JOBS must be an integer, got {env!r}")
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise UsageError("--jobs must be >= 1")
-    return value
-
-
 def _load_config(path) -> dict:
     cfg = load_json(path)
     if not isinstance(cfg, dict):
@@ -116,13 +101,8 @@ def _load_config(path) -> dict:
 
 
 def _typed(key: str, value, kind=str, choices=None):
-    """``value`` as argparse stores it for a flag of type ``kind``: a string is
-    converted, an int may stand for a float, anything else must have the type."""
-    if isinstance(value, str):
-        try:
-            value = kind(value)
-        except ValueError:
-            raise UsageError(f"{key}: invalid {kind.__name__} value {value!r}")
+    """``value``, which must have the JSON type of a flag of type ``kind``; an int
+    may stand for a float."""
     try:
         value = json_typed(value, kind)
     except TypeError as e:
@@ -229,7 +209,9 @@ def _cmd_synth(args):
 
 
 def _cmd_attribute(args):
-    jobs = _resolve_jobs(args.jobs)
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     if args.method != "backprop" and args.steps < 1:  # backprop takes no path steps
         raise ZeroSteps(f"steps must be >= 1, got {args.steps}")
 
@@ -367,7 +349,11 @@ def _cmd_pipeline(args):
             raise UsageError(f"pipeline config section {name!r} must be a JSON object")
         return dict(sec)
 
-    spec = scene_spec_from_dict(section("scene"))
+    try:
+        spec = scene_spec_from_dict(section("scene"))
+    except XckitError as e:
+        e.args = (f"{args.config}: {e}",)
+        raise
     n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
     store_dir = os.path.join(out_dir, "store")
     attribs_dir = os.path.join(out_dir, "attribs")
@@ -379,8 +365,6 @@ def _cmd_pipeline(args):
     enabled = tm.pop("enabled", True)
     if not isinstance(enabled, bool):
         raise UsageError(f"train_meta.enabled must be true or false, got {enabled!r}")
-    if isinstance(tm.get("subset"), list):
-        tm["subset"] = ",".join(map(str, tm["subset"]))
     stages = [
         _cmd_attribute(_stage_args("attribute", {
             "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),

@@ -113,17 +113,31 @@ class SceneSpec:
     def __post_init__(self):
         if not 0.0 <= self.fp_rate <= 1.0:
             raise XckitError(f"fp_rate must be in [0,1], got {self.fp_rate}")
-        if any(n < 0 for n in self.n_objects.values()):
-            raise XckitError("object counts must be >= 0")
         if not 0.0 < self.points_correlation < 1.0:
             raise XckitError("points_correlation must be in (0,1)")
+        if self.points_delta < 0:
+            raise XckitError(f"points_delta must be >= 0, got {self.points_delta}")
         if self.grid.height % BLOCK_PX or self.grid.width % BLOCK_PX:
             raise XckitError(f"grid dimensions must be multiples of {BLOCK_PX}")
         if self.rng_seed < 0:
             raise XckitError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
-        n, total = sum(int(self.n_objects.get(c, 0)) for c in CLASSES), n_anchors(self.grid)
-        if n > total:
-            raise PlacementFailure(f"n_objects: {n} objects cannot fit {total} anchor blocks")
+        for name in ("n_objects", "size_ranges"):
+            extra = sorted(set(getattr(self, name)) - set(CLASSES))
+            if extra:
+                raise XckitError(f"{name}: unknown class {extra[0]!r}, not one of {CLASSES}")
+        n = 0
+        for c in CLASSES:  # one pass, as it runs again for every frame's seed
+            count, ranges = self.n_objects.get(c, 0), self.size_ranges.get(c, ())
+            if count < 0:
+                raise XckitError("object counts must be >= 0")
+            if (count or ranges) and not (len(ranges) == 3 and all(
+                    len(r) == 2 and 0 < r[0] <= r[1] < math.inf for r in ranges)):
+                raise XckitError(f"size_ranges: {c!r} needs three (lo, hi) ranges with "
+                                 f"0 < lo <= hi, got {ranges!r}")
+            n += count
+        if n > n_anchors(self.grid):
+            raise PlacementFailure(
+                f"n_objects: {n} objects cannot fit {n_anchors(self.grid)} anchor blocks")
 
 
 _SCENE_FIELDS = {
@@ -146,8 +160,12 @@ _SCENE_FIELDS = {
 def scene_spec_from_dict(d: dict) -> SceneSpec:
     """SceneSpec from its dict form (``asdict``'s); absent fields keep their defaults.
 
-    A field value of the wrong type or shape raises XckitError naming the field.
+    An unknown field, or a field value of the wrong type or shape, raises
+    XckitError naming the field.
     """
+    unknown = sorted(set(d) - set(_SCENE_FIELDS))
+    if unknown:
+        raise XckitError(f"unknown scene spec field {unknown[0]!r}")
     kwargs = {}
     for key, convert in _SCENE_FIELDS.items():
         if key in d:

@@ -90,15 +90,11 @@ def xc_scores(map: AttributionMap, box: Box3D, grid: GridMeta, cfg: XcConfig = X
     The box is enlarged by ``cfg.margin_m`` before rasterizing membership;
     significance uses ``cfg.a_thresh`` on the per-pixel signed aggregates.
     """
-    values = np.asarray(map.values)
-    if values.ndim == 2:
-        hw = values.shape
-    elif values.ndim == 3:
-        hw = values.shape[:2]
-    else:
-        raise ShapeMismatch(f"attribution values must be (H, W[, C]), got {values.shape}")
-    if hw != (grid.height, grid.width):
-        raise ShapeMismatch(f"map {hw} does not cover the {grid.height}x{grid.width} grid")
+    shape = np.shape(map.values)
+    if len(shape) != 3:
+        raise ShapeMismatch(f"attribution values must be (H, W, C), got {shape}")
+    if shape[:2] != (grid.height, grid.width):
+        raise ShapeMismatch(f"map {shape[:2]} does not cover the {grid.height}x{grid.width} grid")
 
     pos, neg = aggregate_signed(map)
     member = membership_mask(project_to_bev(enlarge(box, cfg.margin_m)), grid)

@@ -433,11 +433,10 @@ class TestAggregateSigned:
         assert np.allclose(pos - neg, v.sum(axis=2))
         assert np.all(pos >= 0) and np.all(neg >= 0)
 
-    def test_two_dim_treated_as_single_channel(self):
+    def test_two_dim_rejected(self):
         v = np.array([[1.0, -1.0]])
-        pos, neg = aggregate_signed(attribution.AttributionMap(v, method="saliency"))
-        assert pos.shape == (1, 2)
-        assert pos[0, 0] == 1.0 and neg[0, 1] == 1.0
+        with pytest.raises(ShapeMismatch, match=r"expected \(H, W, C\) values, got shape \(1, 2\)"):
+            aggregate_signed(attribution.AttributionMap(v, method="saliency"))
 
     def test_bad_rank_rejected(self):
         with pytest.raises(ShapeMismatch):

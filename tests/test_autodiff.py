@@ -176,6 +176,14 @@ class TestValidation:
         with pytest.raises(XckitError):
             forward_array(tiny_linear(), f32([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("weight, bias", [([["3.5"], [1.0]], [0.0]), ([[0.0], [1.0]], [True])],
+                             ids=["string-weight", "boolean-bias"])
+    def test_parameters_must_be_json_numbers(self, weight, bias):
+        with pytest.raises(XckitError, match="parameters must be nested lists of numbers"):
+            build_model({"input_shape": [2], "layers": [
+                {"kind": "dense", "in_features": 2, "out_features": 1, "weight": weight,
+                 "bias": bias}]})
+
     def test_missing_params_without_seed(self):
         with pytest.raises(XckitError):
             build_model(

@@ -181,6 +181,16 @@ CSV_ROW_HEAD = b"0.9,0.5,0.5,0.5,0.5,1,1,1,1,120,10.0,"
 SYNTH_CONFIG = ["synth", "--out", "s", "--config", "cfg.json"]
 SYNTH_SPEC = ["synth", "--out", "s", "--frames", "1", "--spec", "spec.json"]
 PIPELINE = ["pipeline", "--config", "cfg.json"]
+ATTRIBUTE_CONFIG = ["attribute", "--frames", "store", "--out", "attribs", "--config", "cfg.json"]
+
+
+def scene_rows(fields, needle):
+    """Two rows for one bad scene spec, through ``synth --spec`` and through a pipeline's
+    ``scene`` section; each message names its file."""
+    return [(lambda s: None, writes("spec.json", b"{" + fields + b"}", SYNTH_SPEC), 1,
+             f"spec.json: {needle}"),
+            (lambda s: None, writes("cfg.json", b'{"out": "run", "scene": {' + fields + b"}}",
+                                    PIPELINE), 1, f"cfg.json: {needle}")]
 
 
 @pytest.mark.parametrize(
@@ -204,7 +214,7 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
         (lambda s: None, writes("spec.json", b"{bad", SYNTH_SPEC), 1, "spec.json"),
         (lambda s: None, writes("spec.json", b'{"n_objects": [1]}', SYNTH_SPEC), 1, "n_objects"),
         (lambda s: None, writes("cfg.json", b'{"out": "run", "scene": {"n_objects": [1]}}',
-                                PIPELINE), 1, "n_objects"),
+                                PIPELINE), 1, "cfg.json: bad scene spec field 'n_objects'"),
         (lambda s: set_pseudo_target(s, 5), attribute_argv, 1, "byte offset"),
         (lambda s: open(os.path.join(s, "model.json"), "w").write("{bad"), attribute_argv, 1,
          "model.json"),
@@ -290,10 +300,21 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          1, "spec.json: n_objects: 1000000000 objects cannot fit 16 anchor blocks"),
         (lambda s: None, writes("cfg.json", b'{"out": "run", "scene": {"n_objects": '
                                 b'{"car": 1000000000}}}', PIPELINE), 1,
-         "n_objects: 1000000000 objects cannot fit 16 anchor blocks"),
+         "cfg.json: n_objects: 1000000000 objects cannot fit 16 anchor blocks"),
         (write_model('{"input_shape": [1], "seed": 1, "layers": [{"kind": "dense", '
                      '"in_features": 1, "out_features": 4000000000}]}'), attribute_argv, 1,
          "model.json: layers.0 (dense) weight: 4000000000 elements exceed 268435456"),
+        *scene_rows(b'"rng_sed": 7', "unknown scene spec field 'rng_sed'"),
+        *scene_rows(b'"n_objects": {"truck": 3, "Car": 2}',
+                    "n_objects: unknown class 'Car', not one of ('car', 'pedestrian', "
+                    "'cyclist')"),
+        (lambda s: None, writes("spec.json", b'{"size_ranges": {"car": [[4.7, 3.9], '
+                                b'[1.6, 2.0], [1.4, 1.6]]}}', SYNTH_SPEC), 1,
+         "spec.json: size_ranges: 'car' needs three (lo, hi) ranges with 0 < lo <= hi"),
+        (write_model(encoded_weight([["3.5"], [1.0]])), attribute_argv, 1,
+         "model.json: layers.0 (dense) weight: parameters must be nested lists of numbers"),
+        (lambda s: None, writes("cfg.json", b'{"steps": "7"}', ATTRIBUTE_CONFIG), 2,
+         "steps must be of type int, got '7'"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -314,7 +335,10 @@ PIPELINE = ["pipeline", "--config", "cfg.json"]
          "prediction-score-string", "scene-spec-seed-float", "xcam-map-wrong-shape",
          "xcam-pseudo-wrong-shape", "xcam-pseudo-infinity", "features-nan-eval",
          "features-infinity-train-meta", "scene-spec-too-many-objects",
-         "pipeline-scene-too-many-objects", "model-seeded-layer-too-large"],
+         "pipeline-scene-too-many-objects", "model-seeded-layer-too-large",
+         "scene-spec-unknown-field", "pipeline-scene-unknown-field", "scene-spec-unknown-class",
+         "pipeline-scene-unknown-class", "scene-spec-size-range-reversed", "model-weight-string",
+         "config-value-string-for-int"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -440,16 +464,6 @@ class TestAttribute:
             written.append({name: open(os.path.join(out, name), "rb").read()
                             for name in sorted(os.listdir(out))})
         assert written[0] and written[0] == written[1]
-
-    def test_jobs_env_fallback_invalid(self, tmp_path, monkeypatch):
-        store = make_store(tmp_path, frames=1)
-        monkeypatch.setenv("XCKIT_JOBS", "many")
-        assert run(["attribute", "--frames", store, "--out", str(tmp_path / "o")]) == 2
-
-    def test_jobs_env_fallback_valid(self, tmp_path, monkeypatch):
-        store = make_store(tmp_path, frames=1)
-        monkeypatch.setenv("XCKIT_JOBS", "2")
-        assert run(["attribute", "--frames", store, "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_store_is_data_error(self, tmp_path):
         assert run(["attribute", "--frames", str(tmp_path / "nope"), "--out", "x"]) == 1
@@ -710,8 +724,11 @@ class TestPipeline:
         ({"attribute": {"method": "ig", "steps": 0}}, 1, "ZeroSteps: steps must be >= 1, got 0"),
         ({"attribute": {"jobs": 0}}, 2, "usage error: --jobs must be >= 1"),
         ({"eval": {"group_by": "bogus"}}, 2, "--group-by: unknown grouping keys: ['bogus']"),
-        ({"train_meta": {"subset": ["bogus"]}}, 2, "unknown meta features: ['bogus']"),
-    ], ids=["attribute-steps", "attribute-jobs", "eval-group-by", "train-meta-subset"])
+        ({"train_meta": {"subset": "bogus"}}, 2, "unknown meta features: ['bogus']"),
+        ({"train_meta": {"subset": ["top_score"]}}, 2,
+         "subset must be of type str, got ['top_score']"),
+    ], ids=["attribute-steps", "attribute-jobs", "eval-group-by", "train-meta-subset",
+            "train-meta-subset-list"])
     def test_stage_flags_checked_before_writing(self, tmp_path, section, code, needle):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, **section}))

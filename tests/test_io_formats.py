@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import struct
 import tempfile
 from dataclasses import asdict
@@ -33,6 +34,8 @@ from xckit.io_formats import (
 )
 from xckit.matching import Detection, GroundTruth
 from xckit.synth import (
+    CLASSES,
+    DEFAULT_SIZE_RANGES,
     SceneSpec,
     build_toy_model,
     generate_frame,
@@ -505,9 +508,31 @@ class TestSceneSpecJson:
         with pytest.raises(ParseError, match=f"scene.json: bad scene spec field '{field}'"):
             load_scene_spec(p)
 
+    @pytest.mark.parametrize("fields, needle", [
+        ({"size_ranges": {"car": DEFAULT_SIZE_RANGES["car"], "bus": [[1, 2]] * 3}},
+         "size_ranges: unknown class 'bus'"),
+        ({"size_ranges": {"car": DEFAULT_SIZE_RANGES["car"]}},
+         "size_ranges: 'pedestrian' needs three (lo, hi) ranges"),
+        ({"size_ranges": {**DEFAULT_SIZE_RANGES, "car": [[3.9], [1.6, 2.0], [1.4, 1.6]]}},
+         "size_ranges: 'car' needs three (lo, hi) ranges with 0 < lo <= hi"),
+        ({"size_ranges": {**DEFAULT_SIZE_RANGES, "cyclist": [[0, 2], [0.5, 0.7], [1.6, 1.8]]}},
+         "size_ranges: 'cyclist' needs three (lo, hi) ranges with 0 < lo <= hi"),
+        ({"size_ranges": {**DEFAULT_SIZE_RANGES, "car": [[3.9, 4.7], [1.6, 2.0]]}},
+         "size_ranges: 'car' needs three (lo, hi) ranges with 0 < lo <= hi"),
+        ({"points_delta": -1}, "points_delta must be >= 0, got -1"),
+    ], ids=["unknown-size-ranges-class", "size-ranges-missing-class", "range-one-number",
+            "range-zero-lo", "two-ranges", "points-delta-negative"])
+    def test_unusable_field_rejected(self, tmp_path, fields, needle):
+        # each would be ignored, or die in numpy's sampler, if it got through; the unknown
+        # field and n_objects class and the reversed range are rows of test_cli's table
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps(fields))
+        with pytest.raises(ParseError, match=re.escape(f"scene.json: {needle}")):
+            load_scene_spec(p)
+
     def test_int_stands_for_float(self):
         spec = scene_spec_from_dict({"fp_rate": 0,
-                                     "size_ranges": {"car": [[4, 5], [2, 2], [1, 2]]},
+                                     "size_ranges": {c: [[4, 5], [2, 2], [1, 2]] for c in CLASSES},
                                      "grid": {**asdict(SceneSpec().grid), "origin_x": -8},
                                      "concentration_profile": {"tp_inside": 1}})
         assert type(spec.fp_rate) is float and spec.size_ranges["car"][0] == (4.0, 5.0)

@@ -1,5 +1,6 @@
-"""Layering, read from the source: format code depends only on data types, and only
-``io_formats.atomic_write`` opens a file for writing.
+"""Layering, read from the source: format code depends only on data types, only
+``io_formats.atomic_write`` opens a file for writing, and no module reads the
+environment, so each input has one source.
 
 The modules are parsed with ``ast`` rather than imported, because importing
 any ``xckit`` submodule runs the package ``__init__``, which loads every module.
@@ -12,6 +13,7 @@ import xckit
 
 SRC = os.path.dirname(os.path.abspath(xckit.__file__))
 DATA_TYPE_MODULES = {"attribution", "autodiff", "errors", "geometry", "matching"}
+MODULES = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
 
 
 def parse(module):
@@ -64,6 +66,26 @@ def writing_opens(module):
 
 
 def test_only_atomic_write_opens_files_for_writing():
-    modules = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
-    found = {module: writing_opens(module) for module in modules}
+    found = {module: writing_opens(module) for module in MODULES}
     assert {m: names for m, names in found.items() if names} == {"io_formats": {"atomic_write"}}
+
+
+def environment_reads(module):
+    """Line numbers in ``module`` that name ``os.environ`` or ``os.getenv``, as an
+    attribute, a bare name or an import from ``os``."""
+    env = {"environ", "environb", "getenv", "getenvb"}
+    lines = []
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {alias.name for alias in node.names}
+        else:
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+        if names & env:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reads_the_environment():
+    # a flag's value comes from the command line or its config key, never from the environment
+    found = {module: environment_reads(module) for module in MODULES}
+    assert {m: lines for m, lines in found.items() if lines} == {}

@@ -50,7 +50,7 @@ def mkrow(is_tp, top=0.5, xsp=0.5, xcp=0.5, xsm=0.5, xcm=0.5, pts=50, label="car
 def hand_frame():
     grid = GridMeta(height=4, width=4, origin_x=0.0, origin_y=0.0, pixel_size=1.0)
     box = Box3D(cx=1.0, cy=1.0, cz=0.0, dx=2.0, dy=2.0, dz=1.0, yaw=0.0)
-    v = np.zeros((4, 4))
+    v = np.zeros((4, 4, 1))
     v[0, 0], v[0, 1], v[1, 0], v[1, 1] = 0.5, 0.3, 0.2, 0.05
     v[3, 3] = 0.4
     amap = AttributionMap(values=v, method="saliency")

@@ -21,10 +21,10 @@ def amap(values):
 
 
 def hand_scene():
-    """4x4 unit grid; 2x2 box over pixels (0..1, 0..1); one outside hot pixel."""
+    """4x4 unit grid, one channel; 2x2 box over pixels (0..1, 0..1); one outside hot pixel."""
     grid = GridMeta(height=4, width=4, origin_x=0.0, origin_y=0.0, pixel_size=1.0)
     box = Box3D(cx=1.0, cy=1.0, cz=0.0, dx=2.0, dy=2.0, dz=1.0, yaw=0.0)
-    v = np.zeros((4, 4))
+    v = np.zeros((4, 4, 1))
     v[0, 0], v[0, 1], v[1, 0], v[1, 1] = 0.5, 0.3, 0.2, 0.05
     v[3, 3] = 0.4
     return grid, box, v
@@ -78,7 +78,7 @@ class TestHandCase:
     def test_all_inside_gives_ones(self):
         grid = GridMeta(height=6, width=6, origin_x=0.0, origin_y=0.0, pixel_size=1.0)
         box = Box3D(cx=3.0, cy=3.0, cz=0.0, dx=4.0, dy=4.0, dz=1.0, yaw=0.0)
-        v = np.zeros((6, 6))
+        v = np.zeros((6, 6, 1))
         v[2, 2], v[3, 3] = 0.7, 0.2
         sc = xc_scores(amap(v), box, grid)
         assert sc.xc_s_plus == 1.0
@@ -86,7 +86,7 @@ class TestHandCase:
 
     def test_all_zero_map_every_ratio_undefined(self):
         grid, box, _ = hand_scene()
-        sc = xc_scores(amap(np.zeros((4, 4))), box, grid)
+        sc = xc_scores(amap(np.zeros((4, 4, 1))), box, grid)
         assert sc.xc_s_plus is None and sc.xc_c_plus is None
         assert sc.xc_s_minus is None and sc.xc_c_minus is None
         assert (sc.S_plus, sc.C_plus, sc.S_minus, sc.C_minus) == (0.0, 0, 0.0, 0)
@@ -95,15 +95,20 @@ class TestHandCase:
         # with a_thresh 0 every pixel is significant, so counting works
         # while the summing ratio stays undefined (S == 0)
         grid, box, _ = hand_scene()
-        sc = xc_scores(amap(np.zeros((4, 4))), box, grid, XcConfig(a_thresh=0.0, margin_m=0.2))
+        sc = xc_scores(amap(np.zeros((4, 4, 1))), box, grid, XcConfig(a_thresh=0.0, margin_m=0.2))
         assert sc.xc_s_plus is None
         assert sc.C_plus == 16
         assert sc.xc_c_plus == pytest.approx(sc.c_plus / 16)
 
     def test_shape_mismatch_rejected(self):
         grid, box, _ = hand_scene()
-        with pytest.raises(ShapeMismatch):
-            xc_scores(amap(np.zeros((5, 4))), box, grid)
+        with pytest.raises(ShapeMismatch, match="does not cover the 4x4 grid"):
+            xc_scores(amap(np.zeros((5, 4, 1))), box, grid)
+
+    def test_two_dim_map_rejected(self):
+        grid, box, v = hand_scene()
+        with pytest.raises(ShapeMismatch, match=r"must be \(H, W, C\), got \(4, 4\)"):
+            xc_scores(amap(v[:, :, 0]), box, grid)
 
     def test_bad_config_rejected(self):
         with pytest.raises(XckitError):
