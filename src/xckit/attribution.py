@@ -11,11 +11,10 @@ Three methods are provided:
 
 All three are one engine call: ``input_gradient_array`` takes the input, the
 baseline and the path's alphas, and returns every target's gradient summed
-over the straight path, from forward passes over chunks of its points that
-all targets share. This module picks the alphas (the midpoints, or the one
-point at the input) and divides by the step count, and integrated gradients
-multiplies by (x - b). Values are kept, and the path average accumulates, in
-float64 regardless of parameter storage.
+over the straight path. This module picks the alphas (the midpoints, or the
+one point at the input) and divides by the step count, and integrated
+gradients multiplies by (x - b). Values are kept, and the path average
+accumulates, in float64 regardless of parameter storage.
 """
 
 from __future__ import annotations

@@ -1,15 +1,13 @@
 """Forward pass and input gradient for small feed-forward grid models.
 
 Attribution needs one thing from a detector: the gradient of one output with
-respect to its input grid. This engine computes exactly that, for the layer
-set of the toy detectors: conv2d (stride 1, zero padding), relu, sigmoid and
-dense (which flattens its input). It computes no parameter gradients, and it
-skips backward work that cannot change the answer: dense multiplies only the
-non-zero columns of its output gradient, and two affine runs go once per target
-at batch 1, the one under the output's elementwise layers (the toy's dense head
-and 1x1 conv) on a unit seed, and the one at the model input on the gradient
-summed over all of a call's points: a straight path from a baseline to the
-input, run in chunks of ``CHUNK_BYTES``.
+respect to its input grid, summed along a straight path from a baseline. This
+engine computes exactly that, for the layer set of the toy detectors: conv2d
+(stride 1, zero padding), relu, sigmoid and dense (which flattens its input).
+It skips work that cannot change the answer: parameter gradients, a path's
+forwards through the affine runs at both ends of the model (see
+``input_gradient_array``), and the zero columns of a dense layer's output
+gradient.
 Parameters are stored as float32. A float64 input runs on float64 copies made
 once when the layer is built, so no call casts and ``--jobs`` threads share
 them read-only; any other input runs on the float32 arrays.
@@ -31,10 +29,14 @@ def _as_f32(values, shape, what):
     if isinstance(values, dict):
         arr = _decode_f32(values, shape, what)
     else:
-        try:  # JSON numbers only: a string or a boolean is no parameter
-            arr = np.asarray(values)
-            if arr.dtype.kind not in "iuf":
-                raise TypeError(f"got {arr.dtype} values")
+        try:  # numbers only: a string or a boolean is no parameter
+            if isinstance(values, np.ndarray):  # built in-process: its dtype says what it holds
+                arr, bad = values, {values.dtype.name} if values.dtype.kind not in "iuf" else ()
+            else:  # nested lists: one pass over the elements, which numpy would promote
+                arr = np.asarray(values, object)
+                bad = {type(v).__name__ for v in arr.flat} - {"int", "float"}
+            if bad:
+                raise TypeError(f"got {', '.join(sorted(bad))} values")
             arr = arr.astype(np.float32, copy=False)
         except (TypeError, ValueError) as e:
             raise XckitError(f"{what}: parameters must be nested lists of numbers: {e}")
@@ -93,12 +95,12 @@ class _Dense(_Affine):
             )
         return (self.weight.shape[1],)
 
-    def forward(self, x):
+    def forward(self, x, with_bias=True):
         # x: (B, ...) flattened to (B, n_in), so a dense head can follow a conv
-        b = x.shape[0]
-        flat = x.reshape(b, -1)
         w, bias = self._params(x.dtype)
-        y = flat @ w + bias
+        y = x.reshape(len(x), -1) @ w
+        if with_bias:
+            y += bias
         return y, x.shape
 
     def backward(self, g, in_shape):
@@ -124,7 +126,7 @@ class _Conv2d(_Affine):
             )
         return (in_shape[0], in_shape[1], self.weight.shape[3])
 
-    def forward(self, x):
+    def forward(self, x, with_bias=True):
         b, h, w_, cin = x.shape
         kh, kw, _, cout = self.weight.shape
         ph, pw = kh // 2, kw // 2
@@ -137,7 +139,8 @@ class _Conv2d(_Affine):
         for i in range(kh):
             for j in range(kw):
                 y += xp[:, i : i + h, j : j + w_, :] @ wk[i, j]
-        y += bias
+        if with_bias:
+            y += bias
         return y, x.shape
 
     def backward(self, g, in_shape):
@@ -188,10 +191,10 @@ class ModelGraph:
     def __init__(self, input_shape, layers):
         self.input_shape = tuple(int(d) for d in input_shape)
         self.layers = list(layers)
-        shape = self.input_shape
+        self.shapes = [self.input_shape]  # shapes[i] is layers[i]'s input, shapes[-1] the output
         for layer in self.layers:
-            shape = layer.out_shape(shape)
-        self.output_shape = tuple(shape)
+            self.shapes.append(tuple(layer.out_shape(self.shapes[-1])))
+        self.output_shape = self.shapes[-1]
         # the conv2d/dense run at the input, and the last affine run, layers[run:top],
         # under the elementwise output layers (empty when it is the leading run)
         affine = [isinstance(layer, _Affine) for layer in self.layers] + [False]
@@ -313,10 +316,10 @@ def _check_input(model, batch):
         raise XckitError("input contains non-finite values")
 
 
-def _forward(model, x):
-    """Run a (B, *input_shape) array through the graph, tracking caches."""
+def _forward(layers, x):
+    """Run a (B, ...) array through ``layers``, tracking caches."""
     caches = []
-    for layer in model.layers:
+    for layer in layers:
         x, cache = layer.forward(x)
         caches.append(cache)
     return x, caches
@@ -329,8 +332,21 @@ def forward_array(model: ModelGraph, arr: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(arr)[None]
     _check_input(model, x)
-    y, _ = _forward(model, x)
+    y, _ = _forward(model.layers, x)
     return y[0]
+
+
+def _tail_map(model, t, dtype, offset):
+    """Target t's unit map under the affine tail (one backward at batch 1) and, if
+    ``offset``, c: the tail's biases summed along it, so t's logit is h . u + c."""
+    (run, top), layers, shapes = model.affine_tail, model.layers, model.shapes
+    u, c = np.zeros((1, *shapes[top]), dtype=dtype), 0
+    u.reshape(-1)[t] = 1.0
+    for layer, in_shape in zip(reversed(layers[run:top]), reversed(shapes[run:top])):
+        if offset:
+            c += np.dot(u.reshape(-1, u.shape[-1]), layer._params(dtype)[1]).sum()
+        u, _ = layer.backward(u, (1, *in_shape))
+    return u, c
 
 
 # Path points per chunk: as many inputs as fit in this many bytes (5 float64
@@ -341,60 +357,81 @@ CHUNK_BYTES = 256 * 1024
 def input_gradient_array(model: ModelGraph, x, target, baseline=None, alphas=(1.0,)):
     """Exact reverse-mode gradient of output[target], summed along a straight path.
 
-    The points are b + alpha * (x - b), in x's dtype, for each of ``alphas``,
-    with b the ``baseline`` (zeros when None): by default, x alone. ``target``
-    is one output index or a sequence of them (possibly empty). A target's
-    result is its gradient summed over the points in ``alphas`` order, shaped
-    like x, with a leading target axis when ``target`` is a sequence.
+    The points are b + alpha * (x - b) for each of ``alphas``, with b the
+    ``baseline`` (zeros when None): by default, x alone. ``target`` is one
+    output index or a sequence of them (possibly empty). A target's result is
+    its gradient summed over the points, shaped like x, with a leading target
+    axis when ``target`` is a sequence.
 
-    Each chunk of points gets one forward pass, shared by every target. The
-    output's elementwise layers give every target's per-point scale in one
-    call. The affine run under them maps each target's unit seed once, at
-    batch 1, and backward goes on per chunk from that map times each point's
-    scale. The points are summed, in order, where the gradient reaches the
-    leading conv2d/dense layers, which then run once per target, at batch 1.
+    The leading affine run gives A + alpha * Q: A at b with its biases (at an
+    all-zero b, just the biases), Q on x - b without them; a one-point path is
+    taken at its point. Target t's logit is h . u_t + c_t, u_t the affine
+    tail's unit map (one backward at batch 1) and c_t the tail at zero: one
+    product per target, so no target's bits depend on the others. A lone point
+    runs on through the tail instead, so a backprop map has the plain forward's
+    bits. When only elementwise layers sit between the two runs (the toy's
+    relu), a path's points contract per target, sum_p S[p, t] D_p, before u_t
+    multiplies in; otherwise, and for one point, each target's seed goes back
+    through them point by point. The leading run's backward runs once per
+    target.
     """
     x = np.asarray(x)
     b = np.zeros_like(x) if baseline is None else np.asarray(baseline).astype(x.dtype)
     if b.shape != x.shape:
         raise ShapeMismatch(f"baseline shape {b.shape} != input shape {x.shape}")
-    alphas = np.asarray(alphas, dtype=x.dtype).reshape((-1,) + (1,) * x.ndim)
+    alphas = np.asarray(alphas, dtype=x.dtype).reshape(-1)
     if len(alphas) == 0:
         raise ShapeMismatch("the path has no points")
     targets = [int(t) for t in np.atleast_1d(target)]
     for t in targets:
         if not 0 <= t < model.n_outputs:
             raise TargetOutOfRange(f"target {t} outside [0, {model.n_outputs})")
+    layers, shapes = model.layers, model.shapes
     lead, (run, top) = model.n_leading_affine, model.affine_tail
     dx = x - b
+    if len(alphas) == 1:
+        b, dx, alphas = np.zeros_like(x), b + alphas[0] * dx, np.ones_like(alphas)
+    _check_input(model, dx[None])  # x - b is finite only if both x and b are
+    A, Q = b[None], dx[None]
+    for layer in layers[:lead]:  # at an all-zero input, the bias, as the forward gives it
+        A = layer.forward(A)[0] if A.any() else np.broadcast_to(
+            layer._params(Q.dtype)[1], (1, *layer.out_shape(A.shape[1:])))
+        Q, _ = layer.forward(Q, with_bias=False)
+    # only elementwise layers between the two affine runs, and points to contract
+    contract = len(alphas) > 1 and not any(isinstance(la, _Affine) for la in layers[lead:run])
     per_chunk = max(1, CHUNK_BYTES // max(1, x.nbytes))
-    units, sums = None, [0.0] * len(targets)  # from +0.0, so a lone -0.0 comes out +0.0
+    sums = [0.0] * len(targets)  # from +0.0, so a lone -0.0 comes out +0.0
     for s in range(0, len(alphas), per_chunk):
-        batch = b + alphas[s : s + per_chunk] * dx
-        _check_input(model, batch)
-        y, caches = _forward(model, batch)
-        if units is None:
-            units = []
-            for t in targets:
-                u = np.zeros((1,) + model.output_shape, dtype=y.dtype)
-                u.reshape(-1)[t] = 1.0
-                for layer, in_shape in zip(reversed(model.layers[run:top]),
-                                           reversed(caches[run:top])):
-                    u, _ = layer.backward(u, (1, *in_shape[1:]))
-                units.append(u)
-        scales = np.ones((len(batch), len(targets)), dtype=y.dtype)
-        for layer, cache in zip(reversed(model.layers[top:]), reversed(caches[top:])):
-            scales, _ = layer.backward(scales, cache.reshape(len(batch), -1)[:, targets])
-        for k, u in enumerate(units):
-            g = scales[:, k].reshape((-1,) + (1,) * (u.ndim - 1)) * u
-            for layer, cache in zip(reversed(model.layers[lead:run]), reversed(caches[lead:run])):
+        points = A + np.multiply.outer(alphas[s : s + per_chunk], Q[0])
+        # one point goes on through the tail, so its logits are the model's own bits;
+        # more take one product per target, so no target's bits depend on the others
+        y, caches = _forward(layers[lead : top if len(points) == 1 else run], points)
+        mid, flat = list(zip(layers[lead:run], caches)), y.reshape(len(y), -1)  # no tail caches
+        if s == 0:  # after the first forward, which for a lone point has read the head
+            tail = [_tail_map(model, t, y.dtype, len(alphas) > 1) for t in targets]
+        logits = flat[:, targets].T if len(y) == 1 else np.array(  # (targets, points)
+            [flat @ u.reshape(-1) + c for u, c in tail]).reshape(len(targets), len(y))
+        scales = np.ones_like(logits)
+        for layer in layers[top:]:  # elementwise, so forward mode gives each point's scale
+            logits, cache = layer.forward(logits)
+            scales, _ = layer.backward(scales, cache)
+        if contract:  # each point's D_p once, then one product per target
+            d = np.ones((len(y), *shapes[run]), dtype=y.dtype)
+            for layer, cache in reversed(mid):
+                d, _ = layer.backward(d, cache)
+            for k in range(len(targets)):
+                sums[k] += np.dot(scales[k], d.reshape(len(y), -1))
+            continue
+        for k, (u, _) in enumerate(tail):
+            g = scales[k].reshape((-1,) + (1,) * (u.ndim - 1)) * u
+            for layer, cache in reversed(mid):
                 g, _ = layer.backward(g, cache)
             for point in g:
                 sums[k] += point
-    grads = np.empty((len(targets),) + model.input_shape, dtype=y.dtype)
-    for k in range(len(targets)):
-        total = sums[k][None]
-        for layer, in_shape in zip(reversed(model.layers[:lead]), reversed(caches[:lead])):
-            total, _ = layer.backward(total, (1, *in_shape[1:]))
-        grads[k] = total[0]
-    return grads if np.ndim(target) else grads[0]
+    out = np.empty((len(targets),) + model.input_shape, dtype=Q.dtype)
+    for k, (u, _) in enumerate(tail):
+        g = sums[k].reshape(u.shape) * u + 0.0 if contract else sums[k][None]
+        for layer, in_shape in zip(reversed(layers[:lead]), reversed(shapes[:lead])):
+            g, _ = layer.backward(g, (1, *in_shape))
+        out[k] = g[0]
+    return out if np.ndim(target) else out[0]

@@ -80,10 +80,10 @@ class TruncatedPayload(XckitError):
 class ParseError(XckitError):
     """Malformed record in a text stream; carries the 1-based line number.
 
-    ``path``, when given, names the file in the message.
+    ``path``, when given, names the file in the message; a field fault has no line.
     """
 
     def __init__(self, line_no, message, path=None):
-        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
-        super().__init__(f"{where}: {message}")
+        where = [str(path)] * (path is not None) + [f"line {line_no}"] * (line_no is not None)
+        super().__init__(": ".join([*where, message]))
         self.line_no = line_no

@@ -184,11 +184,11 @@ def save_scene_spec(path, spec: SceneSpec) -> None:
 def load_scene_spec(path) -> SceneSpec:
     d = load_json(path)
     if not isinstance(d, dict):
-        raise ParseError(1, f"{path}: scene spec must be a JSON object")
+        raise ParseError(None, "scene spec must be a JSON object", path)
     try:
         return scene_spec_from_dict(d)
     except XckitError as e:
-        raise ParseError(1, f"{path}: {e}")
+        raise ParseError(None, str(e), path)
 
 
 @dataclass

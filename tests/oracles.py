@@ -96,7 +96,7 @@ def layerwise_input_gradient(model, x, target):
     The result is added to zeros, as the engine adds each point's gradient to
     zeros, so a -0.0 comes out +0.0.
     """
-    y, caches = autodiff._forward(model, np.asarray(x)[None])
+    y, caches = autodiff._forward(model.layers, np.asarray(x)[None])
     g = np.zeros_like(y)
     g.reshape(-1)[target] = 1.0
     for layer, cache in zip(reversed(model.layers), reversed(caches)):

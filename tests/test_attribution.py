@@ -15,7 +15,7 @@ from xckit.attribution import (
     modified_integrated_gradients,
 )
 from xckit.autodiff import build_model, forward_array, input_gradient_array
-from xckit.errors import ShapeMismatch, ZeroSteps
+from xckit.errors import ShapeMismatch, XckitError, ZeroSteps
 from xckit.synth import SceneSpec, frame_attributions, generate_benchmark, output_index
 
 import oracles
@@ -205,6 +205,30 @@ def test_no_output_indices_give_no_maps():
     assert modified_integrated_gradients(m, x, [], steps=7, target=[]) == []
 
 
+def non_finite_cases(x):
+    """(input, baseline) pairs the engine must reject: a NaN in x, an inf in the
+    baseline, and finite x and baseline whose difference overflows."""
+    nan_x, inf_b, big_x, big_b = x.copy(), np.zeros_like(x), x.copy(), np.zeros_like(x)
+    nan_x.flat[3], inf_b.flat[5], big_x.flat[7], big_b.flat[7] = np.nan, np.inf, 1e308, -1e308
+    return [(nan_x, None), (x, inf_b), (big_x, big_b)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # in x - b, which is then rejected
+@pytest.mark.parametrize("model_name", ["toy", "convnet"])
+def test_non_finite_input_rejected(model_name):
+    if model_name == "toy":
+        fr = generate_benchmark(SceneSpec(rng_seed=12345), 1)[0][0]
+        m, x, idx = fr.model, fr.pseudo_image.astype(np.float64), [0, 5]
+    else:
+        m, x, idx = convnet(12), np.random.default_rng(19).normal(size=(8, 8, 2)), [0, 2]
+    for xi, b in non_finite_cases(x):
+        with pytest.raises(XckitError, match="^input contains non-finite values$"):
+            integrated_gradients(m, xi, idx, steps=7, baseline=b)
+        if b is None:
+            with pytest.raises(XckitError, match="^input contains non-finite values$"):
+                backprop_saliency(m, xi, idx)
+
+
 class TestSaliency:
     def test_matches_engine_gradient(self):
         m = convnet(12)
@@ -236,10 +260,17 @@ class TestBatchedPath:
         return [output_index(p.anchor_index, p.label) for p in frame.preds]
 
     def test_backprop_bitwise_on_all_benchmark_frames(self, frames):
+        # each target's map has the same bits whichever targets share its call;
+        # IG at 13 steps ends in a partial chunk
         for fr in frames:
             x = fr.pseudo_image.astype(np.float64)
             for idx, m in zip(self.indices(fr), frame_attributions(fr)):
                 assert m.values.tobytes() == input_gradient_array(fr.model, x, idx).tobytes()
+            for method in (integrated_gradients, modified_integrated_gradients):
+                together = method(fr.model, x, self.indices(fr), steps=13)
+                for idx, m in zip(self.indices(fr), together):
+                    alone = method(fr.model, x, idx, steps=13)
+                    assert m.values.tobytes() == alone.values.tobytes()
 
     @pytest.mark.parametrize("steps", [32, 13])
     def test_ig_and_nomult_match_per_step_loop(self, frames, steps):
@@ -252,6 +283,17 @@ class TestBatchedPath:
             for i, a, b in zip(idx, ig, mig):
                 avg = oracles.per_step_path_gradient(fr.model, x, None, i, steps)
                 assert max_rel_error(a.values, avg * x) <= 1e-12
+                assert max_rel_error(b.values, avg) <= 1e-12
+        # a nonzero baseline: the leading conv's output at it is not its bias
+        base = 0.5 * np.roll(frames[0].pseudo_image.astype(np.float64), 7, axis=1)
+        for fr in frames[:5]:
+            x = fr.pseudo_image.astype(np.float64)
+            idx = self.indices(fr)
+            ig = integrated_gradients(fr.model, x, idx, steps=steps, baseline=base)
+            mig = modified_integrated_gradients(fr.model, x, idx, steps=steps, baseline=base)
+            for i, a, b in zip(idx, ig, mig):
+                avg = oracles.per_step_path_gradient(fr.model, x, base, i, steps)
+                assert max_rel_error(a.values, avg * (x - base)) <= 1e-12
                 assert max_rel_error(b.values, avg) <= 1e-12
 
     @pytest.mark.parametrize("chunk_bytes", [1, autodiff.CHUNK_BYTES],
@@ -301,6 +343,33 @@ class TestBatchedPath:
             counts[steps] = len(calls)
             assert set(calls) == {1}
         assert 0 < counts[8] == counts[32] <= len(fr.preds)
+
+    def test_leading_conv_forward_runs_at_most_twice_per_call(self, frames, monkeypatch):
+        # the path's points share the leading conv's output at the baseline (A) and on
+        # x - b (Q); a zero baseline's A is the conv's bias, so only Q runs. On chunks
+        # of several points the dense head gives each target's logit as one product
+        # and never runs forward; backprop's lone point runs through it once.
+        fr = frames[0]
+        conv, head = fr.model.layers[0], fr.model.layers[3]
+        assert (conv.kind, head.kind) == ("conv2d", "dense")
+        calls = {}
+        for layer in (conv, head):
+            def counted(*args, forward=layer.forward, kind=layer.kind, **kw):
+                calls[kind] += 1
+                return forward(*args, **kw)
+            monkeypatch.setattr(layer, "forward", counted)
+        x = fr.pseudo_image.astype(np.float64)
+        base = np.full_like(x, 0.25)
+        for steps in (8, 32):
+            calls.update(conv2d=0, dense=0)
+            frame_attributions(fr, "ig", steps)
+            assert calls == {"conv2d": 1, "dense": 0}
+            calls.update(conv2d=0)
+            integrated_gradients(fr.model, x, self.indices(fr), steps=steps, baseline=base)
+            assert calls == {"conv2d": 2, "dense": 0}
+        calls.update(conv2d=0)
+        frame_attributions(fr, "backprop")
+        assert calls == {"conv2d": 1, "dense": 1}
 
     def test_tail_backward_runs_once_per_target_at_batch_one(self, frames, monkeypatch):
         # the toy's 1x1 conv and dense head map each target's unit seed once per

@@ -332,6 +332,15 @@ POINT_SUM_MODELS = {
         {"kind": "dense", "in_features": 5, "out_features": 4},
         {"kind": "sigmoid"},
     ]),
+    # a dense layer between the relus: each target's seed goes back through them
+    "dense-first-deep": (1, [
+        {"kind": "dense", "in_features": H * W * C, "out_features": 5},
+        {"kind": "relu"},
+        {"kind": "dense", "in_features": 5, "out_features": 6},
+        {"kind": "relu"},
+        {"kind": "dense", "in_features": 6, "out_features": 4},
+        {"kind": "sigmoid"},
+    ]),
 }
 
 

@@ -315,6 +315,10 @@ def scene_rows(fields, needle):
          "model.json: layers.0 (dense) weight: parameters must be nested lists of numbers"),
         (lambda s: None, writes("cfg.json", b'{"steps": "7"}', ATTRIBUTE_CONFIG), 2,
          "steps must be of type int, got '7'"),
+        (lambda s: None, lambda s: writes("m.json", encoded_weight([[True], [1.0]]).encode(),
+                                          attribute_argv(s) + ["--model", "m.json"])(s), 1,
+         "m.json: layers.0 (dense) weight: parameters must be nested lists of numbers: "
+         "got bool values"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -338,7 +342,7 @@ def scene_rows(fields, needle):
          "pipeline-scene-too-many-objects", "model-seeded-layer-too-large",
          "scene-spec-unknown-field", "pipeline-scene-unknown-field", "scene-spec-unknown-class",
          "pipeline-scene-unknown-class", "scene-spec-size-range-reversed", "model-weight-string",
-         "config-value-string-for-int"],
+         "config-value-string-for-int", "model-flag-weight-mixes-booleans"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -348,6 +352,8 @@ def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert needle in proc.stderr
+    if needle.startswith(("spec.json: ", "cfg.json: ")):  # a field of one object, on no line
+        assert "line 1" not in proc.stderr
 
 
 @pytest.mark.parametrize("dy, code", [(1e200, 1), (1e-100, 0)], ids=["area-overflow", "thin"])
