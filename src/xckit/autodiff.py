@@ -87,14 +87,6 @@ class _Affine:
 class _Dense(_Affine):
     kind = "dense"
 
-    def out_shape(self, in_shape):
-        n_in = int(np.prod(in_shape))
-        if n_in != self.weight.shape[0]:
-            raise ShapeMismatch(
-                f"dense expects {self.weight.shape[0]} input features, got {in_shape}"
-            )
-        return (self.weight.shape[1],)
-
     def forward(self, x, with_bias=True):
         # x: (B, ...) flattened to (B, n_in), so a dense head can follow a conv
         w, bias = self._params(x.dtype)
@@ -118,13 +110,6 @@ class _Conv2d(_Affine):
     def __init__(self, weight, bias):
         # contiguous W[i, j].T for backward, whose matmuls are faster on it
         super().__init__(weight, bias, np.ascontiguousarray(weight.transpose(0, 1, 3, 2)))
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 3 or in_shape[2] != self.weight.shape[2]:
-            raise ShapeMismatch(
-                f"conv2d expects (H, W, {self.weight.shape[2]}) input, got {in_shape}"
-            )
-        return (in_shape[0], in_shape[1], self.weight.shape[3])
 
     def forward(self, x, with_bias=True):
         b, h, w_, cin = x.shape
@@ -159,9 +144,6 @@ class _Conv2d(_Affine):
 class _ReLU:
     kind = "relu"
 
-    def out_shape(self, in_shape):
-        return in_shape
-
     def forward(self, x):
         # the cache is the mask; subgradient 0 at the kink
         return np.maximum(x, 0), x > 0
@@ -173,9 +155,6 @@ class _ReLU:
 class _Sigmoid:
     kind = "sigmoid"
 
-    def out_shape(self, in_shape):
-        return in_shape
-
     def forward(self, x):
         with np.errstate(over="ignore"):  # exp(-x) = inf gives the right y, 0.0
             y = 1.0 / (1.0 + np.exp(-x))
@@ -186,15 +165,13 @@ class _Sigmoid:
 
 
 class ModelGraph:
-    """An immutable feed-forward layer chain."""
+    """An immutable feed-forward layer chain. ``shapes[i]`` is ``layers[i]``'s input shape
+    and ``shapes[-1]`` the output's, as ``build_model`` computed them from the spec."""
 
-    def __init__(self, input_shape, layers):
-        self.input_shape = tuple(int(d) for d in input_shape)
-        self.layers = list(layers)
-        self.shapes = [self.input_shape]  # shapes[i] is layers[i]'s input, shapes[-1] the output
-        for layer in self.layers:
-            self.shapes.append(tuple(layer.out_shape(self.shapes[-1])))
-        self.output_shape = self.shapes[-1]
+    def __init__(self, layers, shapes):
+        self.layers, self.shapes = list(layers), list(shapes)
+        self.input_shape, self.output_shape = self.shapes[0], self.shapes[-1]
+        self.n_outputs = math.prod(self.output_shape)
         # the conv2d/dense run at the input, and the last affine run, layers[run:top],
         # under the elementwise output layers (empty when it is the leading run)
         affine = [isinstance(layer, _Affine) for layer in self.layers] + [False]
@@ -204,21 +181,21 @@ class ModelGraph:
             run -= 1
         self.affine_tail = (run, top)
 
-    @property
-    def n_outputs(self):
-        return int(np.prod(self.output_shape))
-
 
 def _init_array(rng, shape, fan_in):
     bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-MAX_PARAM_ELEMENTS = 2**28  # per parameter array: 3 GiB with the float64 draw it is cast from
-_LAYER_FIELDS = {
+# Per model. At the bound a model keeps 1 GiB of float32 parameters and 2 GiB of
+# float64 copies; a conv2d weight keeps a transposed copy of each besides.
+MAX_PARAM_ELEMENTS = 2**28
+_LAYER_FIELDS = {  # each kind's fields, in the order model_to_spec writes them
     "dense": ("in_features", "out_features"),
     "conv2d": ("in_channels", "out_channels", "kernel"),
+    "relu": (), "sigmoid": (),
 }
+_LAYER_CLASSES = {cls.kind: cls for cls in (_Dense, _Conv2d, _ReLU, _Sigmoid)}
 
 
 def build_model(spec: dict) -> ModelGraph:
@@ -230,6 +207,10 @@ def build_model(spec: dict) -> ModelGraph:
     +1/sqrt(fan_in)) draws in layer order. An array is given as nested lists
     or as ``{"shape": [...], "f32le": "<base64>"}``, the encoding
     ``model_to_spec`` writes.
+
+    The whole spec is checked before any array is decoded or drawn: its fields,
+    its chain of shapes (dense takes the flattened input, conv2d (H, W,
+    ``in_channels``)) and its parameter count, at most ``MAX_PARAM_ELEMENTS``.
     """
     if not (isinstance(spec, dict)
             and all(isinstance(spec.get(k), (list, tuple)) for k in ("input_shape", "layers"))):
@@ -237,54 +218,59 @@ def build_model(spec: dict) -> ModelGraph:
     seed = spec.get("seed")
     if seed is not None and (type(seed) is not int or seed < 0):
         raise XckitError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed) if seed is not None else None
-
-    def param(entry, key, shape, fan_in, tag):
-        if math.prod(shape) > MAX_PARAM_ELEMENTS:
-            raise XckitError(f"{tag} {key}: {math.prod(shape)} elements exceed {MAX_PARAM_ELEMENTS}")
-        if key in entry:
-            return _as_f32(entry[key], shape, f"{tag} {key}")
-        if rng is None:
-            raise XckitError(f"{tag}: no inline parameters and no init seed given")
-        return _init_array(rng, shape, fan_in)
 
     def size(value, what):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise XckitError(f"{what} must be a positive integer, got {value!r}")
         return int(value)
 
-    layers = []
+    shapes = [tuple(size(d, "input_shape entry") for d in spec["input_shape"])]
+    plan, total = [], 0  # per layer: class, entry, tag, fan-in and parameter shapes
     for idx, entry in enumerate(spec["layers"]):
         if not isinstance(entry, dict):
             raise XckitError(f"layers.{idx}: entry must be an object, got {entry!r}")
-        kind = entry.get("kind")
+        kind, in_shape = entry.get("kind"), shapes[-1]
+        if not (isinstance(kind, str) and kind in _LAYER_FIELDS):  # a list kind is unhashable
+            raise UnknownLayerKind(f"layers.{idx}: unknown kind {kind!r}")
         tag = f"layers.{idx} ({kind})"
-        missing = [k for k in _LAYER_FIELDS.get(kind, ()) if k not in entry]
+        missing = [k for k in _LAYER_FIELDS[kind] if k not in entry]
         if missing:
             raise XckitError(f"{tag}: missing field {missing[0]!r}")
+        params, fan_in, out_shape = {}, 0, in_shape
         if kind == "dense":
-            n_in = size(entry["in_features"], f"{tag}: in_features")
-            n_out = size(entry["out_features"], f"{tag}: out_features")
-            layers.append(_Dense(param(entry, "weight", (n_in, n_out), n_in, tag),
-                                 param(entry, "bias", (n_out,), n_in, tag)))
+            n_in, n_out = (size(entry[k], f"{tag}: {k}") for k in _LAYER_FIELDS[kind])
+            if math.prod(in_shape) != n_in:
+                raise ShapeMismatch(f"dense expects {n_in} input features, got {in_shape}")
+            params, fan_in, out_shape = {"weight": (n_in, n_out), "bias": (n_out,)}, n_in, (n_out,)
         elif kind == "conv2d":
-            cin = size(entry["in_channels"], f"{tag}: in_channels")
-            cout = size(entry["out_channels"], f"{tag}: out_channels")
+            cin, cout = (size(entry[k], f"{tag}: {k}") for k in _LAYER_FIELDS[kind][:2])
             kernel = entry["kernel"]
             if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
                 raise XckitError(f"{tag}: kernel must be a [height, width] list, got {kernel!r}")
             kh, kw = (size(k, f"{tag}: kernel") for k in kernel)
-            fan_in = kh * kw * cin
-            layers.append(_Conv2d(param(entry, "weight", (kh, kw, cin, cout), fan_in, tag),
-                                  param(entry, "bias", (cout,), fan_in, tag)))
-        elif kind == "relu":
-            layers.append(_ReLU())
-        elif kind == "sigmoid":
-            layers.append(_Sigmoid())
-        else:
-            raise UnknownLayerKind(f"layers.{idx}: unknown kind {kind!r}")
+            if len(in_shape) != 3 or in_shape[2] != cin:
+                raise ShapeMismatch(f"conv2d expects (H, W, {cin}) input, got {in_shape}")
+            params = {"weight": (kh, kw, cin, cout), "bias": (cout,)}
+            fan_in, out_shape = kh * kw * cin, (*in_shape[:2], cout)
+        for key, shape in params.items():  # the model's count up to and with this array
+            total += math.prod(shape)
+            if total > MAX_PARAM_ELEMENTS:
+                raise XckitError(f"{tag} {key}: {total} elements exceed {MAX_PARAM_ELEMENTS}")
+        plan.append((_LAYER_CLASSES[kind], entry, tag, fan_in, params))
+        shapes.append(out_shape)
 
-    return ModelGraph([size(d, "input_shape entry") for d in spec["input_shape"]], layers)
+    rng = np.random.default_rng(seed) if seed is not None else None
+
+    def param(entry, key, shape, fan_in, tag):
+        if key in entry:
+            return _as_f32(entry[key], shape, f"{tag} {key}")
+        if rng is None:
+            raise XckitError(f"{tag}: no inline parameters and no init seed given")
+        return _init_array(rng, shape, fan_in)
+
+    layers = [cls(*(param(entry, key, shape, fan_in, tag) for key, shape in params.items()))
+              for cls, entry, tag, fan_in, params in plan]
+    return ModelGraph(layers, shapes)
 
 
 def model_to_spec(model: ModelGraph) -> dict:
@@ -296,12 +282,9 @@ def model_to_spec(model: ModelGraph) -> dict:
     layers = []
     for layer in model.layers:
         entry = {"kind": layer.kind}
-        if layer.kind == "dense":
-            entry["in_features"], entry["out_features"] = (int(d) for d in layer.weight.shape)
-        elif layer.kind == "conv2d":
-            kh, kw, cin, cout = (int(d) for d in layer.weight.shape)
-            entry.update(in_channels=cin, out_channels=cout, kernel=[kh, kw])
-        if layer.kind in ("dense", "conv2d"):
+        if isinstance(layer, _Affine):  # the weight is ([kh, kw,] in, out)
+            *kernel, n_in, n_out = (int(d) for d in layer.weight.shape)
+            entry.update(zip(_LAYER_FIELDS[layer.kind], (n_in, n_out, kernel)))
             entry.update(weight=_encode_f32(layer.weight), bias=_encode_f32(layer.bias))
         layers.append(entry)
     return {"input_shape": list(model.input_shape), "layers": layers}
@@ -393,9 +376,9 @@ def input_gradient_array(model: ModelGraph, x, target, baseline=None, alphas=(1.
         b, dx, alphas = np.zeros_like(x), b + alphas[0] * dx, np.ones_like(alphas)
     _check_input(model, dx[None])  # x - b is finite only if both x and b are
     A, Q = b[None], dx[None]
-    for layer in layers[:lead]:  # at an all-zero input, the bias, as the forward gives it
+    for layer, out_shape in zip(layers[:lead], shapes[1:]):  # at an all-zero input, the bias
         A = layer.forward(A)[0] if A.any() else np.broadcast_to(
-            layer._params(Q.dtype)[1], (1, *layer.out_shape(A.shape[1:])))
+            layer._params(Q.dtype)[1], (1, *out_shape))
         Q, _ = layer.forward(Q, with_bias=False)
     # only elementwise layers between the two affine runs, and points to contract
     contract = len(alphas) > 1 and not any(isinstance(la, _Affine) for la in layers[lead:run])

@@ -30,7 +30,7 @@ from typing import Dict
 import numpy as np
 
 from .attribution import AttributionMap
-from .errors import ParseError, XckitError, ZeroSteps
+from .errors import ParseError, ShapeMismatch, TargetOutOfRange, XckitError, ZeroSteps
 from .io_formats import (
     atomic_write,
     json_typed,
@@ -65,6 +65,7 @@ from .synth import (
     frame_attributions,
     generate_benchmark,
     load_scene_spec,
+    output_index,
     save_scene_spec,
     scene_spec_from_dict,
 )
@@ -217,16 +218,22 @@ def _cmd_attribute(args):
 
     def run():
         spec, fids, store = read_frame_store(args.frames)
-        model = load_model(args.model or os.path.join(args.frames, "model.json"))
+        path = args.model or os.path.join(args.frames, "model.json")
+        model, shape = load_model(path), (spec.grid.height, spec.grid.width, 4)
+        if model.input_shape != shape:
+            raise ShapeMismatch(f"{path}: model input {model.input_shape} != frame shape {shape}")
+        for fid in fids:  # every prediction's output, before anything is written
+            for pred in store[fid][1]:
+                if pred.anchor_index is None:
+                    raise XckitError(f"{path}: frame {fid}: prediction lacks anchor_index; "
+                                     "cannot pick its output")
+                if not 0 <= (t := output_index(pred.anchor_index, pred.label)) < model.n_outputs:
+                    raise TargetOutOfRange(f"{path}: frame {fid}: {pred.label} output {t} "
+                                           f"outside the model's [0, {model.n_outputs})")
         os.makedirs(args.out, exist_ok=True)
 
         def one_frame(fid):
             pseudo, preds, gts = store[fid]
-            for pred in preds:
-                if pred.anchor_index is None:
-                    raise XckitError(
-                        f"frame {fid}: prediction lacks anchor_index; cannot pick its output"
-                    )
             frame = SyntheticFrame(pseudo_image=pseudo, gts=gts, preds=preds, model=model)
             return frame_attributions(frame, method=args.method, steps=args.steps)
 

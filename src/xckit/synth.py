@@ -218,31 +218,24 @@ def output_index(anchor_index: int, class_name: str) -> int:
 def build_toy_model(grid: GridMeta) -> ModelGraph:
     """Deterministic analytic detector for the given grid (no RNG involved)."""
     h, w = grid.height, grid.width
-    nbx = w // BLOCK_PX
     n_out = n_anchors(grid) * len(CLASSES)
 
-    conv1_w = np.full((3, 3, 4, 4), 0.0, dtype=np.float32)
-    for c in range(4):
-        conv1_w[:, :, c, c] = CONV_OFFCENTER
-        conv1_w[1, 1, c, c] = 1.0
+    conv1_w = np.broadcast_to(np.eye(4) * CONV_OFFCENTER, (3, 3, 4, 4)).astype(np.float32)
+    conv1_w[1, 1] = np.eye(4)
     conv1_b = np.array([-GATE_BIAS] * 3 + [-GATE_BIAS_INHIB], dtype=np.float32)
-
-    conv2_w = np.zeros((1, 1, 4, 4), dtype=np.float32)
-    for c in range(4):
-        conv2_w[0, 0, c, c] = 1.0
+    conv2_w = np.eye(4, dtype=np.float32).reshape(1, 1, 4, 4)
     conv2_b = np.zeros(4, dtype=np.float32)
 
-    head = np.zeros((h * w * 4, n_out), dtype=np.float32)
+    # (pixel, channel, anchor, class): class k reads its own channel k and the
+    # inhibition channel 3, with the in-block weight inside anchor a's block
     ys, xs = np.divmod(np.arange(h * w), w)
-    block_of_pixel = (ys // BLOCK_PX) * nbx + (xs // BLOCK_PX)  # (h*w,)
-    for a in range(n_anchors(grid)):
-        in_block = block_of_pixel == a
-        for k in range(len(CLASSES)):
-            col = a * len(CLASSES) + k
-            wk = np.where(in_block, W_IN, W_CTX)
-            w3 = np.where(in_block, -W_INHIB_IN, -W_INHIB_CTX)
-            head[k::4, col] = wk
-            head[3::4, col] = w3
+    block_of_pixel = (ys // BLOCK_PX) * (w // BLOCK_PX) + (xs // BLOCK_PX)  # (h*w,)
+    in_block = block_of_pixel[:, None] == np.arange(n_anchors(grid))  # (h*w, anchors)
+    head = np.zeros((h * w, 4, n_anchors(grid), len(CLASSES)), dtype=np.float32)
+    k = np.arange(len(CLASSES))
+    head[:, k, :, k] = np.where(in_block, W_IN, W_CTX)
+    head[:, 3] = np.where(in_block, -W_INHIB_IN, -W_INHIB_CTX)[..., None]
+    head = head.reshape(h * w * 4, n_out)
     head_b = np.full(n_out, HEAD_BIAS, dtype=np.float32)
 
     return build_model(

@@ -9,8 +9,11 @@ process, so an uncaught error fails the test with its traceback.
 """
 
 import contextlib
+import functools
 import glob
 import io
+import json
+import operator
 
 import numpy as np
 import pytest
@@ -181,11 +184,42 @@ def damaged_lines(draw, raw):
     return b"\n".join(lines)
 
 
-def fuzz_case(name, argv):
-    """Hypothesis test: damage ``name`` under the run directory, then run ``argv``."""
-    damage = damaged_bytes if name.endswith(".xcam") else damaged_lines
+# a number swapped in for another; none builds a large model or a long conv loop
+NUMBERS = [0, -1, 1, 2.5, True, 2**40]
+ONE_OF_EACH_TYPE = [None, False, 3, "x", [], {}]
 
-    @FUZZ
+
+def json_nodes(value, path=()):
+    """(path, value) for every value below ``value``."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from json_nodes(child, path + (key,))
+
+
+@st.composite
+def damaged_json(draw, raw):
+    """``raw`` JSON with one value deleted, given another JSON type, or, if a number,
+    replaced from ``NUMBERS``."""
+    doc = json.loads(raw)
+    (*head, key), value = draw(st.sampled_from(list(json_nodes(doc))))
+    parent = functools.reduce(operator.getitem, head, doc)
+    number = type(value) in (int, float)
+    kind = draw(st.sampled_from(["delete", "type", "number"][: 3 if number else 2]))
+    if kind == "delete":
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from(NUMBERS if kind == "number" else
+                                           [v for v in ONE_OF_EACH_TYPE if type(v) is not type(value)]))
+    return json.dumps(doc).encode()
+
+
+def fuzz_case(name, argv, damage=None, examples=FUZZ.max_examples):
+    """Hypothesis test: damage ``name`` under the run directory, then run ``argv``."""
+    damage = damage or (damaged_bytes if name.endswith(".xcam") else damaged_lines)
+
+    @settings(FUZZ, max_examples=examples)
     @given(data=st.data())
     def check(run_dir, data):
         path = run_dir / name
@@ -208,3 +242,7 @@ test_fuzz_features_eval = fuzz_case(
     "features.csv", ["eval", "--features", "{d}/features.csv"])
 test_fuzz_features_train_meta = fuzz_case(
     "features.csv", ["train-meta", "--features", "{d}/features.csv"])
+test_fuzz_model = fuzz_case(
+    "store/model.json",
+    ["attribute", "--frames", "{d}/store", "--model", "{d}/store/model.json",
+     "--out", "{d}/attribs-model", "--jobs", "1"], damaged_json, examples=60)

@@ -193,6 +193,45 @@ class TestValidation:
                 }
             )
 
+    @pytest.mark.parametrize("kind", [["relu"], {"relu": 1}, None, 5], ids=repr)
+    def test_kind_of_any_json_type_is_unknown(self, kind):
+        with pytest.raises(UnknownLayerKind, match="layers.0: unknown kind"):
+            build_model({"input_shape": [2], "layers": [{"kind": kind}]})
+
+
+def count_arrays(monkeypatch):
+    """The names of the array builders build_model calls, in call order."""
+    calls = []
+    for name in ("_init_array", "_as_f32"):
+        real = getattr(autodiff, name)
+        monkeypatch.setattr(autodiff, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    return calls
+
+
+class TestSpecCheckedWhole:
+    """build_model checks every entry's fields, the chain and the parameter budget
+    before it decodes or draws a single array."""
+
+    def test_chain_fault_before_any_draw(self, monkeypatch):
+        calls = count_arrays(monkeypatch)
+        inline = dict(dense(2, 3), weight=np.ones((2, 3)).tolist(), bias=[0.0] * 3)
+        with pytest.raises(ShapeMismatch, match=r"dense expects 4 input features, got \(3,\)"):
+            build_model({"input_shape": [2], "seed": 0, "layers": [inline, dense(4, 1)]})
+        assert calls == []
+
+    def test_budget_is_per_model(self, monkeypatch):
+        calls = count_arrays(monkeypatch)
+        monkeypatch.setattr(autodiff, "MAX_PARAM_ELEMENTS", 100)
+        # the arrays hold 48, 8, 40 and 5 elements, each under the bound; the
+        # last one brings the model to 101
+        with pytest.raises(XckitError, match=r"^layers\.2 \(dense\) bias: 101 elements exceed 100$"):
+            build_model({"input_shape": [6], "seed": 0,
+                         "layers": [dense(6, 8), RELU, dense(8, 5)]})
+        assert calls == []
+        m = build_model({"input_shape": [6], "seed": 0, "layers": [dense(6, 8), RELU, dense(8, 4)]})
+        assert calls == ["_init_array"] * 4 and m.shapes == [(6,), (8,), (8,), (4,)]
+
 
 class TestInputGradient:
     def test_linear_gradient_is_input_independent(self):

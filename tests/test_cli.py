@@ -155,6 +155,12 @@ def encoded_weight(weight):
         {"kind": "dense", "in_features": 2, "out_features": 1, "weight": weight, "bias": [0.0]}]})
 
 
+def model_flag(spec):
+    """``attribute --model m.json``, with ``spec`` written to m.json."""
+    return lambda s: writes("m.json", json.dumps(spec).encode(),
+                            attribute_argv(s) + ["--model", "m.json"])(s)
+
+
 def f32le(*words):
     """base64 of little-endian uint32 words, i.e. of float32 bit patterns."""
     return base64.b64encode(struct.pack(f"<{len(words)}I", *words)).decode()
@@ -319,6 +325,12 @@ def scene_rows(fields, needle):
                                           attribute_argv(s) + ["--model", "m.json"])(s), 1,
          "m.json: layers.0 (dense) weight: parameters must be nested lists of numbers: "
          "got bool values"),
+        (lambda s: None, model_flag({"input_shape": [40, 40, 4], "seed": 0, "layers": [
+            {"kind": "dense", "in_features": 6400, "out_features": 4}]}), 1,
+         "TargetOutOfRange: m.json: frame 000000: car output 6 outside the model's [0, 4)"),
+        (lambda s: None, model_flag({"input_shape": [20, 40, 4], "seed": 0, "layers": [
+            {"kind": "dense", "in_features": 3200, "out_features": 48}]}), 1,
+         "ShapeMismatch: m.json: model input (20, 40, 4) != frame shape (40, 40, 4)"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -342,16 +354,20 @@ def scene_rows(fields, needle):
          "pipeline-scene-too-many-objects", "model-seeded-layer-too-large",
          "scene-spec-unknown-field", "pipeline-scene-unknown-field", "scene-spec-unknown-class",
          "pipeline-scene-unknown-class", "scene-spec-size-range-reversed", "model-weight-string",
-         "config-value-string-for-int", "model-flag-weight-mixes-booleans"],
+         "config-value-string-for-int", "model-flag-weight-mixes-booleans",
+         "model-flag-too-few-outputs", "model-flag-other-input-shape"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
     mutate(store)
     monkeypatch.chdir(tmp_path)
-    proc = run_subprocess(argv(store), cwd=tmp_path)
+    args = argv(store)
+    proc = run_subprocess(args, cwd=tmp_path)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert needle in proc.stderr
+    if args[0] == "attribute":  # every input is checked before --out is made
+        assert not (tmp_path / "attribs").exists()
     if needle.startswith(("spec.json: ", "cfg.json: ")):  # a field of one object, on no line
         assert "line 1" not in proc.stderr
 

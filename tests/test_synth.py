@@ -1,4 +1,6 @@
 import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,6 +223,17 @@ class TestToyModel:
         model = build_toy_model(grid)
         y = forward_array(model, np.zeros((grid.height, grid.width, 4), np.float32))
         assert (y < 0.5).all()
+
+    # sha256 of json.dumps(model_to_spec(build_toy_model(grid))), model.json's bytes,
+    # recorded from the per-anchor, per-class loop that built the head before
+    @pytest.mark.parametrize("height, width, digest", [
+        (40, 40, "f2452450798ebab3cb578dc8900394cd2cfcf63978b0374a0d9bd29300b4afbc"),
+        (80, 60, "bf5f9ce4656f67587a3c6041a992ce3b9a400245fb177783464c02c39148f1c2"),
+    ], ids=["40x40", "80x60"])
+    def test_model_bytes_pinned(self, height, width, digest):
+        grid = replace(SceneSpec().grid, height=height, width=width)
+        spec = json.dumps(model_to_spec(build_toy_model(grid)))
+        assert hashlib.sha256(spec.encode()).hexdigest() == digest
 
 
 class TestAttributionConcentration:
