@@ -54,7 +54,7 @@ def _encode_f32(arr) -> dict:
 
 
 def _decode_f32(obj, shape, what):
-    if obj.get("shape") != list(shape):
+    if obj.get("shape") != list(shape) or any(type(d) is not int for d in obj["shape"]):
         raise ShapeMismatch(f"{what}: expected shape {list(shape)}, got {obj.get('shape')!r}")
     data = obj.get("f32le")
     if not isinstance(data, str):
@@ -354,9 +354,9 @@ def input_gradient_array(model: ModelGraph, x, target, baseline=None, alphas=(1.
     runs on through the tail instead, so a backprop map has the plain forward's
     bits. When only elementwise layers sit between the two runs (the toy's
     relu), a path's points contract per target, sum_p S[p, t] D_p, before u_t
-    multiplies in; otherwise, and for one point, each target's seed goes back
-    through them point by point. The leading run's backward runs once per
-    target.
+    multiplies in, one dot product per chunk (so its bits depend on CHUNK_BYTES);
+    otherwise, and for one point, each target's seed goes back through them
+    point by point. The leading run's backward runs once per target.
     """
     x = np.asarray(x)
     b = np.zeros_like(x) if baseline is None else np.asarray(baseline).astype(x.dtype)

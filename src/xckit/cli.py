@@ -11,10 +11,10 @@ Frame store layout; every file the CLI writes appears whole or not at all:
       frames/<id>.xcam   pseudo image per frame (XCAM container)
 
 Exit codes: 0 success, 2 usage problems, 1 data problems (bad files, failed
-invariants). A JSON config given via --config overrides any flag of that
-subcommand. Each handler checks its flags, then returns its reading and
-writing as a call. `pipeline` runs every stage's checks, on Namespaces built
-by _stage_args, before it writes anything.
+invariants). A subcommand takes its flags from its command line only; `pipeline`
+takes every stage's from one JSON config, --config. Each handler checks its
+flags, then returns its reading and writing as a call. `pipeline` runs every
+stage's checks, on Namespaces built by _stage_args, before it writes anything.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .io_formats import (
     json_typed,
     load_json,
     load_model,
+    naming,
     read_detections,
     read_feature_csv,
     read_ground_truths,
@@ -72,6 +73,7 @@ from .synth import (
 from .xc import XcConfig
 
 EVAL_FEATURES = (*DEFAULT_FEATURES, "n_points", "random")
+MAX_STEPS, MAX_FRAMES = 2**16, 2**16  # far past any run, far below running out of memory
 
 
 DEFAULT_IOU_SPEC = ",".join(f"{label}={t}" for label, t in DEFAULT_IOU_THRESH.items())
@@ -113,14 +115,12 @@ def _typed(key: str, value, kind=str, choices=None):
     return value
 
 
-def _stage_args(command: str, values: dict, args=None) -> argparse.Namespace:
-    """``args`` (by default the subcommand's flag defaults) with ``values`` on top,
-    each checked against its flag's ``type`` and ``choices`` (None only where
-    None is the default). Config files and `pipeline` both come through here."""
+def _stage_args(command: str, values: dict) -> argparse.Namespace:
+    """The subcommand's flag defaults with a pipeline section's ``values`` on top, each
+    checked against its flag's ``type`` and ``choices`` (None only where None is the default)."""
     stage = build_parser().stages[command]
     flags = {a.dest: a for a in stage._actions if a.dest != "help"}
-    if args is None:
-        args = argparse.Namespace(**{dest: a.default for dest, a in flags.items()})
+    args = argparse.Namespace(**{dest: a.default for dest, a in flags.items()})
     for key, value in values.items():
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
@@ -195,11 +195,15 @@ def _emit(text: str, out) -> None:
 
 
 def _cmd_synth(args):
+    if not 1 <= args.frames <= MAX_FRAMES:
+        raise UsageError(f"--frames must be in [1, {MAX_FRAMES}], got {args.frames}")
+
     def run():
         spec = load_scene_spec(args.spec) if args.spec else SceneSpec()
         if args.seed is not None:
             spec = replace(spec, rng_seed=args.seed)
-        frames, manifest = generate_benchmark(spec, args.frames)
+        with naming(args.spec or "built-in scene spec"):  # a spec can pass its checks, then fail
+            frames, manifest = generate_benchmark(spec, args.frames)
         write_frame_store(args.out, spec, frames, manifest)
         print(
             f"wrote {len(frames)} frames, "
@@ -215,6 +219,8 @@ def _cmd_attribute(args):
         raise UsageError("--jobs must be >= 1")
     if args.method != "backprop" and args.steps < 1:  # backprop takes no path steps
         raise ZeroSteps(f"steps must be >= 1, got {args.steps}")
+    if args.method != "backprop" and args.steps > MAX_STEPS:
+        raise UsageError(f"--steps must be <= {MAX_STEPS}, got {args.steps}")
 
     def run():
         spec, fids, store = read_frame_store(args.frames)
@@ -321,11 +327,8 @@ def _cmd_train_meta(args):
 
     def run():
         rows = read_feature_csv(args.features)
-        try:
+        with naming(args.features):  # too few rows or one class only: a fault of the file
             report = cross_validate(rows, feature_subset=subset, rng_seed=args.seed)
-        except XckitError as e:  # too few rows or one class only: a fault of the file
-            e.args = (f"{args.features}: {e}",)
-            raise
         _emit("\n".join([
             f"features: {report.feature}",
             f"rows: {len(rows)} ({report.n_pos} tp / {report.n_neg} fp)",
@@ -356,45 +359,49 @@ def _cmd_pipeline(args):
             raise UsageError(f"pipeline config section {name!r} must be a JSON object")
         return dict(sec)
 
-    try:
+    with naming(args.config):
         spec = scene_spec_from_dict(section("scene"))
-    except XckitError as e:
-        e.args = (f"{args.config}: {e}",)
-        raise
     n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
+    if not 1 <= n_frames <= MAX_FRAMES:
+        raise UsageError(f"n_frames must be in [1, {MAX_FRAMES}], got {n_frames}")
     store_dir = os.path.join(out_dir, "store")
     attribs_dir = os.path.join(out_dir, "attribs")
     features_csv = os.path.join(out_dir, "features.csv")
     xc_args = _stage_args("xc", {
         "a_thresh": BENCHMARK_A_THRESH, **section("xc"),
         "frames": store_dir, "attribs": attribs_dir, "out": features_csv})
+    for label, n in spec.n_objects.items():  # xc and match tag every class the scene places
+        if n and label not in _parse_iou_spec(xc_args.iou):
+            raise UsageError(f"xc.iou has no threshold for class {label!r}")
     tm = section("train_meta")
     enabled = tm.pop("enabled", True)
     if not isinstance(enabled, bool):
         raise UsageError(f"train_meta.enabled must be true or false, got {enabled!r}")
-    stages = [
-        _cmd_attribute(_stage_args("attribute", {
-            "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),
-        _cmd_xc(xc_args),
-        _cmd_match(_stage_args("match", {
-            "score_thresh": xc_args.score_thresh, "iou": xc_args.iou,
-            "preds": os.path.join(store_dir, "preds.jsonl"),
-            "gts": os.path.join(store_dir, "gts.jsonl"),
-            "out": os.path.join(out_dir, "tags.jsonl")})),
-        _cmd_eval(_stage_args("eval", {
-            **section("eval"), "features": features_csv,
-            "out": os.path.join(out_dir, "table.txt")})),
-    ]
-    if enabled:
-        stages.append(_cmd_train_meta(_stage_args("train-meta", {
-            **tm, "features": features_csv, "out": os.path.join(out_dir, "meta_report.txt")})))
+    with naming(args.config, after=True):  # a stage's error reads as on its command line
+        stages = [
+            _cmd_attribute(_stage_args("attribute", {
+                "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),
+            _cmd_xc(xc_args),
+            _cmd_match(_stage_args("match", {
+                "score_thresh": xc_args.score_thresh, "iou": xc_args.iou,
+                "preds": os.path.join(store_dir, "preds.jsonl"),
+                "gts": os.path.join(store_dir, "gts.jsonl"),
+                "out": os.path.join(out_dir, "tags.jsonl")})),
+            _cmd_eval(_stage_args("eval", {
+                **section("eval"), "features": features_csv,
+                "out": os.path.join(out_dir, "table.txt")})),
+        ]
+        if enabled:
+            stages.append(_cmd_train_meta(_stage_args("train-meta", {
+                **tm, "features": features_csv, "out": os.path.join(out_dir, "meta_report.txt")})))
 
     def run():
-        frames, manifest = generate_benchmark(spec, n_frames)
-        os.makedirs(out_dir, exist_ok=True)
-        write_frame_store(store_dir, spec, frames, manifest)
-        for stage in stages:
-            stage()
+        with naming(args.config, after=True):
+            frames, manifest = generate_benchmark(spec, n_frames)
+            os.makedirs(out_dir, exist_ok=True)
+            write_frame_store(store_dir, spec, frames, manifest)
+            for stage in stages:
+                stage()
         print(f"pipeline complete -> {out_dir}")
     return run
 
@@ -458,9 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_meta)
 
     p = sub.add_parser("pipeline", help="run every stage from one config")
+    p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_pipeline)
-    for name, p in sub.choices.items():
-        p.add_argument("--config", required=name == "pipeline")
 
     parser.stages = sub.choices  # subcommand name -> its parser, for _stage_args
     return parser
@@ -470,8 +476,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "pipeline" and args.config:
-            args = _stage_args(args.command, _load_config(args.config), args)
         args.func(args)()
         return 0
     except UsageError as e:

@@ -58,6 +58,16 @@ def atomic_write(path, mode="w", **open_kwargs):
         raise
 
 
+@contextmanager
+def naming(path, after=False):
+    """Name ``path`` in an XckitError raised in the block, before its message or ``after``."""
+    try:
+        yield
+    except XckitError as e:
+        e.args = (f"{e} (in {path})" if after else f"{path}: {e}",)
+        raise
+
+
 def write_xcam(path, map: AttributionMap) -> None:
     values = np.asarray(map.values)
     if values.ndim != 3:
@@ -349,8 +359,5 @@ def save_model(path, model: ModelGraph) -> None:
 
 def load_model(path) -> ModelGraph:
     spec = load_json(path)
-    try:
+    with naming(path):
         return build_model(spec)
-    except XckitError as e:
-        e.args = (f"{path}: {e}",)  # same error class, now naming the file
-        raise

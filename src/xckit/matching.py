@@ -73,12 +73,9 @@ class MatchOutcome:
     tags: List[str]
     matched_gt: List[Optional[int]]
 
-    def indices(self, tag: str) -> List[int]:
-        return [i for i, t in enumerate(self.tags) if t == tag]
-
 
 def categorize(
-    preds: List[Detection], gts: List[GroundTruth], cfg: MatchConfig = None
+    preds: List[Detection], gts: List[GroundTruth], cfg: MatchConfig = MatchConfig()
 ) -> MatchOutcome:
     """Tag every prediction against the frame's ground truth.
 
@@ -86,8 +83,6 @@ def categorize(
     truth must both clear the class threshold and carry the same label. An
     exact IoU tie resolves to the lower ground-truth index.
     """
-    if cfg is None:
-        cfg = MatchConfig()
     tags: List[str] = []
     matched: List[Optional[int]] = []
     for pred in preds:

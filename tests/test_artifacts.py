@@ -44,12 +44,19 @@ def feature_rows(n=10):
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    """A one-frame store, its backprop maps and a feature CSV, written once."""
+    """A one-frame store, its backprop maps, a feature CSV, the default scene spec and a
+    two-frame pipeline config that sets a value of every stage, written once."""
     d = tmp_path_factory.mktemp("artifacts")
     store = str(d / "store")
     assert main(["synth", "--out", store, "--frames", "1", "--seed", "42"]) == 0
     assert main(["attribute", "--frames", store, "--out", str(d / "attribs"), "--jobs", "1"]) == 0
     write_feature_csv(d / "features.csv", feature_rows())
+    save_scene_spec(d / "scene.json", SceneSpec())
+    (d / "pipeline.json").write_text(json.dumps({
+        "out": str(d / "pipe"), "n_frames": 2, "scene": {"rng_seed": 3},
+        "attribute": {"method": "ig", "steps": 2},
+        "xc": {"score_thresh": 0.1, "margin": 0.2, "iou": "car=0.5,pedestrian=0.25,cyclist=0.25"},
+        "eval": {"seed": 0, "group_by": "class"}, "train_meta": {"enabled": False, "seed": 0}}))
     return d
 
 
@@ -246,3 +253,8 @@ test_fuzz_model = fuzz_case(
     "store/model.json",
     ["attribute", "--frames", "{d}/store", "--model", "{d}/store/model.json",
      "--out", "{d}/attribs-model", "--jobs", "1"], damaged_json, examples=60)
+test_fuzz_scene_spec = fuzz_case(
+    "scene.json", ["synth", "--spec", "{d}/scene.json", "--frames", "1", "--out", "{d}/synth-out"],
+    damaged_json, examples=100)
+test_fuzz_pipeline_config = fuzz_case(
+    "pipeline.json", ["pipeline", "--config", "{d}/pipeline.json"], damaged_json, examples=60)

@@ -1,5 +1,7 @@
 """Engine tests: forward shapes and values, exact input gradients, spec round-trips."""
 
+import base64
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from xckit import autodiff
 from xckit.autodiff import build_model, forward_array, input_gradient_array, model_to_spec
 from xckit.errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitError
+from xckit.synth import SceneSpec, frame_attributions, generate_benchmark
 
 import oracles
 
@@ -193,6 +196,16 @@ class TestValidation:
                 }
             )
 
+    @pytest.mark.parametrize("shape", [[2, True], [2.0, 1]], ids=["boolean", "float"])
+    def test_encoded_shape_takes_json_integers_only(self, shape):
+        # true and 2.0 compare equal to 1 and 2, yet neither is a size
+        weight = {"shape": shape, "f32le": base64.b64encode(bytes(8)).decode()}
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"layers.0 (dense) weight: expected shape [2, 1], got {shape!r}")):
+            build_model({"input_shape": [2], "layers": [
+                {"kind": "dense", "in_features": 2, "out_features": 1, "weight": weight,
+                 "bias": [0.0]}]})
+
     @pytest.mark.parametrize("kind", [["relu"], {"relu": 1}, None, 5], ids=repr)
     def test_kind_of_any_json_type_is_unknown(self, kind):
         with pytest.raises(UnknownLayerKind, match="layers.0: unknown kind"):
@@ -308,15 +321,27 @@ class TestInputGradient:
 
     def test_sum_does_not_depend_on_chunking(self, monkeypatch):
         # one sum over every point in alphas order, however the points are chunked
+        default = autodiff.CHUNK_BYTES
         m = seeded_convnet(9)
         rng = np.random.default_rng(5)
         x, b = rng.normal(size=(2, 8, 8, 2))
         alphas = rng.uniform(-1, 2, size=7)  # past both ends of the path
         sums = []
-        for chunk_bytes in (1, 3 * x.nbytes, autodiff.CHUNK_BYTES):
+        for chunk_bytes in (1, 3 * x.nbytes, default):
             monkeypatch.setattr(autodiff, "CHUNK_BYTES", chunk_bytes)
             sums.append(input_gradient_array(m, x, [0, 2], b, alphas).tobytes())
         assert sums[0] == sums[1] == sums[2]
+        # the toy contracts its points, one dot product per chunk, so the grouping moves
+        # its float64 rounding, but by under 1e-12 of the map and by no float32 bit
+        frames, _ = generate_benchmark(SceneSpec(rng_seed=5), 3)
+        per_chunking = []
+        for chunk_bytes in (1, 3 * 8 * frames[0].pseudo_image.size, default, 2**40):
+            monkeypatch.setattr(autodiff, "CHUNK_BYTES", chunk_bytes)
+            per_chunking.append([m.values for f in frames for m in frame_attributions(f, "ig", 16)])
+        for maps in per_chunking[1:]:
+            for a, b in zip(maps, per_chunking[0]):
+                assert max_norm_error(a, b) < 1e-12
+                assert a.astype(np.float32).tobytes() == b.astype(np.float32).tobytes()
 
     def test_forward_sees_at_most_one_chunk(self, monkeypatch):
         m = seeded_convnet(9)

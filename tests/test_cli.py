@@ -184,10 +184,8 @@ def features_csv(row, command="eval"):
 
 
 CSV_ROW_HEAD = b"0.9,0.5,0.5,0.5,0.5,1,1,1,1,120,10.0,"
-SYNTH_CONFIG = ["synth", "--out", "s", "--config", "cfg.json"]
 SYNTH_SPEC = ["synth", "--out", "s", "--frames", "1", "--spec", "spec.json"]
 PIPELINE = ["pipeline", "--config", "cfg.json"]
-ATTRIBUTE_CONFIG = ["attribute", "--frames", "store", "--out", "attribs", "--config", "cfg.json"]
 
 
 def scene_rows(fields, needle):
@@ -208,14 +206,15 @@ def scene_rows(fields, needle):
          "preds.jsonl: line 1"),
         (corrupt_pseudo_metadata, attribute_argv, 1, "byte offset"),
         (lambda s: edit_first_pred(s, label="truck"), attribute_argv, 1, "UnknownLabel"),
-        (lambda s: None, writes("cfg.json", b'{"frames": "abc"}', SYNTH_CONFIG), 2, "frames"),
+        (lambda s: None, writes("cfg.json", b'{"out": "run", "n_frames": "abc"}', PIPELINE), 2,
+         "n_frames must be of type int, got 'abc'"),
         (lambda s: replace_first_line(s, "preds.jsonl", b"5"), match_argv, 1,
          "preds.jsonl: line 1"),
         (lambda s: replace_first_line(s, "gts.jsonl", b"null"), match_argv, 1,
          "gts.jsonl: line 1"),
         (lambda s: replace_first_line(s, "preds.jsonl", b"\xff{}"), match_argv, 1,
          "preds.jsonl: line 1"),
-        (lambda s: None, writes("cfg.json", b'\xff{"frames": 1}', SYNTH_CONFIG), 1, "cfg.json"),
+        (lambda s: None, writes("cfg.json", b'\xff{"out": "run"}', PIPELINE), 1, "cfg.json"),
         (lambda s: None, writes("spec.json", b'\xff{}', SYNTH_SPEC), 1, "spec.json"),
         (lambda s: None, writes("spec.json", b"{bad", SYNTH_SPEC), 1, "spec.json"),
         (lambda s: None, writes("spec.json", b'{"n_objects": [1]}', SYNTH_SPEC), 1, "n_objects"),
@@ -319,8 +318,8 @@ def scene_rows(fields, needle):
          "spec.json: size_ranges: 'car' needs three (lo, hi) ranges with 0 < lo <= hi"),
         (write_model(encoded_weight([["3.5"], [1.0]])), attribute_argv, 1,
          "model.json: layers.0 (dense) weight: parameters must be nested lists of numbers"),
-        (lambda s: None, writes("cfg.json", b'{"steps": "7"}', ATTRIBUTE_CONFIG), 2,
-         "steps must be of type int, got '7'"),
+        (lambda s: None, writes("cfg.json", b'{"out": "run", "attribute": {"steps": "7"}}',
+                                PIPELINE), 2, "steps must be of type int, got '7'"),
         (lambda s: None, lambda s: writes("m.json", encoded_weight([[True], [1.0]]).encode(),
                                           attribute_argv(s) + ["--model", "m.json"])(s), 1,
          "m.json: layers.0 (dense) weight: parameters must be nested lists of numbers: "
@@ -428,6 +427,18 @@ class TestParserDefaults:
             build_parser().parse_args([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "s"], ["attribute", "--frames", "s", "--out", "a"],
+        ["xc", "--frames", "s", "--attribs", "a", "--out", "f.csv"],
+        ["match", "--preds", "p", "--gts", "g", "--out", "t"], ["eval", "--features", "f.csv"],
+        ["train-meta", "--features", "f.csv"]], ids=lambda argv: argv[0])
+    def test_only_pipeline_takes_a_config(self, capsys, argv):
+        # a subcommand's flags come from its command line; `pipeline` reads the config file
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--config", "f.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config f.json" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_store_layout(self, tmp_path):
@@ -444,18 +455,6 @@ class TestSynth:
             pa = open(os.path.join(a, rel), "rb").read()
             pb = open(os.path.join(b, rel), "rb").read()
             assert pa == pb
-
-    def test_config_overrides_flag(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"frames": 2}))
-        out = str(tmp_path / "s")
-        assert run(["synth", "--out", out, "--frames", "9", "--config", str(cfg)]) == 0
-        assert len(os.listdir(os.path.join(out, "frames"))) == 2
-
-    def test_unknown_config_key_exits_2(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_frames": 2}))
-        assert run(["synth", "--out", str(tmp_path / "s"), "--config", str(cfg)]) == 2
 
 
 class TestAttribute:
@@ -492,9 +491,10 @@ class TestAttribute:
 
     def test_backprop_ignores_steps(self, tmp_path):
         store = make_store(tmp_path, frames=1)
-        out = str(tmp_path / "attribs")
-        assert run(["attribute", "--frames", store, "--out", out, "--steps", "0"]) == 0
-        assert os.listdir(out)
+        for steps in ("0", str(2**40)):
+            out = str(tmp_path / f"attribs{steps}")
+            assert run(["attribute", "--frames", store, "--out", out, "--steps", steps]) == 0
+            assert os.listdir(out)
 
 
 @pytest.mark.parametrize("argv, code, needle", [
@@ -511,6 +511,43 @@ def test_flags_checked_before_reading(tmp_path, monkeypatch, capsys, argv, code,
     assert run(argv) == code
     assert needle in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, config, needle", [
+    (["synth", "--out", "s", "--frames", str(2**40)], None,
+     "--frames must be in [1, 65536], got 1099511627776"),
+    (["attribute", "--frames", "s", "--out", "a", "--method", "ig", "--steps", str(2**40)], None,
+     "--steps must be <= 65536, got 1099511627776"),
+    (PIPELINE, {"n_frames": 2**40}, "n_frames must be in [1, 65536], got 1099511627776"),
+    (PIPELINE, {"n_frames": 0}, "n_frames must be in [1, 65536], got 0"),
+    (PIPELINE, {"attribute": {"method": "ig-nomult", "steps": 2**40}},
+     "--steps must be <= 65536, got 1099511627776"),
+    (PIPELINE, {"xc": {"iou": "car=0.5"}}, "xc.iou has no threshold for class 'pedestrian'"),
+], ids=["synth-frames", "attribute-steps", "pipeline-n-frames", "pipeline-no-frames",
+        "pipeline-steps", "pipeline-iou-class"])
+def test_counts_and_classes_checked_before_writing(tmp_path, monkeypatch, capsys, argv, config,
+                                                   needle):
+    # a huge count is rejected before any array of that length exists
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": "run", "n_frames": 2, **config}))
+    assert run(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["cfg.json"] if config else [])
+
+
+@pytest.mark.parametrize("name, text, argv, needle", [
+    ("spec.json", {"concentration_profile": {"tp_inside": 0}}, SYNTH_SPEC,
+     "PlacementFailure: spec.json: anchor block too crowded"),
+    ("cfg.json", {"out": "run", "n_frames": 2, "scene": {"rng_seed": 3}}, PIPELINE,
+     "InsufficientRows: run/features.csv: class 0 has fewer rows than folds (5) (in cfg.json)"),
+], ids=["synth-spec", "pipeline-train-meta"])
+def test_run_time_errors_name_the_file(tmp_path, monkeypatch, capsys, name, text, argv, needle):
+    # a spec or config that passes every check can still fail once the run starts
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(text))
+    assert run(argv) == 1
+    assert needle in capsys.readouterr().err
 
 
 class TestXcAndMatch:

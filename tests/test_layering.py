@@ -1,6 +1,6 @@
 """Layering, read from the source: format code depends only on data types, only
-``io_formats.atomic_write`` opens a file for writing, and no module reads the
-environment, so each input has one source.
+``io_formats.atomic_write`` opens a file for writing, no module reads the
+environment and only ``pipeline`` reads a config file, so each input has one source.
 
 The modules are parsed with ``ast`` rather than imported, because importing
 any ``xckit`` submodule runs the package ``__init__``, which loads every module.
@@ -44,24 +44,30 @@ def test_synth_does_not_import_meta():
 
 
 
+def calls(module):
+    """(caller, call) for every call in ``module``; the caller is the name of the
+    enclosing function, or "<module>" for the top level."""
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            yield owner, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    return visit(parse(module), "<module>")
+
+
 def writing_opens(module):
     """Names of the functions in ``module`` ("<module>" for its top level) that call
     ``open`` with a w, a, x or + mode, or with a mode that is not a string literal."""
     names = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
-                                                     getattr(node.func, "attr", None)):
-            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    for owner, call in calls(module):
+        if "open" in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+            modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
             if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
                    for m in modes):
                 names.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(parse(module), "<module>")
     return names
 
 
@@ -89,3 +95,10 @@ def test_no_module_reads_the_environment():
     # a flag's value comes from the command line or its config key, never from the environment
     found = {module: environment_reads(module) for module in MODULES}
     assert {m: lines for m, lines in found.items() if lines} == {}
+
+
+def test_only_pipeline_reads_a_config():
+    # every other subcommand takes its flags from its command line alone
+    readers = {owner for owner, call in calls("cli")
+               if getattr(call.func, "id", None) == "_load_config"}
+    assert readers == {"_cmd_pipeline"}

@@ -112,7 +112,7 @@ class TestProperties:
             prev_ignored = set()
             for thresh in (0.05, 0.1, 0.3, 0.6):
                 out = categorize(preds, gts, MatchConfig(score_thresh=thresh))
-                ignored = set(out.indices(IGNORE))
+                ignored = {i for i, t in enumerate(out.tags) if t == IGNORE}
                 assert prev_ignored <= ignored
                 prev_ignored = ignored
 
@@ -123,7 +123,7 @@ class TestProperties:
             prev_tp = None
             for bar in (0.25, 0.5, 0.7, 0.9):
                 cfg = MatchConfig(iou_thresh={c: bar for c in gen.CLASSES})
-                tp = set(categorize(preds, gts, cfg).indices(TP))
+                tp = {i for i, t in enumerate(categorize(preds, gts, cfg).tags) if t == TP}
                 if prev_tp is not None:
                     assert tp <= prev_tp
                 prev_tp = tp
