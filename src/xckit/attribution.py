@@ -26,7 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import ModelGraph, input_gradient_array
-from .errors import ShapeMismatch, ZeroSteps
+from .errors import ShapeMismatch, XckitError, ZeroSteps
+
+MAX_STEPS = 2**16  # far past any run, far below running out of memory
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,14 @@ class AttributionMap:
     steps: Optional[int] = None
 
 
+def check_steps(steps: int) -> None:
+    """A path takes 1 to ``MAX_STEPS`` points."""
+    if steps < 1:
+        raise ZeroSteps(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise XckitError(f"steps must be <= {MAX_STEPS}, got {steps}")
+
+
 def _path_maps(model, input, output_index, target, method, steps, baseline, offset):
     """Maps for one target or a sequence of them, from one shared path.
 
@@ -55,8 +65,7 @@ def _path_maps(model, input, output_index, target, method, steps, baseline, offs
     the input itself). One engine call sums every target's gradient over them;
     the mean gradient is multiplied by (x - b) for integrated gradients only.
     """
-    if steps < 1:
-        raise ZeroSteps(f"steps must be >= 1, got {steps}")
+    check_steps(steps)
     single = np.ndim(output_index) == 0
     indices = [output_index] if single else list(output_index)
     targets = [target] * len(indices) if single or target is None else list(target)

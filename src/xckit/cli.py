@@ -10,11 +10,11 @@ Frame store layout; every file the CLI writes appears whole or not at all:
       gts.jsonl       ground truths with frame ids (written last)
       frames/<id>.xcam   pseudo image per frame (XCAM container)
 
-Exit codes: 0 success, 2 usage problems, 1 data problems (bad files, failed
-invariants). A subcommand takes its flags from its command line only; `pipeline`
-takes every stage's from one JSON config, --config. Each handler checks its
-flags, then returns its reading and writing as a call. `pipeline` runs every
-stage's checks, on Namespaces built by _stage_args, before it writes anything.
+Exit codes: 0 success; 2 for an XckitError raised by a handler's flag checks, the
+library's included (a usage error); 1 for an error raised by the reading and writing
+that the handler returns as a call (a data error, naming the file at fault). A
+subcommand's flags come from its command line only. `pipeline`'s come from one JSON
+config, --config, so its call checks every stage's, naming the config, before writing.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from typing import Dict
 
 import numpy as np
 
-from .attribution import AttributionMap
-from .errors import ParseError, ShapeMismatch, TargetOutOfRange, XckitError, ZeroSteps
+from .attribution import AttributionMap, check_steps
+from .errors import (
+    DegenerateClassBalance, EmptySample, ParseError, ShapeMismatch, TargetOutOfRange, XckitError)
 from .io_formats import (
     atomic_write,
     json_typed,
@@ -63,6 +64,7 @@ from .synth import (
     SceneSpec,
     SyntheticFrame,
     build_toy_model,
+    check_frame_count,
     frame_attributions,
     generate_benchmark,
     load_scene_spec,
@@ -73,34 +75,22 @@ from .synth import (
 from .xc import XcConfig
 
 EVAL_FEATURES = (*DEFAULT_FEATURES, "n_points", "random")
-MAX_STEPS, MAX_FRAMES = 2**16, 2**16  # far past any run, far below running out of memory
 
 
 DEFAULT_IOU_SPEC = ",".join(f"{label}={t}" for label, t in DEFAULT_IOU_THRESH.items())
-
-
-class UsageError(Exception):
-    pass
 
 
 def _parse_iou_spec(text: str) -> Dict[str, float]:
     out = {}
     for part in text.split(","):
         if "=" not in part:
-            raise UsageError(f"--iou entries must look like label=thresh, got {part!r}")
+            raise XckitError(f"--iou entries must look like label=thresh, got {part!r}")
         label, _, val = part.partition("=")
         try:
             out[label.strip()] = float(val)
         except ValueError:
-            raise UsageError(f"--iou threshold for {label.strip()!r} is not a number")
+            raise XckitError(f"--iou threshold for {label.strip()!r} is not a number")
     return out
-
-
-def _load_config(path) -> dict:
-    cfg = load_json(path)
-    if not isinstance(cfg, dict):
-        raise UsageError(f"{path} must hold a JSON object")
-    return cfg
 
 
 def _typed(key: str, value, kind=str, choices=None):
@@ -109,9 +99,9 @@ def _typed(key: str, value, kind=str, choices=None):
     try:
         value = json_typed(value, kind)
     except TypeError as e:
-        raise UsageError(f"{key} {e}")
+        raise XckitError(f"{key} {e}")
     if choices is not None and value not in choices:
-        raise UsageError(f"{key} must be one of {list(choices)}, got {value!r}")
+        raise XckitError(f"{key} must be one of {list(choices)}, got {value!r}")
     return value
 
 
@@ -124,7 +114,7 @@ def _stage_args(command: str, values: dict) -> argparse.Namespace:
     for key, value in values.items():
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
-            raise UsageError(f"config key {key!r} is not a flag of {command}")
+            raise XckitError(f"config key {key!r} is not a flag of {command}")
         if not (value is None and flag.default is None and not flag.required):
             value = _typed(key, value, flag.type or str, flag.choices)
         setattr(args, flag.dest, value)
@@ -195,8 +185,8 @@ def _emit(text: str, out) -> None:
 
 
 def _cmd_synth(args):
-    if not 1 <= args.frames <= MAX_FRAMES:
-        raise UsageError(f"--frames must be in [1, {MAX_FRAMES}], got {args.frames}")
+    check_frame_count(args.frames)
+    SceneSpec(rng_seed=args.seed or 0)  # checks the seed before the spec is read
 
     def run():
         spec = load_scene_spec(args.spec) if args.spec else SceneSpec()
@@ -216,11 +206,9 @@ def _cmd_synth(args):
 def _cmd_attribute(args):
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.method != "backprop" and args.steps < 1:  # backprop takes no path steps
-        raise ZeroSteps(f"steps must be >= 1, got {args.steps}")
-    if args.method != "backprop" and args.steps > MAX_STEPS:
-        raise UsageError(f"--steps must be <= {MAX_STEPS}, got {args.steps}")
+        raise XckitError("--jobs must be >= 1")
+    if args.method != "backprop":  # backprop takes no path steps
+        check_steps(args.steps)
 
     def run():
         spec, fids, store = read_frame_store(args.frames)
@@ -294,12 +282,9 @@ def _cmd_match(args):
 
 def _cmd_eval(args):
     if args.seed < 0:  # numpy's generators take no negative seed
-        raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
+        raise XckitError(f"seed must be a non-negative integer, got {args.seed}")
     keys = _split(args.group_by)
-    try:
-        split_groups([], keys)  # checks the keys
-    except XckitError as e:
-        raise UsageError(f"--group-by: {e}")
+    split_groups([], keys)  # checks the keys
 
     def run():
         rows = read_feature_csv(args.features)
@@ -311,7 +296,7 @@ def _cmd_eval(args):
                     reports.append(
                         evaluate_feature(members, feature, group_name=name, rng_seed=args.seed)
                     )
-                except XckitError as e:
+                except (DegenerateClassBalance, EmptySample) as e:
                     # a group can be single-class or empty; skip its row and say why
                     print(f"eval: skipped feature {feature!r} in group {name or 'all'!r}: "
                           f"{type(e).__name__}: {e}", file=sys.stderr)
@@ -323,7 +308,7 @@ def _cmd_train_meta(args):
     subset = _split(args.subset) if args.subset else list(DEFAULT_FEATURES)
     bad = set(subset) - set(DEFAULT_FEATURES)
     if bad:
-        raise UsageError(f"unknown meta features: {sorted(bad)}")
+        raise XckitError(f"unknown meta features: {sorted(bad)}")
 
     def run():
         rows = read_feature_csv(args.features)
@@ -341,63 +326,62 @@ def _cmd_train_meta(args):
 
 
 def _cmd_pipeline(args):
-    """Every stage from one config: each section holds its stage's flags, and every
-    stage's checks run before anything is written; only jobs (1) and a_thresh (the
-    benchmark's, which the manifest records) differ from the flag defaults."""
-    cfg = _load_config(args.config)
-    unknown = sorted(set(cfg) - {"out", "n_frames", "scene", "attribute", "xc", "eval",
-                                 "train_meta"})
-    if unknown:
-        raise UsageError(f"unknown pipeline config key {unknown[0]!r}")
-    out_dir = cfg.get("out")
-    if not out_dir or not isinstance(out_dir, str):
-        raise UsageError("pipeline config needs an 'out' directory")
-
-    def section(name):
-        sec = cfg.get(name, {})
-        if not isinstance(sec, dict):
-            raise UsageError(f"pipeline config section {name!r} must be a JSON object")
-        return dict(sec)
-
-    with naming(args.config):
-        spec = scene_spec_from_dict(section("scene"))
-    n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
-    if not 1 <= n_frames <= MAX_FRAMES:
-        raise UsageError(f"n_frames must be in [1, {MAX_FRAMES}], got {n_frames}")
-    store_dir = os.path.join(out_dir, "store")
-    attribs_dir = os.path.join(out_dir, "attribs")
-    features_csv = os.path.join(out_dir, "features.csv")
-    xc_args = _stage_args("xc", {
-        "a_thresh": BENCHMARK_A_THRESH, **section("xc"),
-        "frames": store_dir, "attribs": attribs_dir, "out": features_csv})
-    for label, n in spec.n_objects.items():  # xc and match tag every class the scene places
-        if n and label not in _parse_iou_spec(xc_args.iou):
-            raise UsageError(f"xc.iou has no threshold for class {label!r}")
-    tm = section("train_meta")
-    enabled = tm.pop("enabled", True)
-    if not isinstance(enabled, bool):
-        raise UsageError(f"train_meta.enabled must be true or false, got {enabled!r}")
-    with naming(args.config, after=True):  # a stage's error reads as on its command line
-        stages = [
-            _cmd_attribute(_stage_args("attribute", {
-                "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),
-            _cmd_xc(xc_args),
-            _cmd_match(_stage_args("match", {
-                "score_thresh": xc_args.score_thresh, "iou": xc_args.iou,
-                "preds": os.path.join(store_dir, "preds.jsonl"),
-                "gts": os.path.join(store_dir, "gts.jsonl"),
-                "out": os.path.join(out_dir, "tags.jsonl")})),
-            _cmd_eval(_stage_args("eval", {
-                **section("eval"), "features": features_csv,
-                "out": os.path.join(out_dir, "table.txt")})),
-        ]
-        if enabled:
-            stages.append(_cmd_train_meta(_stage_args("train-meta", {
-                **tm, "features": features_csv, "out": os.path.join(out_dir, "meta_report.txt")})))
+    """Every stage from one config: each section holds its stage's flags (on Namespaces
+    from _stage_args); only jobs (1) and a_thresh (the benchmark's, which the manifest
+    records) differ from the flag defaults."""
 
     def run():
-        with naming(args.config, after=True):
-            frames, manifest = generate_benchmark(spec, n_frames)
+        cfg = load_json(args.config)  # its errors name the file already
+
+        def section(name):
+            sec = cfg.get(name, {})
+            if not isinstance(sec, dict):
+                raise XckitError(f"pipeline config section {name!r} must be a JSON object")
+            return dict(sec)
+
+        with naming(args.config):
+            if not isinstance(cfg, dict):
+                raise XckitError("the config must hold a JSON object")
+            unknown = sorted(set(cfg) - {"out", "n_frames", "scene", "attribute", "xc", "eval",
+                                         "train_meta"})
+            if unknown:
+                raise XckitError(f"unknown pipeline config key {unknown[0]!r}")
+            out_dir = cfg.get("out")
+            if not out_dir or not isinstance(out_dir, str):
+                raise XckitError("pipeline config needs an 'out' directory")
+            spec = scene_spec_from_dict(section("scene"))
+            n_frames = _typed("n_frames", cfg.get("n_frames", 20), int)
+            store_dir = os.path.join(out_dir, "store")
+            attribs_dir = os.path.join(out_dir, "attribs")
+            features_csv = os.path.join(out_dir, "features.csv")
+            xc_args = _stage_args("xc", {
+                "a_thresh": BENCHMARK_A_THRESH, **section("xc"),
+                "frames": store_dir, "attribs": attribs_dir, "out": features_csv})
+            for label, n in spec.n_objects.items():  # xc and match tag every class placed
+                if n and label not in _parse_iou_spec(xc_args.iou):
+                    raise XckitError(f"xc.iou has no threshold for class {label!r}")
+            tm = section("train_meta")
+            enabled = tm.pop("enabled", True)
+            if not isinstance(enabled, bool):
+                raise XckitError(f"train_meta.enabled must be true or false, got {enabled!r}")
+            stages = [
+                _cmd_attribute(_stage_args("attribute", {
+                    "jobs": 1, **section("attribute"), "frames": store_dir, "out": attribs_dir})),
+                _cmd_xc(xc_args),
+                _cmd_match(_stage_args("match", {
+                    "score_thresh": xc_args.score_thresh, "iou": xc_args.iou,
+                    "preds": os.path.join(store_dir, "preds.jsonl"),
+                    "gts": os.path.join(store_dir, "gts.jsonl"),
+                    "out": os.path.join(out_dir, "tags.jsonl")})),
+                _cmd_eval(_stage_args("eval", {
+                    **section("eval"), "features": features_csv,
+                    "out": os.path.join(out_dir, "table.txt")})),
+            ]
+            if enabled:
+                stages.append(_cmd_train_meta(_stage_args("train-meta", {
+                    **tm, "features": features_csv,
+                    "out": os.path.join(out_dir, "meta_report.txt")})))
+            frames, manifest = generate_benchmark(spec, n_frames)  # checks the count first
             os.makedirs(out_dir, exist_ok=True)
             write_frame_store(store_dir, spec, frames, manifest)
             for stage in stages:
@@ -473,14 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)()
-        return 0
-    except UsageError as e:
+        run = args.func(args)  # the flag checks: a fault here is in the command line
+    except XckitError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    try:
+        run()
+        return 0
     except (ParseError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 1

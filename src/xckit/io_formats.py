@@ -59,12 +59,12 @@ def atomic_write(path, mode="w", **open_kwargs):
 
 
 @contextmanager
-def naming(path, after=False):
-    """Name ``path`` in an XckitError raised in the block, before its message or ``after``."""
+def naming(path):
+    """Name ``path`` in front of the message of an XckitError raised in the block."""
     try:
         yield
     except XckitError as e:
-        e.args = (f"{e} (in {path})" if after else f"{path}: {e}",)
+        e.args = (f"{path}: {e}",)
         raise
 
 

@@ -51,6 +51,7 @@ from .io_formats import atomic_write, json_typed, load_json
 from .matching import DEFAULT_IOU_THRESH, Detection, GroundTruth
 
 CLASSES = ("car", "pedestrian", "cyclist")
+MAX_FRAMES = 2**16  # far past any run, far below running out of memory
 
 BLOCK_PX = 10          # anchor block edge, in pixels
 SIGNAL = 1.0           # planted per-pixel class-channel value (jittered +/-10%)
@@ -400,10 +401,15 @@ def frame_attributions(
     raise XckitError(f"unknown attribution method {method!r}")
 
 
+def check_frame_count(n_frames: int) -> None:
+    """A benchmark takes 1 to ``MAX_FRAMES`` frames."""
+    if not 1 <= n_frames <= MAX_FRAMES:
+        raise XckitError(f"frame count must be in [1, {MAX_FRAMES}], got {n_frames}")
+
+
 def generate_benchmark(spec: SceneSpec, n_frames: int):
     """Frames from per-frame child seeds plus an accounting manifest."""
-    if n_frames < 1:
-        raise XckitError("n_frames must be >= 1")
+    check_frame_count(n_frames)
     frame_seeds = np.random.SeedSequence(spec.rng_seed).generate_state(n_frames, np.uint64)
     model = build_toy_model(spec.grid)
     frames = []

@@ -141,6 +141,12 @@ class TestIntegratedGradients:
             with pytest.raises(ZeroSteps):
                 integrated_gradients(m, np.ones(3), 0, steps=steps)
 
+    def test_steps_past_bound_rejected_before_any_array(self):
+        # 2**40 path points would need 8 TiB; the bound is checked before the alphas exist
+        for method in (integrated_gradients, modified_integrated_gradients):
+            with pytest.raises(XckitError, match=r"steps must be <= 65536, got 1099511627776"):
+                method(linear_model(), np.ones(3), 0, steps=2**40)
+
     def test_baseline_shape_mismatch(self):
         with pytest.raises(ShapeMismatch, match=r"baseline shape \(4,\) != input shape \(3,\)"):
             integrated_gradients(linear_model(), np.ones(3), 0, baseline=np.ones(4))

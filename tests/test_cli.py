@@ -206,8 +206,8 @@ def scene_rows(fields, needle):
          "preds.jsonl: line 1"),
         (corrupt_pseudo_metadata, attribute_argv, 1, "byte offset"),
         (lambda s: edit_first_pred(s, label="truck"), attribute_argv, 1, "UnknownLabel"),
-        (lambda s: None, writes("cfg.json", b'{"out": "run", "n_frames": "abc"}', PIPELINE), 2,
-         "n_frames must be of type int, got 'abc'"),
+        (lambda s: None, writes("cfg.json", b'{"out": "run", "n_frames": "abc"}', PIPELINE), 1,
+         "cfg.json: n_frames must be of type int, got 'abc'"),
         (lambda s: replace_first_line(s, "preds.jsonl", b"5"), match_argv, 1,
          "preds.jsonl: line 1"),
         (lambda s: replace_first_line(s, "gts.jsonl", b"null"), match_argv, 1,
@@ -319,7 +319,7 @@ def scene_rows(fields, needle):
         (write_model(encoded_weight([["3.5"], [1.0]])), attribute_argv, 1,
          "model.json: layers.0 (dense) weight: parameters must be nested lists of numbers"),
         (lambda s: None, writes("cfg.json", b'{"out": "run", "attribute": {"steps": "7"}}',
-                                PIPELINE), 2, "steps must be of type int, got '7'"),
+                                PIPELINE), 1, "cfg.json: steps must be of type int, got '7'"),
         (lambda s: None, lambda s: writes("m.json", encoded_weight([[True], [1.0]]).encode(),
                                           attribute_argv(s) + ["--model", "m.json"])(s), 1,
          "m.json: layers.0 (dense) weight: parameters must be nested lists of numbers: "
@@ -330,6 +330,8 @@ def scene_rows(fields, needle):
         (lambda s: None, model_flag({"input_shape": [20, 40, 4], "seed": 0, "layers": [
             {"kind": "dense", "in_features": 3200, "out_features": 48}]}), 1,
          "ShapeMismatch: m.json: model input (20, 40, 4) != frame shape (40, 40, 4)"),
+        (lambda s: None, writes("cfg.json", b"[1]", PIPELINE), 1,
+         "cfg.json: the config must hold a JSON object"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -354,7 +356,7 @@ def scene_rows(fields, needle):
          "scene-spec-unknown-field", "pipeline-scene-unknown-field", "scene-spec-unknown-class",
          "pipeline-scene-unknown-class", "scene-spec-size-range-reversed", "model-weight-string",
          "config-value-string-for-int", "model-flag-weight-mixes-booleans",
-         "model-flag-too-few-outputs", "model-flag-other-input-shape"],
+         "model-flag-too-few-outputs", "model-flag-other-input-shape", "config-not-object"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -384,14 +386,35 @@ def test_huge_box_matches_without_warnings(tmp_path, monkeypatch, dy, code):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv, code", [(["synth", "--out", "s", "--seed", "-1"], 1),
-                                        (["eval", "--features", "f.csv", "--seed", "-1"], 2)],
-                         ids=["synth", "eval"])
-def test_negative_seed_flag_exits_cleanly(tmp_path, argv, code):
-    proc = run_subprocess(argv, cwd=tmp_path)
-    assert proc.returncode == code and "Traceback" not in proc.stderr
-    assert "seed must be a non-negative integer, got -1" in proc.stderr
-    assert not (tmp_path / "s").exists()
+@pytest.fixture
+def refused(tmp_path, monkeypatch, capsys):
+    """``check(argv, config, needle)`` in an empty directory. A fault in ``argv`` exits 2,
+    a usage error. A fault in ``config``, a two-frame pipeline config written to cfg.json
+    (a None drops a key), exits 1, naming the config in front. Nothing is written."""
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv, config, needle):
+        if config is not None:
+            cfg = {"out": "run", "n_frames": 2, **config}
+            (tmp_path / "cfg.json").write_text(
+                json.dumps({key: value for key, value in cfg.items() if value is not None}))
+        code, err = run(argv), capsys.readouterr().err
+        if config is None:
+            assert (code, err) == (2, f"usage error: {needle}\n")
+        else:
+            assert code == 1 and err.startswith("data error: "), err
+            assert err.endswith(f": cfg.json: {needle}\n"), err
+        assert os.listdir(tmp_path) == ([] if config is None else ["cfg.json"])
+    return check
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["synth", "--out", "s", "--seed", "-1"], "rng_seed must be a non-negative integer, got -1"),
+    (["eval", "--features", "f.csv", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+], ids=["synth", "eval"])
+def test_negative_seed_flag_exits_cleanly(refused, argv, needle):
+    refused(argv, None, needle)
 
 
 class TestParserDefaults:
@@ -497,50 +520,59 @@ class TestAttribute:
             assert os.listdir(out)
 
 
-@pytest.mark.parametrize("argv, code, needle", [
-    (["eval", "--features", "missing.csv", "--group-by", "bogus"], 2,
-     "--group-by: unknown grouping keys: ['bogus']"),
-    (["train-meta", "--features", "missing.csv", "--subset", "volume"], 2,
+def xc_flag(flag, value):
+    return ["xc", "--frames", "missing", "--attribs", "a", "--out", "f.csv", flag, value]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["eval", "--features", "missing.csv", "--group-by", "bogus"],
+     "unknown grouping keys: ['bogus']"),
+    (["train-meta", "--features", "missing.csv", "--subset", "volume"],
      "unknown meta features: ['volume']"),
-    (["attribute", "--frames", "missing", "--out", "a", "--jobs", "0"], 2, "--jobs must be >= 1"),
-    (["attribute", "--frames", "missing", "--out", "a", "--method", "ig", "--steps", "0"], 1,
-     "ZeroSteps: steps must be >= 1, got 0"),
-], ids=["eval-group-by", "train-meta-subset", "attribute-jobs", "attribute-steps"])
-def test_flags_checked_before_reading(tmp_path, monkeypatch, capsys, argv, code, needle):
-    monkeypatch.chdir(tmp_path)
-    assert run(argv) == code
-    assert needle in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+    (["attribute", "--frames", "missing", "--out", "a", "--jobs", "0"], "--jobs must be >= 1"),
+    (["attribute", "--frames", "missing", "--out", "a", "--method", "ig", "--steps", "0"],
+     "steps must be >= 1, got 0"),
+    (["attribute", "--frames", "missing", "--out", "a", "--method", "ig", "--steps", "70000"],
+     "steps must be <= 65536, got 70000"),
+    (xc_flag("--iou", "car=2"), "iou_thresh['car'] must be in (0, 1], got 2.0"),
+    (xc_flag("--iou", "car=abc"), "--iou threshold for 'car' is not a number"),
+    (xc_flag("--a-thresh", "-1"), "a_thresh must be finite and >= 0, got -1.0"),
+    (xc_flag("--a-thresh", "nan"), "a_thresh must be finite and >= 0, got nan"),
+    (xc_flag("--a-thresh", "inf"), "a_thresh must be finite and >= 0, got inf"),
+    (xc_flag("--margin", "nan"), "margin_m must be finite and >= 0, got nan"),
+    (xc_flag("--margin", "inf"), "margin_m must be finite and >= 0, got inf"),
+    (["match", "--preds", "p", "--gts", "g", "--out", "t", "--score-thresh", "2"],
+     "score_thresh must be in [0, 1], got 2.0"),
+], ids=["eval-group-by", "train-meta-subset", "attribute-jobs", "attribute-steps",
+        "attribute-steps-past-bound", "xc-iou-above-1", "xc-iou-not-a-number",
+        "xc-a-thresh-negative", "xc-a-thresh-nan", "xc-a-thresh-inf", "xc-margin-nan",
+        "xc-margin-inf", "match-score-thresh"])
+def test_flags_checked_before_reading(refused, argv, needle):
+    refused(argv, None, needle)
 
 
 @pytest.mark.parametrize("argv, config, needle", [
     (["synth", "--out", "s", "--frames", str(2**40)], None,
-     "--frames must be in [1, 65536], got 1099511627776"),
+     "frame count must be in [1, 65536], got 1099511627776"),
     (["attribute", "--frames", "s", "--out", "a", "--method", "ig", "--steps", str(2**40)], None,
-     "--steps must be <= 65536, got 1099511627776"),
-    (PIPELINE, {"n_frames": 2**40}, "n_frames must be in [1, 65536], got 1099511627776"),
-    (PIPELINE, {"n_frames": 0}, "n_frames must be in [1, 65536], got 0"),
+     "steps must be <= 65536, got 1099511627776"),
+    (PIPELINE, {"n_frames": 2**40}, "frame count must be in [1, 65536], got 1099511627776"),
+    (PIPELINE, {"n_frames": 0}, "frame count must be in [1, 65536], got 0"),
     (PIPELINE, {"attribute": {"method": "ig-nomult", "steps": 2**40}},
-     "--steps must be <= 65536, got 1099511627776"),
+     "steps must be <= 65536, got 1099511627776"),
     (PIPELINE, {"xc": {"iou": "car=0.5"}}, "xc.iou has no threshold for class 'pedestrian'"),
 ], ids=["synth-frames", "attribute-steps", "pipeline-n-frames", "pipeline-no-frames",
         "pipeline-steps", "pipeline-iou-class"])
-def test_counts_and_classes_checked_before_writing(tmp_path, monkeypatch, capsys, argv, config,
-                                                   needle):
+def test_counts_and_classes_checked_before_writing(refused, argv, config, needle):
     # a huge count is rejected before any array of that length exists
-    monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps({"out": "run", "n_frames": 2, **config}))
-    assert run(argv) == 2
-    assert needle in capsys.readouterr().err
-    assert os.listdir(tmp_path) == (["cfg.json"] if config else [])
+    refused(argv, config, needle)
 
 
 @pytest.mark.parametrize("name, text, argv, needle", [
     ("spec.json", {"concentration_profile": {"tp_inside": 0}}, SYNTH_SPEC,
      "PlacementFailure: spec.json: anchor block too crowded"),
     ("cfg.json", {"out": "run", "n_frames": 2, "scene": {"rng_seed": 3}}, PIPELINE,
-     "InsufficientRows: run/features.csv: class 0 has fewer rows than folds (5) (in cfg.json)"),
+     "InsufficientRows: cfg.json: run/features.csv: class 0 has fewer rows than folds (5)"),
 ], ids=["synth-spec", "pipeline-train-meta"])
 def test_run_time_errors_name_the_file(tmp_path, monkeypatch, capsys, name, text, argv, needle):
     # a spec or config that passes every check can still fail once the run starts
@@ -591,17 +623,6 @@ class TestXcAndMatch:
         assert run(
             ["xc", "--frames", store, "--attribs", attribs, "--out", str(tmp_path / "f.csv")]
         ) == 1
-
-    @pytest.mark.parametrize("flag, value", [("--a-thresh", "nan"), ("--a-thresh", "inf"),
-                                             ("--margin", "nan"), ("--margin", "inf")])
-    def test_non_finite_xc_threshold_exits_1(self, tmp_path, capsys, flag, value):
-        # checked before the store is read: the flag's key and value are named, nothing written
-        out = tmp_path / "f.csv"
-        assert run(["xc", "--frames", str(tmp_path / "nope"), "--attribs", "a",
-                    "--out", str(out), flag, value]) == 1
-        err = capsys.readouterr().err
-        assert flag[2:].replace("-", "_") in err and f"got {value}" in err
-        assert not out.exists()
 
     def test_match_tags_every_prediction(self, tmp_path):
         store = make_store(tmp_path, frames=4)
@@ -746,66 +767,36 @@ class TestPipeline:
             results.append((tmp_path / name / "features.csv").read_bytes())
         assert results[0] == results[1]
 
-    def test_pipeline_without_out_exits_2(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"scene": {}}))
-        assert run(["pipeline", "--config", str(cfg)]) == 2
+    @pytest.mark.parametrize("section, needle", [
+        ({"scene": {"rng_seed": -1}}, "rng_seed must be a non-negative integer, got -1"),
+        ({"eval": {"seed": -3}}, "seed must be a non-negative integer, got -3"),
+    ], ids=["scene-rng-seed", "eval-seed"])
+    def test_negative_seed_rejected_before_writing(self, refused, section, needle):
+        refused(PIPELINE, section, needle)
 
-    def test_pipeline_bad_stage_value_exits_2(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"out": str(tmp_path / "pipe"), "scene": {"rng_seed": 7},
-                                   "n_frames": 4, "attribute": {"steps": "abc"}}))
-        proc = run_subprocess(["pipeline", "--config", str(cfg)], cwd=tmp_path)
-        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    @pytest.mark.parametrize("xc, needle", [
+        ({"a_thresh": float("nan")}, "a_thresh must be finite and >= 0, got nan"),
+        ({"score_thresh": 2}, "score_thresh must be in [0, 1], got 2.0"),
+    ], ids=["a-thresh-nan", "score-thresh-2"])
+    def test_xc_thresholds_checked_before_writing(self, refused, xc, needle):
+        refused(PIPELINE, {"xc": xc}, needle)
 
-    @pytest.mark.parametrize("section, code", [({"scene": {"rng_seed": -1}}, 1),
-                                               ({"eval": {"seed": -3}}, 2)],
-                             ids=["scene-rng-seed", "eval-seed"])
-    def test_negative_seed_rejected_before_writing(self, tmp_path, section, code):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, **section}))
-        proc = run_subprocess(["pipeline", "--config", str(path)], cwd=tmp_path)
-        assert proc.returncode == code and "Traceback" not in proc.stderr
-        assert "seed must be a non-negative integer" in proc.stderr
-        assert not (tmp_path / "pipe").exists()
-
-    @pytest.mark.parametrize("xc, needle", [({"a_thresh": float("nan")}, "a_thresh must be finite"),
-                                            ({"score_thresh": 2}, "score_thresh must be in [0, 1]")],
-                             ids=["a-thresh-nan", "score-thresh-2"])
-    def test_xc_thresholds_checked_before_writing(self, tmp_path, capsys, xc, needle):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, "xc": xc}))
-        assert run(["pipeline", "--config", str(path)]) == 1
-        assert needle in capsys.readouterr().err
-        assert not (tmp_path / "pipe").exists()
-
-    @pytest.mark.parametrize("section, code, needle", [
-        ({"attribute": {"method": "ig", "steps": 0}}, 1, "ZeroSteps: steps must be >= 1, got 0"),
-        ({"attribute": {"jobs": 0}}, 2, "usage error: --jobs must be >= 1"),
-        ({"eval": {"group_by": "bogus"}}, 2, "--group-by: unknown grouping keys: ['bogus']"),
-        ({"train_meta": {"subset": "bogus"}}, 2, "unknown meta features: ['bogus']"),
-        ({"train_meta": {"subset": ["top_score"]}}, 2,
+    @pytest.mark.parametrize("config, needle", [
+        ({"attribute": {"method": "ig", "steps": 0}}, "steps must be >= 1, got 0"),
+        ({"attribute": {"jobs": 0}}, "--jobs must be >= 1"),
+        ({"eval": {"group_by": "bogus"}}, "unknown grouping keys: ['bogus']"),
+        ({"train_meta": {"subset": "bogus"}}, "unknown meta features: ['bogus']"),
+        ({"train_meta": {"subset": ["top_score"]}},
          "subset must be of type str, got ['top_score']"),
+        ({"attribute": {"steps": "abc"}}, "steps must be of type int, got 'abc'"),
+        ({"attribute": {"mehtod": "ig"}}, "config key 'mehtod' is not a flag of attribute"),
+        ({"atribute": {"method": "ig"}}, "unknown pipeline config key 'atribute'"),
+        ({"out": None, "scene": {}}, "pipeline config needs an 'out' directory"),
     ], ids=["attribute-steps", "attribute-jobs", "eval-group-by", "train-meta-subset",
-            "train-meta-subset-list"])
-    def test_stage_flags_checked_before_writing(self, tmp_path, section, code, needle):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, **section}))
-        proc = run_subprocess(["pipeline", "--config", str(path)], cwd=tmp_path)
-        assert proc.returncode == code and "Traceback" not in proc.stderr
-        assert needle in proc.stderr
-        assert not (tmp_path / "pipe").exists()
-
-    def test_unknown_section_key_exits_2(self, tmp_path):
-        # a misspelt key in a section or at the top level, before anything is written
-        for typo, cfg in (("mehtod", {"attribute": {"mehtod": "ig"}}),
-                          ("atribute", {"atribute": {"method": "ig"}})):
-            path = tmp_path / "c.json"
-            path.write_text(json.dumps({"out": str(tmp_path / "pipe"), "n_frames": 2, **cfg}))
-            proc = run_subprocess(["pipeline", "--config", str(path)], cwd=tmp_path)
-            assert proc.returncode == 2 and "Traceback" not in proc.stderr
-            assert typo in proc.stderr
-            assert not (tmp_path / "pipe").exists()
+            "train-meta-subset-list", "attribute-steps-string", "section-key-typo",
+            "top-level-key-typo", "no-out"])
+    def test_stage_flags_checked_before_writing(self, refused, config, needle):
+        refused(PIPELINE, config, needle)
 
     def test_sections_take_every_stage_flag(self, tmp_path):
         # score_thresh above every prediction's score ignores them all, so no rows are written
@@ -820,7 +811,8 @@ class TestPipeline:
                 for line in (tmp_path / "pipe" / "tags.jsonl").read_text().splitlines()]
         assert tags and set(tags) == {"Ignore"}
 
-    def test_pipeline_bad_json_is_data_error(self, tmp_path):
+    def test_pipeline_bad_json_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")
         assert run(["pipeline", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.count("c.json") == 1  # named once, by the JSON reader

@@ -1,6 +1,7 @@
 """Layering, read from the source: format code depends only on data types, only
 ``io_formats.atomic_write`` opens a file for writing, no module reads the
-environment and only ``pipeline`` reads a config file, so each input has one source.
+environment, only ``pipeline`` reads a config file, so each input has one source,
+and only ``cli.main`` turns an error into an exit code.
 
 The modules are parsed with ``ast`` rather than imported, because importing
 any ``xckit`` submodule runs the package ``__init__``, which loads every module.
@@ -44,13 +45,13 @@ def test_synth_does_not_import_meta():
 
 
 
-def calls(module):
-    """(caller, call) for every call in ``module``; the caller is the name of the
-    enclosing function, or "<module>" for the top level."""
+def owned(module, kind=ast.Call):
+    """(owner, node) for every ``kind`` node in ``module``; the owner is the name of the
+    top-level function around it, nested functions included, or "<module>"."""
     def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
             owner = node.name
-        if isinstance(node, ast.Call):
+        if isinstance(node, kind):
             yield owner, node
         for child in ast.iter_child_nodes(node):
             yield from visit(child, owner)
@@ -62,7 +63,7 @@ def writing_opens(module):
     """Names of the functions in ``module`` ("<module>" for its top level) that call
     ``open`` with a w, a, x or + mode, or with a mode that is not a string literal."""
     names = set()
-    for owner, call in calls(module):
+    for owner, call in owned(module):
         if "open" in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
             modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
             if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
@@ -99,6 +100,15 @@ def test_no_module_reads_the_environment():
 
 def test_only_pipeline_reads_a_config():
     # every other subcommand takes its flags from its command line alone
-    readers = {owner for owner, call in calls("cli")
-               if getattr(call.func, "id", None) == "_load_config"}
+    readers = {owner for owner, call in owned("cli")
+               if getattr(call.func, "id", None) == "load_json"}
     assert readers == {"_cmd_pipeline"}
+
+
+def test_only_main_decides_exit_codes():
+    # a handler's checks and its call raise XckitError; main alone tells a usage error
+    # (raised by the checks) from a data error (raised by the call), so cli adds no class
+    assert [node.name for _, node in owned("cli", ast.ClassDef)] == []
+    catchers = {owner for owner, handler in owned("cli", ast.ExceptHandler)
+                if "XckitError" in {getattr(n, "id", None) for n in ast.walk(handler.type)}}
+    assert catchers == {"main"}
