@@ -34,7 +34,7 @@ def _as_f32(values, shape, what):
                 arr, bad = values, {values.dtype.name} if values.dtype.kind not in "iuf" else ()
             else:  # nested lists: one pass over the elements, which numpy would promote
                 arr = np.asarray(values, object)
-                bad = {type(v).__name__ for v in arr.flat} - {"int", "float"}
+                bad = {type(v).__name__ for v in arr.reshape(-1)} - {"int", "float"}  # any depth
             if bad:
                 raise TypeError(f"got {', '.join(sorted(bad))} values")
             arr = arr.astype(np.float32, copy=False)

@@ -55,6 +55,7 @@ from .meta import (
     FOLDS,
     REPEATS,
     build_feature_dataset,
+    check_fold_counts,
     cross_validate,
     split_groups,
 )
@@ -382,6 +383,10 @@ def _cmd_pipeline(args):
                     **tm, "features": features_csv,
                     "out": os.path.join(out_dir, "meta_report.txt")})))
             frames, manifest = generate_benchmark(spec, n_frames)  # checks the count first
+            if enabled:  # the rows train-meta will get: the frames' TP and FP tags in xc
+                match_cfg = MatchConfig(xc_args.score_thresh, _parse_iou_spec(xc_args.iou))
+                tags = [t for f in frames for t in categorize(f.preds, f.gts, match_cfg).tags]
+                check_fold_counts(tags.count("TP"), tags.count("FP"))
             os.makedirs(out_dir, exist_ok=True)
             write_frame_store(store_dir, spec, frames, manifest)
             for stage in stages:

@@ -24,7 +24,9 @@ import csv
 import io
 import json
 import os
+import reprlib
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, List
@@ -126,7 +128,7 @@ def read_xcam(path, shape=None) -> AttributionMap:
         )
     try:
         meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError or JSONDecodeError
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or past Python's limits
         meta = None
     if not isinstance(meta, dict):
         raise XckitError(f"{path}: metadata at byte offset {offset} is not a UTF-8 JSON object")
@@ -159,6 +161,13 @@ def json_typed(value, kind=float):
     return value
 
 
+def _read_count(value) -> int:
+    """``value``, a point count: an int in [0, 2**53), the range that converts to float exactly."""
+    if type(value) is not int or not 0 <= value < 2**53:
+        raise ValueError(f"must be an integer in [0, 2**53), got {reprlib.repr(value)}")
+    return value
+
+
 def _box_to_list(box: Box3D) -> list:
     return [box.cx, box.cy, box.cz, box.dx, box.dy, box.dz, box.yaw]
 
@@ -188,6 +197,15 @@ def write_detections(path, records: Iterable[tuple]) -> None:
     } for frame_id, d in records))
 
 
+def _json_fault(e) -> str:
+    """Why ``json.loads`` refused a text: a syntax error, or a value past Python's limits."""
+    if isinstance(e, json.JSONDecodeError):
+        return e.msg
+    if isinstance(e, RecursionError):
+        return "arrays or objects nested too deep"
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
+
+
 def _jsonl_records(path, keys) -> Iterator[tuple]:
     """(line number, record) per non-blank line; each record is an object holding ``keys``."""
     with open(path, "rb") as f:
@@ -196,10 +214,10 @@ def _jsonl_records(path, keys) -> Iterator[tuple]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(line_no, f"bad record: {e.msg}", path)
             except UnicodeDecodeError:
                 raise ParseError(line_no, "record is not UTF-8", path)
+            except (ValueError, RecursionError) as e:
+                raise ParseError(line_no, f"bad record: {_json_fault(e)}", path)
             if not isinstance(row, dict):
                 raise ParseError(line_no, "record must be a JSON object", path)
             for key in keys:
@@ -220,9 +238,11 @@ def read_detections(path) -> Iterator[tuple]:
                 raise ValueError(f"got {scores} and {distance}")
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(line_no, f"scores and distance must be finite numbers: {e}", path)
-        n_points, anchor = row["n_points"], row.get("anchor_index")
-        if type(n_points) is not int or n_points < 0:
-            raise ParseError(line_no, f"n_points must be an integer >= 0, got {n_points!r}", path)
+        try:
+            n_points = _read_count(row["n_points"])
+        except ValueError as e:
+            raise ParseError(line_no, f"n_points {e}", path)
+        anchor = row.get("anchor_index")
         if anchor is not None and type(anchor) is not int:
             raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}", path)
         yield str(row["frame_id"]), Detection(
@@ -289,7 +309,7 @@ def _read_float(cell: str) -> float:
 # (write, read) per field annotation; floats use repr, so the round-trip is lossless
 _CELL_CODECS = {
     "float": (repr, _read_float),
-    "int": (str, int),
+    "int": (str, lambda cell: _read_count(int(cell))),
     "str": (str, str),
     "bool": (lambda v: str(int(v)), _read_flag),
 }
@@ -347,8 +367,8 @@ def load_json(path):
     text = _read_utf8(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.lineno, f"bad JSON in {path}: {e.msg}")
+    except (ValueError, RecursionError) as e:
+        raise ParseError(getattr(e, "lineno", None), f"bad JSON in {path}: {_json_fault(e)}")
 
 
 def save_model(path, model: ModelGraph) -> None:

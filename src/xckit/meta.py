@@ -5,12 +5,14 @@ concentration scores, and baseline features (point count, distance). The
 meta-classifier is a two-layer MLP (d -> 3 -> 1, relu then sigmoid) that
 holds its own float32 weights and computes its own binary-cross-entropy
 gradients; Adam updates the weights in float64, once per step over one flat
-float32 vector that W1, b1, W2, b2 view (elementwise, so bitwise equal to
-per-array updates); it stores no normalization statistics, so callers pass
-normalized features. Cross-validation follows one fixed protocol, stated
-once in the constants below: z-score with training-fold statistics, 4x
-duplication with U(-0.05, 0.05) feature noise on the training folds only,
-5 repeats of 5 stratified folds, 25 metric triples averaged.
+float32 vector that W1, b1, W2, b2 view. Each step runs in place on buffers
+allocated once per fit, one operation at a time in the order of the textbook
+update, so the weights are bitwise those of per-array, allocating updates.
+It stores no normalization statistics, so callers pass normalized features.
+Cross-validation follows one fixed protocol, stated once in the constants
+below: z-score with training-fold statistics, 4x duplication with
+U(-0.05, 0.05) feature noise on the training folds only, 5 repeats of 5
+stratified folds, 25 metric triples averaged.
 """
 
 from __future__ import annotations
@@ -184,23 +186,37 @@ class MetaClassifier:
         return 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
 
 
-def _bce_gradients(params, X32, y32):
+def _gradient_buffers(d, width, rows):
+    """The buffers ``_bce_gradients`` writes for ``rows`` rows: a float32 vector and its (dW1,
+    db1, dW2, db2) views, scratch, the relu mask, float64 sums; then the float32 constants 0, 1
+    and ``rows`` as arrays, since an array operand costs less per call than a Python scalar."""
+    grad = np.empty((d + 2) * width + 1, np.float32)
+    dW1, db1, dW2, db2 = np.split(grad, np.cumsum([d * width, width, width]))
+    return [grad, (dW1.reshape(d, width), db1, dW2.reshape(width, 1), db2),
+            *(np.empty((rows, k), np.float32) for k in (width, width, 1, width)),
+            np.empty((rows, width), bool), np.empty(width), np.empty(1),
+            *(np.full((rows, k), v, np.float32) for k, v in ((width, 0), (1, 1), (1, rows)))]
+
+
+def _bce_gradients(params, X32, y32, buffers=None):
     """Mean binary-cross-entropy-with-logits gradients (dW1, db1, dW2, db2).
 
-    ``params`` is (W1, b1, W2, b2); inputs, targets and results are float32.
+    ``params`` is (W1, b1, W2, b2); inputs, targets and results are float32. The results
+    are views into ``buffers`` (``_gradient_buffers`` for X32's rows), which a call overwrites.
     """
     W1, b1, W2, b2 = params
-    pre = X32 @ W1 + b1
-    hidden = np.maximum(pre, 0)
-    z = (hidden @ W2 + b2).reshape(-1)
-    dz = ((1.0 / (1.0 + np.exp(-z)) - y32) / X32.shape[0]).reshape(-1, 1)
-    dpre = (dz @ W2.T) * (pre > 0)  # relu subgradient 0 at the kink
-    return (
-        X32.T @ dpre,
-        dpre.sum(axis=0, dtype=np.float64).astype(np.float32),
-        hidden.T @ dz,
-        dz.sum(axis=0, dtype=np.float64).astype(np.float32),
-    )
+    _, (dW1, db1, dW2, db2), pre, hidden, z, dpre, relu, sum1, sum2, zero, one, count = (
+        buffers or _gradient_buffers(*W1.shape, X32.shape[0]))
+    np.add(np.dot(X32, W1, out=pre), b1, out=pre)
+    np.add(np.dot(np.maximum(pre, zero, out=hidden), W2, out=z), b2, out=z)
+    np.add(one, np.exp(np.negative(z, out=z), out=z), out=z)
+    dz = np.divide(np.subtract(np.divide(one, z, out=z), y32.reshape(-1, 1), out=z), count, out=z)
+    dpre = np.multiply(np.dot(dz, W2.T, out=dpre), np.greater(pre, zero, out=relu), out=dpre)
+    np.dot(X32.T, dpre, out=dW1)  # dpre took the relu subgradient, 0 at the kink
+    db1[...] = np.add.reduce(dpre, 0, np.float64, sum1)
+    np.dot(hidden.T, dz, out=dW2)
+    db2[...] = np.add.reduce(dz, 0, np.float64, sum2)
+    return dW1, db1, dW2, db2
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, rng_seed=0) -> MetaClassifier:
@@ -221,39 +237,60 @@ def train_mlp(X: np.ndarray, y: np.ndarray, rng_seed=0) -> MetaClassifier:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise XckitError("targets must be 0 or 1")
 
-    ss = np.random.SeedSequence(rng_seed)
-    init_seed, shuffle_seed = ss.generate_state(2)
+    init_seed, shuffle_seed = np.random.SeedSequence(rng_seed).generate_state(2)
     init_rng = np.random.default_rng(int(init_seed))
-    d, width = X.shape[1], HIDDEN
+    (n, d), width = X.shape, HIDDEN
     init = [_init_array(init_rng, shape, fan_in) for shape, fan_in in
             (((d, width), d), ((width,), d), ((width, 1), width), ((1,), width))]
     # one float32 vector holds W1, b1, W2, b2 (as views), so Adam runs once per step
     flat = np.concatenate([a.ravel() for a in init])
     ends = np.cumsum([a.size for a in init])[:-1]
     params = tuple(part.reshape(a.shape) for part, a in zip(np.split(flat, ends), init))
-    grad, m, v = np.empty(flat.size), np.zeros(flat.size), np.zeros(flat.size)
+    # one set of buffers per batch size: BATCH_SIZE, and a shorter last batch's
+    sized = {k: _gradient_buffers(d, width, k) for k in (BATCH_SIZE, n % BATCH_SIZE) if k}
     beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, LEARNING_RATE
+    decay, rate, (eps_, lr_) = (np.repeat(c, flat.size, 1) for c in (
+        [[beta1], [beta2]], [[1 - beta1], [1 - beta2]], [[eps], [lr]]))
+    # Adam in place: m and v are the rows of mv, g holds the gradient twice, hat each row's
+    # new term, then m_hat and v_hat, then lr * m_hat and the denominator
+    mv, g, hat = np.zeros((3, 2, flat.size))
+    (m_hat, v_hat), (g_m, g_v) = hat, g
+    # Python's float power, not numpy's: the two differ in the last bit at some t
+    steps = range(1, EPOCHS * -(-n // BATCH_SIZE) + 1)
+    bias = iter(np.array([[1 - beta1**t for t in steps],
+                          [1 - beta2**t for t in steps]]).T[..., None])
     rng = np.random.default_rng(shuffle_seed)
     X32, y32 = X.astype(np.float32), y.astype(np.float32)
-    t = 0
     for _ in range(EPOCHS):
-        order = rng.permutation(X.shape[0])
+        order = rng.permutation(n)
         X_epoch, y_epoch = X32[order], y32[order]
-        for start in range(0, X.shape[0], BATCH_SIZE):
+        for start in range(0, n, BATCH_SIZE):
             stop = start + BATCH_SIZE
-            grads = _bce_gradients(params, X_epoch[start:stop], y_epoch[start:stop])
-            np.concatenate([g.ravel() for g in grads], out=grad)  # float32 -> float64 is exact
-            t += 1
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
-            m_hat = m / (1 - beta1**t)
-            v_hat = v / (1 - beta2**t)
-            flat[...] = flat.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)
+            buffers = sized[min(stop, n) - start]
+            _bce_gradients(params, X_epoch[start:stop], y_epoch[start:stop], buffers)
+            # op for op as m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g,
+            # m_hat = m / (1 - beta1**t), v_hat alike and the step on float64 copies
+            g[...] = buffers[0]  # float32 -> float64 is exact
+            np.multiply(rate, g, out=hat)
+            np.multiply(v_hat, g_v, out=v_hat)
+            np.divide(np.add(np.multiply(mv, decay, out=mv), hat, out=mv), next(bias), out=hat)
+            np.add(np.sqrt(v_hat, out=v_hat), eps_, out=v_hat)
+            np.divide(np.multiply(lr_, m_hat, out=m_hat), v_hat, out=m_hat)
+            flat[...] = np.subtract(flat, m_hat, out=g_m)
     return MetaClassifier(*params)
 
 
 def _subset_seed_key(feature_subset: Sequence[str]) -> List[int]:
     return [zlib.crc32(name.encode("utf-8")) for name in sorted(feature_subset)]
+
+
+def check_fold_counts(n_pos: int, n_neg: int) -> None:
+    """Raise InsufficientRows unless each class has ``FOLDS`` rows, one per stratified fold."""
+    if n_pos + n_neg < FOLDS:
+        raise InsufficientRows(f"{n_pos + n_neg} rows cannot fill {FOLDS} folds")
+    for cls, count in ((0, n_neg), (1, n_pos)):
+        if count < FOLDS:
+            raise InsufficientRows(f"class {cls} has fewer rows than folds ({FOLDS})")
 
 
 def cross_validate(
@@ -271,14 +308,9 @@ def cross_validate(
     reordered subset gives identical results.
     """
     n = len(rows)
-    if n < FOLDS:
-        raise InsufficientRows(f"{n} rows cannot fill {FOLDS} folds")
     X_all, y_all, names = feature_matrix(rows, feature_subset)
-    for cls in (0.0, 1.0):
-        if int((y_all == cls).sum()) < FOLDS:
-            raise InsufficientRows(
-                f"class {int(cls)} has fewer rows than folds ({FOLDS})"
-            )
+    n_pos = int(y_all.sum())
+    check_fold_counts(n_pos, n - n_pos)
 
     base = np.random.SeedSequence([int(rng_seed) & 0xFFFFFFFF, *_subset_seed_key(feature_subset)])
     repeat_seqs = base.spawn(REPEATS)
@@ -308,7 +340,6 @@ def cross_validate(
             auprs.append(aupr(scores, labels, TP_AS_POSITIVE))
             auprs_op.append(aupr(scores, labels, FP_AS_POSITIVE))
 
-    n_pos = int(y_all.sum())
     return MetricReport(
         auroc=float(np.mean(aurocs)),
         aupr=float(np.mean(auprs)),

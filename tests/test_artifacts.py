@@ -171,13 +171,21 @@ def damaged_bytes(draw, raw):
     return bytes(out[: draw(st.integers(0, len(out)))] if draw(st.booleans()) else out)
 
 
+# JSON texts that json.dumps cannot write: Python's int() refuses more than 4300 digits,
+# and its decoder's recursion limit refuses deep nesting
+BEYOND_LIMITS = [b"9" * 5000, b"[" * 200_000 + b"]" * 200_000]
+
+
 @st.composite
 def damaged_lines(draw, raw):
-    """``raw`` with one line dropped, repeated, cut short, replaced or changed in one byte."""
+    """``raw`` with one line dropped, repeated, cut short, replaced (by random bytes or by a
+    text from ``BEYOND_LIMITS``) or changed in one byte."""
     lines = raw.split(b"\n")
     i = draw(st.integers(0, len(lines) - 1))
-    kind = draw(st.sampled_from(["drop", "repeat", "cut", "replace", "byte"]))
-    if kind == "drop":
+    kind = draw(st.sampled_from(["limit", "drop", "repeat", "cut", "replace", "byte"]))
+    if kind == "limit":
+        lines[i] = draw(st.sampled_from(BEYOND_LIMITS))
+    elif kind == "drop":
         del lines[i]
     elif kind == "repeat":
         lines.insert(i, lines[i])
@@ -207,15 +215,19 @@ def json_nodes(value, path=()):
 
 @st.composite
 def damaged_json(draw, raw):
-    """``raw`` JSON with one value deleted, given another JSON type, or, if a number,
-    replaced from ``NUMBERS``."""
+    """``raw`` JSON with one value deleted, given another JSON type, replaced by a text from
+    ``BEYOND_LIMITS`` or, if a number, replaced from ``NUMBERS``."""
     doc = json.loads(raw)
     (*head, key), value = draw(st.sampled_from(list(json_nodes(doc))))
     parent = functools.reduce(operator.getitem, head, doc)
     number = type(value) in (int, float)
-    kind = draw(st.sampled_from(["delete", "type", "number"][: 3 if number else 2]))
+    kind = draw(st.sampled_from(["delete", "type", "limit", "number"][: 4 if number else 3]))
     if kind == "delete":
         del parent[key]
+    elif kind == "limit":  # a stand-in, swapped for the text once the rest is written
+        parent[key] = "\0limit\0"
+        return json.dumps(doc).encode().replace(b'"\\u0000limit\\u0000"',
+                                                draw(st.sampled_from(BEYOND_LIMITS)))
     else:
         parent[key] = draw(st.sampled_from(NUMBERS if kind == "number" else
                                            [v for v in ONE_OF_EACH_TYPE if type(v) is not type(value)]))

@@ -1,4 +1,5 @@
 import base64
+import functools
 import json
 import os
 import struct
@@ -77,14 +78,17 @@ def replace_first_line(store, name, first):
     open(path, "wb").write(b"\n".join([first] + lines[1:]) + b"\n")
 
 
-def set_pseudo_target(store, target):
+def set_pseudo_metadata(store, blob):
     # rewrite the metadata block that ends the first pseudo image
     path = os.path.join(store, "frames", "000000.xcam")
     raw = open(path, "rb").read()
     h, w, c = struct.unpack_from("<III", raw, 6)
     end = 18 + 4 * h * w * c
-    blob = json.dumps({"method": "pseudo-image", "target": target}).encode()
     open(path, "wb").write(raw[:end] + struct.pack("<I", len(blob)) + blob)
+
+
+def set_pseudo_target(store, target):
+    set_pseudo_metadata(store, json.dumps({"method": "pseudo-image", "target": target}).encode())
 
 
 def first_map(store):
@@ -188,6 +192,28 @@ SYNTH_SPEC = ["synth", "--out", "s", "--frames", "1", "--spec", "spec.json"]
 PIPELINE = ["pipeline", "--config", "cfg.json"]
 
 
+# JSON texts that json.dumps cannot write: Python's int() refuses more than 4300 digits,
+# and its decoder's recursion limit refuses deep nesting
+DIGITS, DEEP = b"9" * 5000, b"[" * 200_000 + b"]" * 200_000
+TOO_MANY_DIGITS = "an integer has more than 4300 digits"
+TOO_DEEP = "arrays or objects nested too deep"
+
+
+def json_limit_rows(value, needle):
+    """Rows for ``value`` in a pipeline config, a scene spec, a model and a detection stream."""
+    return [
+        (lambda s: None, writes("cfg.json", b'{"out": "run", "n_frames": ' + value + b"}",
+                                PIPELINE), 1, f"bad JSON in cfg.json: {needle}"),
+        (lambda s: None, writes("spec.json", b'{"rng_seed": ' + value + b"}", SYNTH_SPEC), 1,
+         f"bad JSON in spec.json: {needle}"),
+        (write_model('{"input_shape": [2], "seed": ' + value.decode() + "}"), attribute_argv, 1,
+         f"model.json: {needle}"),
+        (lambda s: replace_first_line(s, "preds.jsonl", b'{"frame_id": "000000", "n_points": '
+                                      + value + b"}"), match_argv, 1,
+         f"preds.jsonl: line 1: bad record: {needle}"),
+    ]
+
+
 def scene_rows(fields, needle):
     """Two rows for one bad scene spec, through ``synth --spec`` and through a pipeline's
     ``scene`` section; each message names its file."""
@@ -284,7 +310,7 @@ def scene_rows(fields, needle):
         (lambda s: edit_first_pred(s, distance=float("inf")), match_argv, 1,
          "preds.jsonl: line 1: scores and distance must be finite numbers: got {"),
         (lambda s: edit_first_pred(s, n_points=3.7), match_argv, 1,
-         "preds.jsonl: line 1: n_points must be an integer >= 0, got 3.7"),
+         "preds.jsonl: line 1: n_points must be an integer in [0, 2**53), got 3.7"),
         (lambda s: edit_first_pred(s, scores={"car": "0.9"}), match_argv, 1,
          "preds.jsonl: line 1: scores and distance must be finite numbers: "
          "must be of type float, got '0.9'"),
@@ -332,6 +358,20 @@ def scene_rows(fields, needle):
          "ShapeMismatch: m.json: model input (20, 40, 4) != frame shape (40, 40, 4)"),
         (lambda s: None, writes("cfg.json", b"[1]", PIPELINE), 1,
          "cfg.json: the config must hold a JSON object"),
+        *json_limit_rows(DIGITS, TOO_MANY_DIGITS),
+        *json_limit_rows(DEEP, TOO_DEEP),
+        (lambda s: set_pseudo_metadata(s, DEEP), attribute_argv, 1,
+         "000000.xcam: metadata at byte offset"),
+        (write_model(encoded_weight(functools.reduce(lambda v, _: [v], range(40), 1.0))),
+         attribute_argv, 1, "model.json: layers.0 (dense) weight: expected shape (2, 1), got (1,"),
+        (lambda s: edit_first_pred(s, n_points=2**53), match_argv, 1,
+         "preds.jsonl: line 1: n_points must be an integer in [0, 2**53), got 9007199254740992"),
+        (lambda s: None, features_csv(CSV_ROW_HEAD.replace(b",120,", b"," + b"9" * 400 + b",")
+                                      + b"car,1"), 1,
+         "features.csv: line 2: n_points: must be an integer in [0, 2**53), got 9999"),
+        (lambda s: None, features_csv(CSV_ROW_HEAD.replace(b",120,", b",-3,") + b"car,1",
+                                      "train-meta"), 1,
+         "features.csv: line 2: n_points: must be an integer in [0, 2**53), got -3"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -356,7 +396,11 @@ def scene_rows(fields, needle):
          "scene-spec-unknown-field", "pipeline-scene-unknown-field", "scene-spec-unknown-class",
          "pipeline-scene-unknown-class", "scene-spec-size-range-reversed", "model-weight-string",
          "config-value-string-for-int", "model-flag-weight-mixes-booleans",
-         "model-flag-too-few-outputs", "model-flag-other-input-shape", "config-not-object"],
+         "model-flag-too-few-outputs", "model-flag-other-input-shape", "config-not-object",
+         *(f"{kind}-{where}" for kind in ("digits", "deep")
+           for where in ("config", "scene-spec", "model", "prediction")),
+         "xcam-metadata-deep", "model-weight-nested-40-deep", "prediction-n-points-2-53",
+         "features-n-points-400-digits-eval", "features-n-points-negative-train-meta"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -572,14 +616,16 @@ def test_counts_and_classes_checked_before_writing(refused, argv, config, needle
     ("spec.json", {"concentration_profile": {"tp_inside": 0}}, SYNTH_SPEC,
      "PlacementFailure: spec.json: anchor block too crowded"),
     ("cfg.json", {"out": "run", "n_frames": 2, "scene": {"rng_seed": 3}}, PIPELINE,
-     "InsufficientRows: cfg.json: run/features.csv: class 0 has fewer rows than folds (5)"),
+     "InsufficientRows: cfg.json: class 0 has fewer rows than folds (5)"),
 ], ids=["synth-spec", "pipeline-train-meta"])
 def test_run_time_errors_name_the_file(tmp_path, monkeypatch, capsys, name, text, argv, needle):
-    # a spec or config that passes every check can still fail once the run starts
+    # a spec or config that passes every check can still fail once the run starts; a
+    # pipeline too small for train-meta's folds fails before it writes anything
     monkeypatch.chdir(tmp_path)
     (tmp_path / name).write_text(json.dumps(text))
     assert run(argv) == 1
     assert needle in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 class TestXcAndMatch:

@@ -1,6 +1,8 @@
 """Feature dataset assembly, preprocessing, MLP gradients and training, cross-validation."""
 
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from xckit.meta import (
     split_groups,
     train_mlp,
 )
+import xckit.meta as meta_mod
 from xckit.metrics import auroc
 
 import gen
@@ -238,6 +241,34 @@ class TestMlpGradients:
             assert np.allclose(a, b, rtol=1e-5, atol=1e-7)
 
 
+def pin_set(d, n):
+    """``n`` rows of ``d`` features with alternating labels, the positives shifted by 0.5."""
+    rng = np.random.default_rng(1000 * d + n)
+    y = (np.arange(n) % 2).astype(float)
+    return rng.normal(size=(n, d)) + 0.5 * y[:, None], y
+
+
+def weight_digest(clf):
+    h = hashlib.sha256()
+    for arr in (clf.W1, clf.b1, clf.W2, clf.b2):
+        assert arr.dtype == np.float32
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# train_mlp(*pin_set(d, n), rng_seed=n) -> weight_digest, keyed by (d, n)
+WEIGHT_PINS = {
+    (1, 5): "1163ceb1ac605eb600eb7eef523c0e73944934b7b94b438ef5358f7d4af4f052",
+    (1, 16): "0196269478455dfe1c93378e45917b6b6032884e6838f9afd105381186b372da",
+    (1, 17): "1d72aba1c18b0df7a32766c93c909b1c9e113ff489e002471f74c51623df2ba0",
+    (1, 1280): "7b9d43665ca4bed968ed1f208590747251962c9e21077645a512dea3e341aed6",
+    (5, 5): "506316dbe573b191b36abe0dc1df07fe04e9781e2ec874badab72fe7527993ff",
+    (5, 16): "5f158678c38e9ee3f29c07c35bb2960e2fb000a81ffe021d52556c7ffb453e68",
+    (5, 17): "d623b48bfefec9d2ac6c3cb726b2dac35e38a5cd5ce8393636a48141669a46e4",
+    (5, 1280): "d37e6e6f4efb99c770f4f1f71b6e9743ed2486fa4659080742e3b05f95b75f14",
+}
+
+
 class TestTrainMlp:
     def test_separable_high_train_accuracy(self):
         # sized so the fixed 12-epoch budget yields enough optimizer steps
@@ -305,6 +336,34 @@ class TestTrainMlp:
         assert h.hexdigest() == "071c2d4835ad838cf1bac66af7a385f1ae5636d51f385f351735db52b7499bb3"
         scores = hashlib.sha256(clf.predict(X).tobytes()).hexdigest()
         assert scores == "2fc4e7399bdb995be6b0e7493f648ad38bfd9a5f509d8ef867bb7c39f288f347"
+
+    @pytest.mark.parametrize("d, n", sorted(WEIGHT_PINS))
+    def test_weights_pinned_across_batch_shapes(self, d, n):
+        # recorded before the Adam step ran in place: one short batch (5), one full batch
+        # (16), a full batch and one row (17), and 960 steps (1280), which pass the steps
+        # (t = 7, 23, ...) where numpy's float64 power and Python's differ in the last bit
+        X, y = pin_set(d, n)
+        assert weight_digest(train_mlp(X, y, rng_seed=n)) == WEIGHT_PINS[d, n]
+
+    def test_fits_share_nothing(self):
+        # fits of one shape, on other rows and seeds: a second fit leaves the first
+        # classifier as it was, and fits in four threads, switching often, give the
+        # sequential bits
+        X, y = pin_set(5, 1280)
+        fits = [(X, y, 1280), (X[::-1], y, 1), (X, y[::-1], 2), (-X, y, 3)]
+        first = train_mlp(*fits[0])
+        sequential = [weight_digest(train_mlp(*fit)) for fit in fits]
+        assert weight_digest(first) == sequential[0] == WEIGHT_PINS[5, 1280]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(fits)) as pool:
+                threaded = list(pool.map(lambda fit: weight_digest(train_mlp(*fit)), fits))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential
+        assert not [name for name, value in vars(meta_mod).items()
+                    if isinstance(value, np.ndarray)]
 
     def test_empty_set_rejected(self):
         with pytest.raises(SingleClassTrainingSet):
@@ -377,6 +436,14 @@ class TestCrossValidate:
         rep = cross_validate(rows, DEFAULT_FEATURES, rng_seed=2)
         assert (rep.auroc, rep.aupr, rep.aupr_op) == (
             0.7104945054945055, 0.6775908793740781, 0.8095829029931195)
+
+    def test_report_pinned_at_1000_rows(self):
+        # recorded before the Adam step ran in place; 3,200 augmented rows per fold give
+        # 2,400 steps per fit, so 25 fits cover the full-batch path at every late t
+        rep = cross_validate(noisy_and_feature_rows(1000, rng_seed=47), DEFAULT_FEATURES,
+                             rng_seed=3)
+        assert (rep.auroc, rep.aupr, rep.aupr_op) == (
+            0.8979109405884068, 0.858802232420488, 0.9212208409740655)
 
     def test_insufficient_rows(self):
         rows = [mkrow(True), mkrow(False), mkrow(True)]
