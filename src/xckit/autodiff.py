@@ -8,14 +8,14 @@ It skips work that cannot change the answer: parameter gradients, a path's
 forwards through the affine runs at both ends of the model (see
 ``input_gradient_array``), and the zero columns of a dense layer's output
 gradient.
-Parameters are stored as float32. A float64 input runs on float64 copies made
-once when the layer is built, so no call casts and ``--jobs`` threads share
-them read-only; any other input runs on the float32 arrays.
+Parameters are stored as float32; a float64 input runs on float64 copies, each made
+when a float64 call first reads its array (dense backward casts only the columns it
+gathers), and any other input on the float32 arrays.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import math
 
 import numpy as np
@@ -50,7 +50,7 @@ def _as_f32(values, shape, what):
 def _encode_f32(arr) -> dict:
     """``arr`` as its shape and the base64 of its C-order little-endian float32 bytes."""
     raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return {"shape": list(arr.shape), "f32le": base64.b64encode(raw).decode("ascii")}
+    return {"shape": list(arr.shape), "f32le": binascii.b2a_base64(raw, newline=False).decode()}
 
 
 def _decode_f32(obj, shape, what):
@@ -59,8 +59,8 @@ def _decode_f32(obj, shape, what):
     data = obj.get("f32le")
     if not isinstance(data, str):
         raise XckitError(f"{what}: 'f32le' must be a base64 string, got {type(data).__name__}")
-    try:
-        raw = base64.b64decode(data, validate=True)
+    try:  # reads the str in place, where b64decode would copy it to bytes first
+        raw = binascii.a2b_base64(data, strict_mode=True)
     except ValueError as e:  # binascii.Error, or a non-ASCII character
         raise XckitError(f"{what}: 'f32le' is not valid base64: {e}")
     n = 4 * math.prod(shape)
@@ -70,17 +70,17 @@ def _decode_f32(obj, shape, what):
 
 
 class _Affine:
-    """Weight and bias of a dense or conv2d layer, plus float64 copies made once."""
+    """Weight and bias of a dense or conv2d layer, plus float64 copies made on first use."""
 
-    def __init__(self, weight, bias, *derived):
+    def __init__(self, weight, bias, **derived):
         self.weight = weight  # dense (in, out); conv2d (kh, kw, in, out)
         self.bias = bias  # (out,)
-        arrays = (weight, bias, *derived)
-        self._arrays = {np.dtype(np.float32): arrays,
-                        np.dtype(np.float64): tuple(a.astype(np.float64) for a in arrays)}
+        self._f32, self._f64 = dict(weight=weight, bias=bias, **derived), {}
 
-    def _params(self, dtype):
-        return self._arrays.get(dtype, self._arrays[np.dtype(np.float32)])
+    def _param(self, name, dtype):
+        if dtype == np.float64 and name not in self._f64:  # racing threads make equal copies
+            self._f64[name] = self._f32[name].astype(np.float64)
+        return (self._f64 if dtype == np.float64 else self._f32)[name]
 
 
 # backward returns (dx, ()): perfbench/child.py's layer timings unpack two values
@@ -89,17 +89,18 @@ class _Dense(_Affine):
 
     def forward(self, x, with_bias=True):
         # x: (B, ...) flattened to (B, n_in), so a dense head can follow a conv
-        w, bias = self._params(x.dtype)
+        w, bias = self._param("weight", x.dtype), self._param("bias", x.dtype)
         y = x.reshape(len(x), -1) @ w
         if with_bias:
             y += bias
         return y, x.shape
 
     def backward(self, g, in_shape):
-        # zero columns of g add exact zeros, so only the others are multiplied
-        w, _ = self._params(g.dtype)
+        # zero columns of g add exact zeros, so only the others are multiplied; the float32
+        # columns are cast after the gather, which is exact and reads half the bytes
         cols = np.flatnonzero(g.any(axis=0))
-        return (g[:, cols] @ w[:, cols].T).reshape(in_shape), ()
+        w = self.weight[:, cols].astype(np.result_type(g, self.weight), copy=False)
+        return (g[:, cols] @ w.T).reshape(in_shape), ()
 
 
 class _Conv2d(_Affine):
@@ -109,13 +110,13 @@ class _Conv2d(_Affine):
 
     def __init__(self, weight, bias):
         # contiguous W[i, j].T for backward, whose matmuls are faster on it
-        super().__init__(weight, bias, np.ascontiguousarray(weight.transpose(0, 1, 3, 2)))
+        super().__init__(weight, bias, wt=np.ascontiguousarray(weight.transpose(0, 1, 3, 2)))
 
     def forward(self, x, with_bias=True):
         b, h, w_, cin = x.shape
         kh, kw, _, cout = self.weight.shape
         ph, pw = kh // 2, kw // 2
-        wk, bias, _ = self._params(x.dtype)
+        wk, bias = self._param("weight", x.dtype), self._param("bias", x.dtype)
         xp = x
         if ph or pw:  # zero padding by slice assignment, cheaper per call than np.pad
             xp = np.zeros((b, h + 2 * ph, w_ + 2 * pw, cin), dtype=x.dtype)
@@ -132,7 +133,7 @@ class _Conv2d(_Affine):
         b, h, w_, cin = in_shape
         kh, kw = self.weight.shape[:2]
         ph, pw = kh // 2, kw // 2
-        _, _, wt = self._params(g.dtype)
+        wt = self._param("wt", g.dtype)
         dxp = np.zeros((b, h + 2 * ph, w_ + 2 * pw, cin), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
@@ -187,8 +188,8 @@ def _init_array(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-# Per model. At the bound a model keeps 1 GiB of float32 parameters and 2 GiB of
-# float64 copies; a conv2d weight keeps a transposed copy of each besides.
+# Per model. At the bound a model keeps 1 GiB of float32 parameters and up to 2 GiB
+# of float64 copies; a conv2d weight keeps a transposed copy of each besides.
 MAX_PARAM_ELEMENTS = 2**28
 _LAYER_FIELDS = {  # each kind's fields, in the order model_to_spec writes them
     "dense": ("in_features", "out_features"),
@@ -327,7 +328,7 @@ def _tail_map(model, t, dtype, offset):
     u.reshape(-1)[t] = 1.0
     for layer, in_shape in zip(reversed(layers[run:top]), reversed(shapes[run:top])):
         if offset:
-            c += np.dot(u.reshape(-1, u.shape[-1]), layer._params(dtype)[1]).sum()
+            c += np.dot(u.reshape(-1, u.shape[-1]), layer._param("bias", dtype)).sum()
         u, _ = layer.backward(u, (1, *in_shape))
     return u, c
 
@@ -378,7 +379,7 @@ def input_gradient_array(model: ModelGraph, x, target, baseline=None, alphas=(1.
     A, Q = b[None], dx[None]
     for layer, out_shape in zip(layers[:lead], shapes[1:]):  # at an all-zero input, the bias
         A = layer.forward(A)[0] if A.any() else np.broadcast_to(
-            layer._params(Q.dtype)[1], (1, *out_shape))
+            layer._param("bias", Q.dtype), (1, *out_shape))
         Q, _ = layer.forward(Q, with_bias=False)
     # only elementwise layers between the two affine runs, and points to contract
     contract = len(alphas) > 1 and not any(isinstance(la, _Affine) for la in layers[lead:run])

@@ -152,23 +152,30 @@ def _records_by_frame(preds_path, gts_path) -> Dict[str, tuple]:
     return by_frame
 
 
-def read_frame_store(store_dir):
-    """Returns (spec, ordered frame ids, {fid: (pseudo, preds, gts)})."""
+def read_frame_records(store_dir):
+    """Returns (spec, pseudo-image shape, ordered frame ids, {fid: (preds, gts)}) and reads
+    no pseudo-image; one holds three class channels, then inhibition."""
     spec = load_scene_spec(os.path.join(store_dir, "scene.json"))
     by_frame = _records_by_frame(
         os.path.join(store_dir, "preds.jsonl"), os.path.join(store_dir, "gts.jsonl")
     )
-    frames_dir = os.path.join(store_dir, "frames")
-    for name in os.listdir(frames_dir):
+    for name in os.listdir(os.path.join(store_dir, "frames")):
         if name.endswith(".xcam"):
             by_frame.setdefault(name[:-5], ([], []))
-    fids = sorted(by_frame)
-    out = {}
-    shape = (spec.grid.height, spec.grid.width, 4)  # three class channels, then inhibition
-    for fid in fids:
-        pseudo = read_xcam(os.path.join(frames_dir, f"{fid}.xcam"), shape).values
-        out[fid] = (pseudo.astype(np.float32), *by_frame[fid])
-    return spec, fids, out
+    return spec, (spec.grid.height, spec.grid.width, 4), sorted(by_frame), by_frame
+
+
+def read_pseudo_image(store_dir, fid, shape) -> np.ndarray:
+    """Frame ``fid``'s pseudo-image as float32."""
+    values = read_xcam(os.path.join(store_dir, "frames", f"{fid}.xcam"), shape).values
+    return values.astype(np.float32)
+
+
+def read_frame_store(store_dir):
+    """Returns (spec, ordered frame ids, {fid: (pseudo, preds, gts)}), every frame at once."""
+    spec, shape, fids, records = read_frame_records(store_dir)
+    return spec, fids, {fid: (read_pseudo_image(store_dir, fid, shape), *records[fid])
+                        for fid in fids}
 
 
 # --- subcommands: each checks its flags, then returns its reading and writing as a call ---
@@ -212,13 +219,15 @@ def _cmd_attribute(args):
         check_steps(args.steps)
 
     def run():
-        spec, fids, store = read_frame_store(args.frames)
+        spec, shape, fids, records = read_frame_records(args.frames)
+        for fid in fids:  # every pseudo-image is checked before anything is written
+            read_pseudo_image(args.frames, fid, shape)
         path = args.model or os.path.join(args.frames, "model.json")
-        model, shape = load_model(path), (spec.grid.height, spec.grid.width, 4)
+        model = load_model(path)
         if model.input_shape != shape:
             raise ShapeMismatch(f"{path}: model input {model.input_shape} != frame shape {shape}")
         for fid in fids:  # every prediction's output, before anything is written
-            for pred in store[fid][1]:
+            for pred in records[fid][0]:
                 if pred.anchor_index is None:
                     raise XckitError(f"{path}: frame {fid}: prediction lacks anchor_index; "
                                      "cannot pick its output")
@@ -227,8 +236,8 @@ def _cmd_attribute(args):
                                            f"outside the model's [0, {model.n_outputs})")
         os.makedirs(args.out, exist_ok=True)
 
-        def one_frame(fid):
-            pseudo, preds, gts = store[fid]
+        def one_frame(fid):  # reads its pseudo-image again, so one frame's is held at a time
+            pseudo, (preds, gts) = read_pseudo_image(args.frames, fid, shape), records[fid]
             frame = SyntheticFrame(pseudo_image=pseudo, gts=gts, preds=preds, model=model)
             return frame_attributions(frame, method=args.method, steps=args.steps)
 
@@ -249,11 +258,11 @@ def _cmd_xc(args):
     match_cfg = MatchConfig(score_thresh=args.score_thresh, iou_thresh=_parse_iou_spec(args.iou))
 
     def run():
-        spec, fids, store = read_frame_store(args.frames)
+        spec, shape, fids, records = read_frame_records(args.frames)  # reads no pseudo-image
 
         def triple(fid):
-            pseudo, preds, gts = store[fid]
-            maps = [read_xcam(os.path.join(args.attribs, f"{fid}_{i:03d}.xcam"), pseudo.shape)
+            preds, gts = records[fid]
+            maps = [read_xcam(os.path.join(args.attribs, f"{fid}_{i:03d}.xcam"), shape)
                     for i in range(len(preds))]
             return preds, maps, gts
 

@@ -207,7 +207,7 @@ def _json_fault(e) -> str:
 
 
 def _jsonl_records(path, keys) -> Iterator[tuple]:
-    """(line number, record) per non-blank line; each record is an object holding ``keys``."""
+    """(line number, record) per non-blank line: an object with a string frame_id and ``keys``."""
     with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -220,15 +220,18 @@ def _jsonl_records(path, keys) -> Iterator[tuple]:
                 raise ParseError(line_no, f"bad record: {_json_fault(e)}", path)
             if not isinstance(row, dict):
                 raise ParseError(line_no, "record must be a JSON object", path)
-            for key in keys:
+            for key in ("frame_id", *keys):
                 if key not in row:
                     raise ParseError(line_no, f"missing field {key!r}", path)
+            if type(row["frame_id"]) is not str:  # else 0 and "0" would be one frame
+                raise ParseError(line_no, "frame_id must be a string, got "
+                                 f"{reprlib.repr(row['frame_id'])}", path)
             yield line_no, row
 
 
 def read_detections(path) -> Iterator[tuple]:
     """Stream (frame_id, Detection) pairs; malformed lines carry their number."""
-    for line_no, row in _jsonl_records(path, ("frame_id", "box", "label", "scores", "n_points")):
+    for line_no, row in _jsonl_records(path, ("box", "label", "scores", "n_points")):
         if not isinstance(row["scores"], dict):
             raise ParseError(line_no, "scores must be an object", path)
         try:
@@ -245,7 +248,7 @@ def read_detections(path) -> Iterator[tuple]:
         anchor = row.get("anchor_index")
         if anchor is not None and type(anchor) is not int:
             raise ParseError(line_no, f"anchor_index must be an integer, got {anchor!r}", path)
-        yield str(row["frame_id"]), Detection(
+        yield row["frame_id"], Detection(
             box=_box_from_list(row["box"], line_no, path),
             label=str(row["label"]),
             scores=scores,
@@ -262,8 +265,8 @@ def write_ground_truths(path, records: Iterable[tuple]) -> None:
 
 
 def read_ground_truths(path) -> Iterator[tuple]:
-    for line_no, row in _jsonl_records(path, ("frame_id", "box", "label")):
-        yield str(row["frame_id"]), GroundTruth(
+    for line_no, row in _jsonl_records(path, ("box", "label")):
+        yield row["frame_id"], GroundTruth(
             box=_box_from_list(row["box"], line_no, path), label=str(row["label"])
         )
 

@@ -2,7 +2,9 @@
 
 import base64
 import re
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -613,3 +615,26 @@ class TestSpecRoundTrip:
         w = m.layers[0].weight
         assert np.all(np.abs(w) <= 0.25 + 1e-7)
         assert w.std() > 0.05
+
+
+def test_threads_that_make_the_float64_copies_together_get_sequential_bits():
+    # each array's float64 copy is made by the first float64 call that reads it, so
+    # --jobs threads on a fresh model race to make it; switching often, every thread's
+    # gradients (a lone point through the dense forward, and a path) keep the bits
+    x = np.random.default_rng(4).normal(size=(8, 8, 2))
+
+    def gradients(model):
+        return [input_gradient_array(model, x, [0, 3], alphas=alphas).tobytes()
+                for alphas in ((1.0,), (0.25, 0.75))]
+
+    expected = gradients(seeded_convnet(5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            model = seeded_convnet(5)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda _: gradients(model), range(4), timeout=60))
+            assert got == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)

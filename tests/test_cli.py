@@ -372,6 +372,21 @@ def scene_rows(fields, needle):
         (lambda s: None, features_csv(CSV_ROW_HEAD.replace(b",120,", b",-3,") + b"car,1",
                                       "train-meta"), 1,
          "features.csv: line 2: n_points: must be an integer in [0, 2**53), got -3"),
+        (lambda s: edit_first_pred(s, frame_id=0), match_argv, 1,
+         "preds.jsonl: line 1: frame_id must be a string, got 0"),
+        (lambda s: edit_first_pred(s, frame_id=[[0]]), match_argv, 1,
+         "preds.jsonl: line 1: frame_id must be a string, got [[0]]"),
+        (lambda s: replace_first_line(s, "gts.jsonl", b'{"frame_id": {"id": "000000"}, '
+                                      b'"box": [1], "label": "car"}'), match_argv, 1,
+         "gts.jsonl: line 1: frame_id must be a string, got {'id': '000000'}"),
+        (lambda s: replace_first_line(s, "preds.jsonl", b'{"frame_id": ' + b"[" * 985
+                                      + b'"000000"' + b"]" * 985 + b', "box": [1], '
+                                      b'"label": "car", "scores": {}, "n_points": 1}'),
+         match_argv, 1, "preds.jsonl: line 1: frame_id must be a string, got [[[[[[[...]]]]]]]"),
+        (write_model(encoded_weight({"shape": [2, 1], "f32le": "AAAAAAAAAA\u00e9="})),
+         attribute_argv, 1, "model.json: layers.0 (dense) weight: 'f32le' is not valid base64"),
+        (write_model(encoded_weight({"shape": [2, 1], "f32le": "AAAA=AAAAAAA"})), attribute_argv,
+         1, "model.json: layers.0 (dense) weight: 'f32le' is not valid base64"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -400,7 +415,10 @@ def scene_rows(fields, needle):
          *(f"{kind}-{where}" for kind in ("digits", "deep")
            for where in ("config", "scene-spec", "model", "prediction")),
          "xcam-metadata-deep", "model-weight-nested-40-deep", "prediction-n-points-2-53",
-         "features-n-points-400-digits-eval", "features-n-points-negative-train-meta"],
+         "features-n-points-400-digits-eval", "features-n-points-negative-train-meta",
+         "prediction-frame-id-integer", "prediction-frame-id-nested-list",
+         "ground-truth-frame-id-object", "prediction-frame-id-985-deep",
+         "model-weight-f32le-non-ascii", "model-weight-f32le-misplaced-padding"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)

@@ -112,3 +112,11 @@ def test_only_main_decides_exit_codes():
     catchers = {owner for owner, handler in owned("cli", ast.ExceptHandler)
                 if "XckitError" in {getattr(n, "id", None) for n in ast.walk(handler.type)}}
     assert catchers == {"main"}
+
+
+def test_no_stage_reads_the_whole_frame_store():
+    # attribute and xc read a frame's pseudo-image when they reach it (xc reads none),
+    # so a stage's peak memory does not grow with the store
+    readers = {owner for owner, call in owned("cli") if "read_frame_store" in
+               (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
+    assert {owner for owner in readers if owner.startswith("_cmd_")} == set()
