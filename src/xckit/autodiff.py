@@ -15,8 +15,8 @@ gathers), and any other input on the float32 arrays.
 
 from __future__ import annotations
 
-import binascii
 import math
+import threading
 
 import numpy as np
 
@@ -24,49 +24,24 @@ from .errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitErro
 
 
 def _as_f32(values, shape, what):
-    """A float32 parameter array from nested lists or a ``{"shape", "f32le"}`` object."""
+    """A float32 parameter array from nested lists or an array."""
     shape = tuple(shape)
-    if isinstance(values, dict):
-        arr = _decode_f32(values, shape, what)
-    else:
-        try:  # numbers only: a string or a boolean is no parameter
-            if isinstance(values, np.ndarray):  # built in-process: its dtype says what it holds
-                arr, bad = values, {values.dtype.name} if values.dtype.kind not in "iuf" else ()
-            else:  # nested lists: one pass over the elements, which numpy would promote
-                arr = np.asarray(values, object)
-                bad = {type(v).__name__ for v in arr.reshape(-1)} - {"int", "float"}  # any depth
-            if bad:
-                raise TypeError(f"got {', '.join(sorted(bad))} values")
-            arr = arr.astype(np.float32, copy=False)
-        except (TypeError, ValueError) as e:
-            raise XckitError(f"{what}: parameters must be nested lists of numbers: {e}")
+    try:  # numbers only: a string or a boolean is no parameter
+        if isinstance(values, np.ndarray):  # its dtype says what it holds
+            arr, bad = values, {values.dtype.name} if values.dtype.kind not in "iuf" else ()
+        else:  # nested lists: one pass over the elements, which numpy would promote
+            arr = np.asarray(values, object)
+            bad = {type(v).__name__ for v in arr.reshape(-1)} - {"int", "float"}  # any depth
+        if bad:
+            raise TypeError(f"got {', '.join(sorted(bad))} values")
+        arr = arr.astype(np.float32, copy=False)
+    except (TypeError, ValueError) as e:
+        raise XckitError(f"{what}: parameters must be nested lists of numbers: {e}")
     if arr.shape != shape:
         raise ShapeMismatch(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise XckitError(f"{what}: non-finite parameter values")
     return arr
-
-
-def _encode_f32(arr) -> dict:
-    """``arr`` as its shape and the base64 of its C-order little-endian float32 bytes."""
-    raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return {"shape": list(arr.shape), "f32le": binascii.b2a_base64(raw, newline=False).decode()}
-
-
-def _decode_f32(obj, shape, what):
-    if obj.get("shape") != list(shape) or any(type(d) is not int for d in obj["shape"]):
-        raise ShapeMismatch(f"{what}: expected shape {list(shape)}, got {obj.get('shape')!r}")
-    data = obj.get("f32le")
-    if not isinstance(data, str):
-        raise XckitError(f"{what}: 'f32le' must be a base64 string, got {type(data).__name__}")
-    try:  # reads the str in place, where b64decode would copy it to bytes first
-        raw = binascii.a2b_base64(data, strict_mode=True)
-    except ValueError as e:  # binascii.Error, or a non-ASCII character
-        raise XckitError(f"{what}: 'f32le' is not valid base64: {e}")
-    n = 4 * math.prod(shape)
-    if len(raw) != n:
-        raise XckitError(f"{what}: 'f32le' holds {len(raw)} bytes, shape {list(shape)} needs {n}")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
 class _Affine:
@@ -76,10 +51,13 @@ class _Affine:
         self.weight = weight  # dense (in, out); conv2d (kh, kw, in, out)
         self.bias = bias  # (out,)
         self._f32, self._f64 = dict(weight=weight, bias=bias, **derived), {}
+        self._lock = threading.Lock()
 
     def _param(self, name, dtype):
-        if dtype == np.float64 and name not in self._f64:  # racing threads make equal copies
-            self._f64[name] = self._f32[name].astype(np.float64)
+        if dtype == np.float64 and name not in self._f64:
+            with self._lock:  # one copy, however many threads ask for it at once
+                if name not in self._f64:
+                    self._f64[name] = self._f32[name].astype(np.float64)
         return (self._f64 if dtype == np.float64 else self._f32)[name]
 
 
@@ -199,19 +177,19 @@ _LAYER_FIELDS = {  # each kind's fields, in the order model_to_spec writes them
 _LAYER_CLASSES = {cls.kind: cls for cls in (_Dense, _Conv2d, _ReLU, _Sigmoid)}
 
 
-def build_model(spec: dict) -> ModelGraph:
+def build_model(spec: dict, params=None) -> ModelGraph:
     """Build a validated ModelGraph from a structured layer description.
 
     ``spec`` maps ``input_shape`` to a list of ``layers`` entries. Each
-    dense or conv2d entry either carries its ``weight``/``bias`` arrays or is
-    initialized from ``spec["seed"]`` with uniform(-1/sqrt(fan_in),
-    +1/sqrt(fan_in)) draws in layer order. An array is given as nested lists
-    or as ``{"shape": [...], "f32le": "<base64>"}``, the encoding
-    ``model_to_spec`` writes.
+    dense or conv2d entry carries its ``weight``/``bias`` as nested lists,
+    finds them in ``params`` ({name: array}, named as ``model_to_spec``
+    names them), or is initialized from ``spec["seed"]`` with
+    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws in layer order.
 
-    The whole spec is checked before any array is decoded or drawn: its fields,
-    its chain of shapes (dense takes the flattened input, conv2d (H, W,
-    ``in_channels``)) and its parameter count, at most ``MAX_PARAM_ELEMENTS``.
+    The whole spec is checked before any array is converted or drawn: its
+    fields, its chain of shapes (dense takes the flattened input, conv2d (H, W,
+    ``in_channels``)), its parameter count, at most ``MAX_PARAM_ELEMENTS``, and
+    that every array in ``params`` belongs to a layer.
     """
     if not (isinstance(spec, dict)
             and all(isinstance(spec.get(k), (list, tuple)) for k in ("input_shape", "layers"))):
@@ -237,12 +215,12 @@ def build_model(spec: dict) -> ModelGraph:
         missing = [k for k in _LAYER_FIELDS[kind] if k not in entry]
         if missing:
             raise XckitError(f"{tag}: missing field {missing[0]!r}")
-        params, fan_in, out_shape = {}, 0, in_shape
+        arrays, fan_in, out_shape = {}, 0, in_shape
         if kind == "dense":
             n_in, n_out = (size(entry[k], f"{tag}: {k}") for k in _LAYER_FIELDS[kind])
             if math.prod(in_shape) != n_in:
                 raise ShapeMismatch(f"dense expects {n_in} input features, got {in_shape}")
-            params, fan_in, out_shape = {"weight": (n_in, n_out), "bias": (n_out,)}, n_in, (n_out,)
+            arrays, fan_in, out_shape = {"weight": (n_in, n_out), "bias": (n_out,)}, n_in, (n_out,)
         elif kind == "conv2d":
             cin, cout = (size(entry[k], f"{tag}: {k}") for k in _LAYER_FIELDS[kind][:2])
             kernel = entry["kernel"]
@@ -251,44 +229,47 @@ def build_model(spec: dict) -> ModelGraph:
             kh, kw = (size(k, f"{tag}: kernel") for k in kernel)
             if len(in_shape) != 3 or in_shape[2] != cin:
                 raise ShapeMismatch(f"conv2d expects (H, W, {cin}) input, got {in_shape}")
-            params = {"weight": (kh, kw, cin, cout), "bias": (cout,)}
+            arrays = {"weight": (kh, kw, cin, cout), "bias": (cout,)}
             fan_in, out_shape = kh * kw * cin, (*in_shape[:2], cout)
-        for key, shape in params.items():  # the model's count up to and with this array
+        for key, shape in arrays.items():  # the model's count up to and with this array
             total += math.prod(shape)
             if total > MAX_PARAM_ELEMENTS:
                 raise XckitError(f"{tag} {key}: {total} elements exceed {MAX_PARAM_ELEMENTS}")
-        plan.append((_LAYER_CLASSES[kind], entry, tag, fan_in, params))
+        plan.append((_LAYER_CLASSES[kind], entry, tag, fan_in, arrays))
         shapes.append(out_shape)
+    params = params or {}
+    unread = sorted(set(params) - {f"layers.{idx}.{key}" for idx, (*_, arrays) in enumerate(plan)
+                                   for key in arrays})
+    if unread:
+        raise XckitError(f"parameter array {unread[0]!r} belongs to no layer")
 
     rng = np.random.default_rng(seed) if seed is not None else None
 
-    def param(entry, key, shape, fan_in, tag):
-        if key in entry:
-            return _as_f32(entry[key], shape, f"{tag} {key}")
+    def param(idx, entry, key, shape, fan_in, tag):
+        if key in entry or f"layers.{idx}.{key}" in params:
+            value = entry[key] if key in entry else params[f"layers.{idx}.{key}"]
+            return _as_f32(value, shape, f"{tag} {key}")
         if rng is None:
-            raise XckitError(f"{tag}: no inline parameters and no init seed given")
+            raise XckitError(f"{tag}: no parameters given and no init seed")
         return _init_array(rng, shape, fan_in)
 
-    layers = [cls(*(param(entry, key, shape, fan_in, tag) for key, shape in params.items()))
-              for cls, entry, tag, fan_in, params in plan]
+    layers = [cls(*(param(idx, entry, key, shape, fan_in, tag) for key, shape in arrays.items()))
+              for idx, (cls, entry, tag, fan_in, arrays) in enumerate(plan)]
     return ModelGraph(layers, shapes)
 
 
-def model_to_spec(model: ModelGraph) -> dict:
-    """Inverse of build_model: every weight and bias as a ``{"shape", "f32le"}`` object.
-
-    ``f32le`` is the base64 of the array's C-order little-endian float32
-    bytes, so parameters round-trip bit for bit.
-    """
-    layers = []
-    for layer in model.layers:
+def model_to_spec(model: ModelGraph):
+    """Inverse of build_model: ``(spec, params)``, the layer list and the model's own float32
+    arrays by name, ``layers.<index>.weight`` and ``layers.<index>.bias``."""
+    layers, params = [], {}
+    for idx, layer in enumerate(model.layers):
         entry = {"kind": layer.kind}
         if isinstance(layer, _Affine):  # the weight is ([kh, kw,] in, out)
             *kernel, n_in, n_out = (int(d) for d in layer.weight.shape)
             entry.update(zip(_LAYER_FIELDS[layer.kind], (n_in, n_out, kernel)))
-            entry.update(weight=_encode_f32(layer.weight), bias=_encode_f32(layer.bias))
+            params.update({f"layers.{idx}.weight": layer.weight, f"layers.{idx}.bias": layer.bias})
         layers.append(entry)
-    return {"input_shape": list(model.input_shape), "layers": layers}
+    return {"input_shape": list(model.input_shape), "layers": layers}, params
 
 
 def _check_input(model, batch):

@@ -4,11 +4,13 @@ Frame store layout; every file the CLI writes appears whole or not at all:
 
     store/
       scene.json      generator spec (includes the grid)
-      model.json      toy detector weights
+      model.json      toy detector layers, naming model.xcam
+      model.xcam      toy detector weights and biases (XCAM container)
       manifest.json   planted TP/FP accounting + suggested a_thresh
       preds.jsonl     detections with frame ids (written after the frames)
       gts.jsonl       ground truths with frame ids (written last)
-      frames/<id>.xcam   pseudo image per frame (XCAM container)
+      frames/<id>.xcam   pseudo image per frame (XCAM container, one array)
+    attribs/<id>_<index>.xcam   map per prediction (attribute --out; see map_path)
 
 Exit codes: 0 success; 2 for an XckitError raised by a handler's flag checks, the
 library's included (a usage error); 1 for an error raised by the reading and writing
@@ -27,52 +29,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict
 
-import numpy as np
-
-from .attribution import AttributionMap, check_steps
+from .attribution import check_steps
 from .errors import (
     DegenerateClassBalance, EmptySample, ParseError, ShapeMismatch, TargetOutOfRange, XckitError)
 from .io_formats import (
-    atomic_write,
-    json_typed,
-    load_json,
-    load_model,
-    naming,
-    read_detections,
-    read_feature_csv,
-    read_ground_truths,
-    read_xcam,
-    save_model,
-    write_detections,
-    write_feature_csv,
-    write_ground_truths,
-    write_jsonl,
-    write_xcam,
-)
+    atomic_write, json_typed, load_json, load_model, naming, read_arrays, read_detections,
+    read_feature_csv, read_ground_truths, read_xcam, save_model, write_arrays, write_detections,
+    write_feature_csv, write_ground_truths, write_jsonl, write_xcam)
 from .matching import DEFAULT_IOU_THRESH, MatchConfig, categorize
 from .meta import (
-    DEFAULT_FEATURES,
-    FOLDS,
-    REPEATS,
-    build_feature_dataset,
-    check_fold_counts,
-    cross_validate,
-    split_groups,
-)
+    DEFAULT_FEATURES, FOLDS, REPEATS, build_feature_dataset, check_fold_counts, cross_validate,
+    split_groups)
 from .metrics import evaluate_feature, render_table
 from .synth import (
-    BENCHMARK_A_THRESH,
-    SceneSpec,
-    SyntheticFrame,
-    build_toy_model,
-    check_frame_count,
-    frame_attributions,
-    generate_benchmark,
-    load_scene_spec,
-    output_index,
-    save_scene_spec,
-    scene_spec_from_dict,
-)
+    BENCHMARK_A_THRESH, SceneSpec, SyntheticFrame, build_toy_model, check_frame_count,
+    frame_attributions, generate_benchmark, load_scene_spec, output_index, save_scene_spec,
+    scene_spec_from_dict)
 from .xc import XcConfig
 
 EVAL_FEATURES = (*DEFAULT_FEATURES, "n_points", "random")
@@ -133,8 +105,8 @@ def write_frame_store(out_dir, spec, frames, manifest) -> None:
         json.dump(manifest, f, indent=2)
     fids = [f"{i:06d}" for i in range(len(frames))]
     for fid, frame in zip(fids, frames):
-        pseudo = AttributionMap(values=frame.pseudo_image.astype(np.float64), method="pseudo-image")
-        write_xcam(os.path.join(out_dir, "frames", f"{fid}.xcam"), pseudo)
+        write_arrays(os.path.join(out_dir, "frames", f"{fid}.xcam"),
+                     {"pseudo_image": frame.pseudo_image})
     # the streams go last, so a store cut short lacks one, and its readers name it
     write_detections(os.path.join(out_dir, "preds.jsonl"),
                      [(fid, p) for fid, frame in zip(fids, frames) for p in frame.preds])
@@ -165,10 +137,26 @@ def read_frame_records(store_dir):
     return spec, (spec.grid.height, spec.grid.width, 4), sorted(by_frame), by_frame
 
 
-def read_pseudo_image(store_dir, fid, shape) -> np.ndarray:
-    """Frame ``fid``'s pseudo-image as float32."""
-    values = read_xcam(os.path.join(store_dir, "frames", f"{fid}.xcam"), shape).values
-    return values.astype(np.float32)
+def read_pseudo_image(store_dir, fid, shape):
+    """Frame ``fid``'s pseudo-image, a read-only float32 array."""
+    path = os.path.join(store_dir, "frames", f"{fid}.xcam")
+    return read_arrays(path, {"pseudo_image": tuple(shape)})[0]["pseudo_image"]
+
+
+def map_path(attribs_dir, fid, i) -> str:
+    """Frame ``fid``'s map for prediction ``i``, which ``attribute`` writes and ``xc`` reads."""
+    return os.path.join(attribs_dir, f"{fid}_{i:03d}.xcam")
+
+
+def _threaded(fn, items, jobs):
+    """``fn(item)`` for each item, in order, from ``jobs`` threads, ``jobs`` items in flight."""
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        window = []
+        for item in items:
+            window.append(pool.submit(fn, item))
+            if len(window) == jobs:
+                yield window.pop(0).result()
+        yield from (future.result() for future in window)
 
 
 def read_frame_store(store_dir):
@@ -242,13 +230,12 @@ def _cmd_attribute(args):
             return frame_attributions(frame, method=args.method, steps=args.steps)
 
         n = 0
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_frame = pool.map(one_frame, fids) if jobs > 1 else map(one_frame, fids)
-            # written frame by frame, so only the frames in flight are held in memory
-            for fid, maps in zip(fids, per_frame):
-                for i, m in enumerate(maps):
-                    write_xcam(os.path.join(args.out, f"{fid}_{i:03d}.xcam"), m)
-                    n += 1
+        # written frame by frame, so only the frames in flight are held in memory
+        per_frame = map(one_frame, fids) if jobs == 1 else _threaded(one_frame, fids, jobs)
+        for fid, maps in zip(fids, per_frame):
+            for i, m in enumerate(maps):
+                write_xcam(map_path(args.out, fid, i), m)
+                n += 1
         print(f"wrote {n} attribution maps ({args.method}) -> {args.out}")
     return run
 
@@ -262,8 +249,7 @@ def _cmd_xc(args):
 
         def triple(fid):
             preds, gts = records[fid]
-            maps = [read_xcam(os.path.join(args.attribs, f"{fid}_{i:03d}.xcam"), shape)
-                    for i in range(len(preds))]
+            maps = [read_xcam(map_path(args.attribs, fid, i), shape) for i in range(len(preds))]
             return preds, maps, gts
 
         # frames are read as they are scored, so one frame's maps are held at a time

@@ -1,21 +1,21 @@
-"""File formats: XCAM attribution maps, JSONL box streams, feature CSVs, configs.
+"""File formats: XCAM array containers, JSONL box streams, feature CSVs, configs.
 
-XCAM layout (all integers little-endian):
+An XCAM container holds named float32 arrays (all integers little-endian):
 
     offset  size  field
     0       4     magic b"XCAM"
-    4       2     version (u16), currently 1
-    6       4     H (u32)
-    10      4     W (u32)
-    14      4     C (u32)
-    18      4*H*W*C   payload, float32 little-endian, row-major (y, x, c)
-    ...     4     metadata length (u32)
-    ...     n     metadata, UTF-8 JSON: method, target box/class, ig steps
+    4       2     version (u16), currently 2; version 1 is refused
+    6       4     table length n (u32)
+    10      n     table, UTF-8 JSON: one {"name", "shape", "offset", "meta"} object per
+                  array, padded with spaces so the payload starts on an 8-byte boundary
+    10+n    ...   payload: each array's float32 values, little-endian, C order, at its
+                  offset from the payload's start; the arrays tile the payload in table order
 
-The payload is 32-bit by format definition, so round-trips are bit-identical
-exactly when the map's values are float32-representable; higher-precision
-values are rounded once on write. Text formats use Python's shortest
-round-trip float repr and are lossless. Files are written only by ``atomic_write``.
+A pseudo image is one ``pseudo_image`` array; a map is one ``map`` array whose meta holds
+its method, steps and target; a model's parameters are one array each, named as
+``model_to_spec`` names them. Round-trips are bit-identical exactly when the values are
+float32-representable; others are rounded once on write. Text formats use Python's
+shortest round-trip float repr and are lossless. Files are written only by ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import reprlib
 import struct
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator, List
 
 import numpy as np
@@ -41,8 +42,8 @@ from .geometry import Box3D
 from .matching import Detection, GroundTruth
 
 XCAM_MAGIC = b"XCAM"
-XCAM_VERSION = 1
-_HEADER = struct.Struct("<4sHIII")
+XCAM_VERSION = 2
+_HEADER = struct.Struct("<4sHI")  # magic, version, table length
 
 
 @contextmanager
@@ -70,84 +71,105 @@ def naming(path):
         raise
 
 
-def write_xcam(path, map: AttributionMap) -> None:
-    values = np.asarray(map.values)
-    if values.ndim != 3:
-        raise XckitError(f"xcam payload must be 3-d (H, W, C), got shape {values.shape}")
-    h, w, c = values.shape
-    meta = {"method": map.method}
-    if map.steps is not None:
-        meta["steps"] = int(map.steps)
-    if map.target is not None:
-        meta["target"] = {
-            "box_index": map.target.box_index,
-            "class_index": map.target.class_index,
-        }
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+def write_arrays(path, arrays, meta=None) -> None:
+    """Write ``arrays`` ({name: values}) to one XCAM container, each with its ``meta``
+    object ({name: dict}, empty for a name it lacks)."""
+    payloads = {name: np.asarray(values, dtype="<f4") for name, values in arrays.items()}
+    table, offset = [], 0
+    for name, values in payloads.items():
+        table.append({"name": name, "shape": list(values.shape), "offset": offset,
+                      "meta": (meta or {}).get(name, {})})
+        offset += values.nbytes
+    blob = json.dumps(table, separators=(",", ":")).encode("utf-8")
+    blob += b" " * (-(_HEADER.size + len(blob)) % 8)  # the payload starts 8-byte aligned
     with atomic_write(path, "wb") as f:
-        f.write(_HEADER.pack(XCAM_MAGIC, XCAM_VERSION, h, w, c))
-        f.write(values.astype("<f4").tobytes(order="C"))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
+        f.write(_HEADER.pack(XCAM_MAGIC, XCAM_VERSION, len(blob)) + blob)
+        for values in payloads.values():
+            f.write(values.tobytes())  # C order, whatever the array's own layout
 
 
-def read_xcam(path, shape=None) -> AttributionMap:
-    """The map at ``path``; its values must be finite, and of ``shape`` when one is given."""
+def read_arrays(path, expect=None):
+    """``({name: float32 array}, {name: meta})`` from the XCAM container at ``path``; the
+    arrays are read-only views of the file's bytes, and every value must be finite. Given
+    ``expect`` ({name: shape, or None for any}), it must hold exactly those arrays."""
     with open(path, "rb") as f:
         raw = f.read()
     at = f"{path}: byte offset"
     if len(raw) < _HEADER.size:
         raise TruncatedPayload(f"{at} 0: file is {len(raw)} bytes, header needs {_HEADER.size}")
-    magic, version, h, w, c = _HEADER.unpack_from(raw)
+    magic, version, n_table = _HEADER.unpack_from(raw)
     if magic != XCAM_MAGIC:
         raise BadMagic(f"{at} 0: magic {magic!r} != {XCAM_MAGIC!r}")
     if version != XCAM_VERSION:
         raise VersionUnsupported(f"{at} 4: version {version}, reader supports {XCAM_VERSION}")
-    if shape is not None and (h, w, c) != tuple(shape):
-        raise ShapeMismatch(f"{at} 6: shape {(h, w, c)} != expected {tuple(shape)}")
-    n_payload = 4 * h * w * c
-    offset = _HEADER.size
-    if len(raw) < offset + n_payload + 4:
-        raise TruncatedPayload(
-            f"{at} {offset}: payload+metadata need {n_payload + 4} bytes after header, "
-            f"have {len(raw) - offset}"
-        )
-    values = (
-        np.frombuffer(raw, dtype="<f4", count=h * w * c, offset=offset)
-        .reshape(h, w, c)
-        .astype(np.float64)
-    )
-    if not np.isfinite(values).all():
-        raise XckitError(f"{at} {offset + 4 * np.argmin(np.isfinite(values))}: value is not finite")
-    offset += n_payload
-    (meta_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    if len(raw) < offset + meta_len:
-        raise TruncatedPayload(
-            f"{at} {offset}: metadata block needs {meta_len} bytes, has {len(raw) - offset}"
-        )
+    start, table_at = _HEADER.size + n_table, f"{at} {_HEADER.size}: table"
+    if len(raw) < start:
+        raise TruncatedPayload(f"{table_at} needs {n_table} bytes, has {len(raw) - _HEADER.size}")
     try:
-        meta = json.loads(raw[offset : offset + meta_len].decode("utf-8"))
+        table = json.loads(raw[_HEADER.size : start].decode("utf-8"))
     except (ValueError, RecursionError):  # not UTF-8, not JSON, or past Python's limits
-        meta = None
-    if not isinstance(meta, dict):
-        raise XckitError(f"{path}: metadata at byte offset {offset} is not a UTF-8 JSON object")
-    target = None
+        table = None
+    if not isinstance(table, list):
+        raise XckitError(f"{table_at} is not a UTF-8 JSON array")
+    arrays, meta, end = {}, {}, 0
+    for i, entry in enumerate(table):
+        where = f"{table_at} entry {i}"
+        if not isinstance(entry, dict):
+            raise XckitError(f"{where} is not an object")
+        name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not isinstance(name, str) or name in arrays:
+            raise XckitError(f"{where}: name must be a string no other entry has, "
+                             f"got {reprlib.repr(name)}")
+        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+            raise XckitError(f"{where}: shape must be a list of non-negative integers, "
+                             f"got {reprlib.repr(shape)}")
+        if (want := (expect or {}).get(name)) is not None and tuple(shape) != want:
+            raise ShapeMismatch(f"{where}: shape {tuple(shape)} != expected {want}")
+        if type(offset) is not int or offset != end:  # so arrays neither overlap nor leave gaps
+            raise XckitError(f"{where}: offset {reprlib.repr(offset)} != {end}, "
+                             "the end of the array before it")
+        if not isinstance(entry.get("meta"), dict):
+            raise XckitError(f"{where}: meta must be an object")
+        end = offset + 4 * math.prod(shape)
+        if start + end > len(raw):
+            raise TruncatedPayload(f"{at} {start + offset}: array {name!r} needs {end - offset} "
+                                   f"bytes, the payload has {len(raw) - start - offset} left")
+        values = np.frombuffer(raw, "<f4", (end - offset) // 4, start + offset).reshape(shape)
+        if not (finite := np.isfinite(values)).all():
+            raise XckitError(f"{at} {start + offset + 4 * int(np.argmin(finite))}: "
+                             "value is not finite")
+        arrays[name], meta[name] = values, entry["meta"]
+    if start + end != len(raw):
+        raise XckitError(f"{at} {start + end}: {len(raw) - start - end} bytes past the last array")
+    if expect is not None and set(arrays) != set(expect):
+        raise XckitError(f"{table_at} holds arrays {sorted(arrays)}, expected {sorted(expect)}")
+    return arrays, meta
+
+
+def write_xcam(path, map: AttributionMap) -> None:
+    """``map`` as a container holding one ``map`` array, its meta the method, steps and target."""
+    values = np.asarray(map.values)
+    if values.ndim != 3:
+        raise XckitError(f"xcam payload must be 3-d (H, W, C), got shape {values.shape}")
+    meta = {"method": map.method}
+    if map.steps is not None:
+        meta["steps"] = int(map.steps)
+    if map.target is not None:
+        meta["target"] = asdict(map.target)  # box_index, class_index
+    write_arrays(path, {"map": values}, {"map": meta})
+
+
+def read_xcam(path, shape=None) -> AttributionMap:
+    """The map at ``path``; its values must be finite, and of ``shape`` when one is given."""
+    arrays, meta = read_arrays(path, {"map": None if shape is None else tuple(shape)})
+    meta, target = meta["map"], None
     if "target" in meta:
-        if not isinstance(meta["target"], dict):
-            raise XckitError(
-                f"{path}: metadata at byte offset {offset} has a target that is not an object"
-            )
-        target = AttributionTarget(
-            box_index=meta["target"].get("box_index"),
-            class_index=meta["target"].get("class_index"),
-        )
-    return AttributionMap(
-        values=values,
-        method=meta.get("method", "unknown"),
-        target=target,
-        steps=meta.get("steps"),
-    )
+        if not isinstance(t := meta["target"], dict):
+            raise XckitError(f"{path}: byte offset {_HEADER.size}: table entry 0: meta has a "
+                             "target that is not an object")
+        target = AttributionTarget(t.get("box_index"), t.get("class_index"))
+    return AttributionMap(arrays["map"].astype(np.float64), meta.get("method", "unknown"), target,
+                          meta.get("steps"))
 
 
 # --- JSONL box streams ---
@@ -375,12 +397,23 @@ def load_json(path):
 
 
 def save_model(path, model: ModelGraph) -> None:
-    """Write ``model`` as one JSON document; a failed save leaves ``path`` as it was."""
+    """Write ``model``'s parameters to an XCAM container, then its layer list, which names the
+    container, to ``path`` beside it; a failed save leaves ``path`` as it was."""
+    spec, params = model_to_spec(model)
+    name = os.path.splitext(os.path.basename(path))[0] + ".xcam"
+    write_arrays(os.path.join(os.path.dirname(path), name), params)
     with atomic_write(path) as f:
-        f.write(json.dumps(model_to_spec(model)))  # dumps runs the C encoder; dump does not
+        f.write(json.dumps({**spec, "params": name}))  # dumps runs the C encoder; dump does not
 
 
 def load_model(path) -> ModelGraph:
+    """The model at ``path``: its layer list, with parameters from the container its
+    ``params`` names beside it, inline as nested lists, or drawn from its ``seed``."""
     spec = load_json(path)
     with naming(path):
-        return build_model(spec)
+        params = spec.get("params") if isinstance(spec, dict) else None
+        if params is not None:
+            if not isinstance(params, str):
+                raise XckitError(f"params must name a file, got {reprlib.repr(params)}")
+            params = read_arrays(os.path.join(os.path.dirname(path), params))[0]
+        return build_model(spec, params)

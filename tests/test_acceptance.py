@@ -23,12 +23,16 @@ from xckit.attribution import (
     modified_integrated_gradients,
 )
 from xckit.autodiff import build_model, forward_array
-from xckit.errors import BadMagic, ParseError, TruncatedPayload
+from xckit.errors import BadMagic, ParseError, TruncatedPayload, VersionUnsupported
 from xckit.geometry import Box3D, GridMeta
 from xckit.io_formats import (
+    load_model,
+    read_arrays,
     read_detections,
     read_feature_csv,
     read_xcam,
+    save_model,
+    write_arrays,
     write_detections,
     write_feature_csv,
     write_xcam,
@@ -375,6 +379,27 @@ def test_criterion_11_format_round_trips(criterion, tmp_path):
         (tmp_path / "short.xcam").write_bytes(p.read_bytes()[:30])
         with pytest.raises(TruncatedPayload):
             read_xcam(tmp_path / "short.xcam")
+        raw[:6] = b"XCAM" + struct.pack("<H", 1)  # a version-1 file is refused at its version
+        (tmp_path / "v1.xcam").write_bytes(bytes(raw))
+        with pytest.raises(VersionUnsupported, match="v1.xcam: byte offset 4: version 1"):
+            read_xcam(tmp_path / "v1.xcam")
+
+        # the same container with several named arrays, and a model's parameters in one
+        arrays = {"w": rng.standard_normal((5, 3)).astype(np.float32),
+                  "b": np.array([-0.0, np.finfo(np.float32).max], np.float32)}
+        write_arrays(tmp_path / "a.xcam", arrays, {"w": {"note": "kept"}})
+        back_arrays, meta = read_arrays(tmp_path / "a.xcam")
+        assert {k: v.tobytes() for k, v in back_arrays.items()} == {
+            k: v.tobytes() for k, v in arrays.items()}
+        assert meta == {"w": {"note": "kept"}, "b": {}}
+        model = build_model({"input_shape": [4, 4, 2], "seed": 3, "layers": [
+            {"kind": "conv2d", "in_channels": 2, "out_channels": 3, "kernel": [3, 3]},
+            {"kind": "relu"}, {"kind": "dense", "in_features": 48, "out_features": 2}]})
+        save_model(tmp_path / "model.json", model)
+        loaded = load_model(tmp_path / "model.json")
+        for a, b in zip(model.layers, loaded.layers):
+            for key in ("weight", "bias") if hasattr(a, "weight") else ():
+                assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
 
         # detection stream
         recs = []

@@ -265,6 +265,9 @@ test_fuzz_model = fuzz_case(
     "store/model.json",
     ["attribute", "--frames", "{d}/store", "--model", "{d}/store/model.json",
      "--out", "{d}/attribs-model", "--jobs", "1"], damaged_json, examples=60)
+test_fuzz_model_params = fuzz_case(
+    "store/model.xcam",
+    ["attribute", "--frames", "{d}/store", "--out", "{d}/attribs-params", "--jobs", "1"])
 test_fuzz_scene_spec = fuzz_case(
     "scene.json", ["synth", "--spec", "{d}/scene.json", "--frames", "1", "--out", "{d}/synth-out"],
     damaged_json, examples=100)

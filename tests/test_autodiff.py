@@ -1,7 +1,8 @@
 """Engine tests: forward shapes and values, exact input gradients, spec round-trips."""
 
-import base64
+import json
 import re
+import struct
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from xckit import autodiff
 from xckit.autodiff import build_model, forward_array, input_gradient_array, model_to_spec
 from xckit.errors import ShapeMismatch, TargetOutOfRange, UnknownLayerKind, XckitError
+from xckit.io_formats import load_model
 from xckit.synth import SceneSpec, frame_attributions, generate_benchmark
 
 import oracles
@@ -22,6 +24,12 @@ import oracles
 
 def f32(values):
     return np.asarray(values, np.float32)
+
+
+def spec_bytes(model):
+    """``model_to_spec``'s layer list and the bytes of each parameter array, to compare."""
+    spec, params = model_to_spec(model)
+    return spec, {name: arr.tobytes() for name, arr in params.items()}
 
 
 def tiny_linear():
@@ -144,11 +152,11 @@ class TestForward:
     def test_forward_is_pure(self):
         m = seeded_convnet(5)
         x = np.random.default_rng(0).normal(size=(8, 8, 2)).astype(np.float32)
-        before = model_to_spec(m)
+        before = spec_bytes(m)
         y1 = forward_array(m, x).copy()
         y2 = forward_array(m, x)
         assert np.array_equal(y1, y2)
-        assert model_to_spec(m) == before
+        assert spec_bytes(m) == before
 
 
 class TestValidation:
@@ -199,14 +207,20 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize("shape", [[2, True], [2.0, 1]], ids=["boolean", "float"])
-    def test_encoded_shape_takes_json_integers_only(self, shape):
-        # true and 2.0 compare equal to 1 and 2, yet neither is a size
-        weight = {"shape": shape, "f32le": base64.b64encode(bytes(8)).decode()}
-        with pytest.raises(ShapeMismatch, match=re.escape(
-                f"layers.0 (dense) weight: expected shape [2, 1], got {shape!r}")):
-            build_model({"input_shape": [2], "layers": [
-                {"kind": "dense", "in_features": 2, "out_features": 1, "weight": weight,
-                 "bias": [0.0]}]})
+    def test_encoded_shape_takes_json_integers_only(self, tmp_path, shape):
+        # true and 2.0 compare equal to 1 and 2, yet neither is a size; a parameter
+        # container's table gives the weight this shape
+        (tmp_path / "model.json").write_text(json.dumps({"input_shape": [2], "layers": [
+            {"kind": "dense", "in_features": 2, "out_features": 1, "bias": [0.0]}],
+            "params": "model.xcam"}))
+        table = json.dumps([{"name": "layers.0.weight", "shape": shape, "offset": 0,
+                             "meta": {}}]).encode()
+        (tmp_path / "model.xcam").write_bytes(
+            b"XCAM" + struct.pack("<HI", 2, len(table)) + table + bytes(8))
+        with pytest.raises(XckitError, match=re.escape(
+                "model.xcam: byte offset 10: table entry 0: shape must be a list of "
+                f"non-negative integers, got {shape!r}")):
+            load_model(tmp_path / "model.json")
 
     @pytest.mark.parametrize("kind", [["relu"], {"relu": 1}, None, 5], ids=repr)
     def test_kind_of_any_json_type_is_unknown(self, kind):
@@ -597,12 +611,12 @@ class TestDenseColumnBackward:
 class TestSpecRoundTrip:
     def test_model_to_spec_rebuilds_identically(self):
         m = seeded_convnet(17)
-        m2 = build_model(model_to_spec(m))
+        m2 = build_model(*model_to_spec(m))
         x = np.random.default_rng(6).normal(size=(8, 8, 2)).astype(np.float32)
         assert np.array_equal(forward_array(m, x), forward_array(m2, x))
 
     def test_seeded_init_reproducible(self):
-        assert model_to_spec(seeded_convnet(23)) == model_to_spec(seeded_convnet(23))
+        assert spec_bytes(seeded_convnet(23)) == spec_bytes(seeded_convnet(23))
 
     def test_init_bound_respected(self):
         m = build_model(

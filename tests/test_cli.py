@@ -1,20 +1,23 @@
 import base64
+import collections
 import functools
 import json
 import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import xckit
+import xckit.cli
 from xckit.cli import EVAL_FEATURES, build_parser, main
-from xckit.attribution import AttributionMap
 from xckit.io_formats import (
-    FEATURE_CSV_COLUMNS, FeatureRow, read_feature_csv, write_feature_csv, write_xcam)
+    FEATURE_CSV_COLUMNS, FeatureRow, read_feature_csv, write_arrays, write_feature_csv)
 
 
 def run(argv):
@@ -65,10 +68,10 @@ def edit_first_pred(store, **fields):
 
 
 def corrupt_pseudo_metadata(store):
-    # the metadata JSON ends the file; a 0xff byte inside it is not UTF-8
+    # the table, which holds each array's metadata, starts at byte 10; 0xff is not UTF-8
     path = os.path.join(store, "frames", "000000.xcam")
     raw = bytearray(open(path, "rb").read())
-    raw[-2] = 0xFF
+    raw[11] = 0xFF
     open(path, "wb").write(bytes(raw))
 
 
@@ -78,17 +81,24 @@ def replace_first_line(store, name, first):
     open(path, "wb").write(b"\n".join([first] + lines[1:]) + b"\n")
 
 
-def set_pseudo_metadata(store, blob):
-    # rewrite the metadata block that ends the first pseudo image
-    path = os.path.join(store, "frames", "000000.xcam")
+def xcam_table(path):
+    """The table of the XCAM container at ``path``, parsed, and the bytes after it."""
     raw = open(path, "rb").read()
-    h, w, c = struct.unpack_from("<III", raw, 6)
-    end = 18 + 4 * h * w * c
-    open(path, "wb").write(raw[:end] + struct.pack("<I", len(blob)) + blob)
+    start = 10 + struct.unpack_from("<I", raw, 6)[0]
+    return json.loads(raw[10:start]), raw[start:]
 
 
-def set_pseudo_target(store, target):
-    set_pseudo_metadata(store, json.dumps({"method": "pseudo-image", "target": target}).encode())
+def xcam_bytes(table, payload, version=2):
+    """An XCAM container's bytes: ``table`` (JSON-dumped unless bytes), then ``payload``."""
+    blob = table if isinstance(table, bytes) else json.dumps(table).encode()
+    return b"XCAM" + struct.pack("<HI", version, len(blob)) + blob + payload
+
+
+def set_pseudo_metadata(store, blob):
+    # replace the table that starts the first pseudo image, keeping its payload
+    path = os.path.join(store, "frames", "000000.xcam")
+    data = xcam_bytes(blob, xcam_table(path)[1])
+    open(path, "wb").write(data)
 
 
 def first_map(store):
@@ -98,14 +108,33 @@ def first_map(store):
     return os.path.join(attribs, "000000_000.xcam")
 
 
+def set_first_map_target(store, target):
+    path = first_map(store)
+    table, payload = xcam_table(path)
+    table[0]["meta"]["target"] = target
+    open(path, "wb").write(xcam_bytes(table, payload))
+
+
 def truncate_first_map(store):
-    open(first_map(store), "r+b").truncate(100)
+    path = first_map(store)
+    open(path, "r+b").truncate(os.path.getsize(path) - 4)  # the last float
 
 
-def replace_xcam(where, values):
-    """A mutation that writes ``values`` over the XCAM that ``where(store)`` names."""
+def replace_xcam(where, values, name="map"):
+    """A mutation that writes ``values`` as the array ``name`` over the XCAM that
+    ``where(store)`` names."""
     def mutate(store):
-        write_xcam(where(store), AttributionMap(values=values, method="replaced"))
+        write_arrays(where(store), {name: values})
+    return mutate
+
+
+def version_1_xcam(where):
+    """A mutation that writes a version-1 XCAM, one float and its metadata, over the file
+    that ``where(store)`` names."""
+    def mutate(store):
+        meta = b'{"method": "saliency"}'
+        open(where(store), "wb").write(struct.pack("<4sHIIIfI", b"XCAM", 1, 1, 1, 1, 0.5,
+                                                   len(meta)) + meta)
     return mutate
 
 
@@ -115,7 +144,7 @@ def first_pseudo(store):
 
 def with_inf(shape):
     values = np.zeros(shape)
-    values[0, 1, 0] = np.inf  # the fifth float, at byte offset 18 + 4 * 4
+    values[0, 1, 0] = np.inf  # the fifth float, 16 bytes into the payload
     return values
 
 
@@ -168,6 +197,30 @@ def model_flag(spec):
 def f32le(*words):
     """base64 of little-endian uint32 words, i.e. of float32 bit patterns."""
     return base64.b64encode(struct.pack(f"<{len(words)}I", *words)).decode()
+
+
+# a model.json of one dense layer, 2 -> 1, whose parameters are in the container model.xcam
+PARAMS_MODEL = json.dumps({"input_shape": [2], "layers": [
+    {"kind": "dense", "in_features": 2, "out_features": 1}], "params": "model.xcam"})
+WEIGHT = {"name": "layers.0.weight", "shape": [2, 1], "offset": 0, "meta": {}}
+BIAS = {"name": "layers.0.bias", "shape": [1], "offset": 8, "meta": {}}
+WORDS = struct.pack("<3I", 0, 0, 0)  # weight and bias, all 0.0
+
+
+def params_row(table, payload, needle, version=2):
+    """A malformed-input row: the store's model keeps its weight and bias in model.xcam,
+    which holds ``table`` and ``payload``; ``needle(start)`` is the message, given the
+    payload's byte offset."""
+    data = xcam_bytes(table, payload, version)
+
+    def mutate(store):
+        write_model(PARAMS_MODEL)(store)
+        open(os.path.join(store, "model.xcam"), "wb").write(data)
+    return mutate, attribute_argv, 1, needle(len(data) - len(payload))
+
+
+OLD_ENCODING = "model.json: layers.0 (dense) weight: parameters must be nested lists of numbers: " \
+               "got dict values"
 
 
 def degenerate_first_pred(dx, offset=0.0):
@@ -230,7 +283,8 @@ def scene_rows(fields, needle):
          "preds.jsonl: line 1"),
         (lambda s: edit_first_pred(s, anchor_index="3"), attribute_argv, 1,
          "preds.jsonl: line 1"),
-        (corrupt_pseudo_metadata, attribute_argv, 1, "byte offset"),
+        (corrupt_pseudo_metadata, attribute_argv, 1,
+         "000000.xcam: byte offset 10: table is not a UTF-8 JSON array"),
         (lambda s: edit_first_pred(s, label="truck"), attribute_argv, 1, "UnknownLabel"),
         (lambda s: None, writes("cfg.json", b'{"out": "run", "n_frames": "abc"}', PIPELINE), 1,
          "cfg.json: n_frames must be of type int, got 'abc'"),
@@ -246,7 +300,8 @@ def scene_rows(fields, needle):
         (lambda s: None, writes("spec.json", b'{"n_objects": [1]}', SYNTH_SPEC), 1, "n_objects"),
         (lambda s: None, writes("cfg.json", b'{"out": "run", "scene": {"n_objects": [1]}}',
                                 PIPELINE), 1, "cfg.json: bad scene spec field 'n_objects'"),
-        (lambda s: set_pseudo_target(s, 5), attribute_argv, 1, "byte offset"),
+        (lambda s: set_first_map_target(s, 5), xc_argv, 1,
+         "000000_000.xcam: byte offset 10: table entry 0: meta has a target that is not an object"),
         (lambda s: open(os.path.join(s, "model.json"), "w").write("{bad"), attribute_argv, 1,
          "model.json"),
         (lambda s: None, writes("spec.json", b'{"grid": {"height": 40.0, "width": 40, '
@@ -282,17 +337,18 @@ def scene_rows(fields, needle):
                                 b'"origin_x": -8.0, "origin_y": -8.0, "pixel_size": NaN}}',
                                 SYNTH_SPEC), 1, "grid pixel_size must be a finite number"),
         (write_model(encoded_weight({"shape": [2, 1], "f32le": "AAAA*AAAAAAA="})), attribute_argv,
-         1, "model.json: layers.0 (dense) weight: 'f32le' is not valid base64"),
-        (write_model(encoded_weight({"shape": [2, 1], "f32le": f32le(0)})), attribute_argv, 1,
-         "model.json: layers.0 (dense) weight: 'f32le' holds 4 bytes, shape [2, 1] needs 8"),
-        (write_model(encoded_weight({"shape": [1, 2], "f32le": f32le(0, 0)})), attribute_argv, 1,
-         "model.json: layers.0 (dense) weight: expected shape [2, 1], got [1, 2]"),
-        (write_model(encoded_weight({"shape": [2, 1], "f32le": f32le(0, 0x7FC00000)})),
-         attribute_argv, 1, "model.json: layers.0 (dense) weight: non-finite parameter values"),
+         1, OLD_ENCODING),
+        params_row([WEIGHT, BIAS], WORDS[:4], lambda start: f"model.xcam: byte offset {start}: "
+                   "array 'layers.0.weight' needs 8 bytes, the payload has 4 left"),
+        params_row([{**WEIGHT, "shape": [1, 2]}, BIAS], WORDS, lambda start:
+                   "model.json: layers.0 (dense) weight: expected shape (2, 1), got (1, 2)"),
+        params_row([WEIGHT, BIAS], struct.pack("<3I", 0x7FC00000, 0, 0),
+                   lambda start: f"model.xcam: byte offset {start}: value is not finite"),
         (write_model(encoded_weight({"shape": [2, 1], "f32le": [0.0, 0.0]})), attribute_argv, 1,
-         "model.json: layers.0 (dense) weight: 'f32le' must be a base64 string"),
-        (write_model(encoded_weight({"shape": "2x1", "f32le": f32le(0, 0)})), attribute_argv, 1,
-         "model.json: layers.0 (dense) weight: expected shape [2, 1], got '2x1'"),
+         OLD_ENCODING),
+        params_row([{**WEIGHT, "shape": "2x1"}, BIAS], WORDS, lambda start:
+                   "model.xcam: byte offset 10: table entry 0: shape must be a list of "
+                   "non-negative integers, got '2x1'"),
         (write_model(encoded_weight([["abc"], [1.0]])), attribute_argv, 1,
          "model.json: layers.0 (dense) weight: parameters must be nested lists of numbers"),
         (degenerate_first_pred(1e-170), match_argv, 1,
@@ -303,7 +359,8 @@ def scene_rows(fields, needle):
          "preds.jsonl: line 1: bad box: box footprint is degenerate"),
         (degenerate_first_pred(1e200), match_argv, 1,
          "preds.jsonl: line 1: bad box: box footprint is degenerate: polygon area overflows"),
-        (truncate_first_map, xc_argv, 1, "000000_000.xcam: byte offset 18: payload+metadata"),
+        (truncate_first_map, xc_argv, 1, "000000_000.xcam: byte offset 128: array 'map' needs "
+         "25600 bytes, the payload has 25596 left"),
         (bad_pseudo_magic, attribute_argv, 1, "000000.xcam: byte offset 0: magic b'MAXC'"),
         (lambda s: edit_first_pred(s, scores={"car": float("nan")}), match_argv, 1,
          "preds.jsonl: line 1: scores and distance must be finite numbers: got {'car': nan}"),
@@ -317,11 +374,12 @@ def scene_rows(fields, needle):
         (lambda s: None, writes("spec.json", b'{"rng_seed": 7.9}', SYNTH_SPEC), 1,
          "spec.json: bad scene spec field 'rng_seed': must be of type int, got 7.9"),
         (replace_xcam(first_map, np.zeros((20, 40, 4))), xc_argv, 1,
-         "000000_000.xcam: byte offset 6: shape (20, 40, 4) != expected (40, 40, 4)"),
-        (replace_xcam(first_pseudo, np.zeros((40, 30, 4))), attribute_argv, 1,
-         "000000.xcam: byte offset 6: shape (40, 30, 4) != expected (40, 40, 4)"),
-        (replace_xcam(first_pseudo, with_inf((40, 40, 4))), attribute_argv, 1,
-         "000000.xcam: byte offset 34: value is not finite"),
+         "000000_000.xcam: byte offset 10: table entry 0: shape (20, 40, 4) != expected "
+         "(40, 40, 4)"),
+        (replace_xcam(first_pseudo, np.zeros((40, 30, 4)), "pseudo_image"), attribute_argv, 1,
+         "000000.xcam: byte offset 10: table entry 0: shape (40, 30, 4) != expected (40, 40, 4)"),
+        (replace_xcam(first_pseudo, with_inf((40, 40, 4)), "pseudo_image"), attribute_argv, 1,
+         "000000.xcam: byte offset 96: value is not finite"),
         (lambda s: None, features_csv(b"0.9,nan,0.5,0.5,0.5,1,1,1,1,120,10.0,car,1"), 1,
          "features.csv: line 2: xc_s_plus: must be finite, got 'nan'"),
         (lambda s: None, features_csv(b"0.9,0.5,0.5,0.5,inf,1,1,1,1,120,10.0,car,1",
@@ -361,7 +419,7 @@ def scene_rows(fields, needle):
         *json_limit_rows(DIGITS, TOO_MANY_DIGITS),
         *json_limit_rows(DEEP, TOO_DEEP),
         (lambda s: set_pseudo_metadata(s, DEEP), attribute_argv, 1,
-         "000000.xcam: metadata at byte offset"),
+         "000000.xcam: byte offset 10: table is not a UTF-8 JSON array"),
         (write_model(encoded_weight(functools.reduce(lambda v, _: [v], range(40), 1.0))),
          attribute_argv, 1, "model.json: layers.0 (dense) weight: expected shape (2, 1), got (1,"),
         (lambda s: edit_first_pred(s, n_points=2**53), match_argv, 1,
@@ -384,9 +442,41 @@ def scene_rows(fields, needle):
                                       b'"label": "car", "scores": {}, "n_points": 1}'),
          match_argv, 1, "preds.jsonl: line 1: frame_id must be a string, got [[[[[[[...]]]]]]]"),
         (write_model(encoded_weight({"shape": [2, 1], "f32le": "AAAAAAAAAA\u00e9="})),
-         attribute_argv, 1, "model.json: layers.0 (dense) weight: 'f32le' is not valid base64"),
+         attribute_argv, 1, OLD_ENCODING),
         (write_model(encoded_weight({"shape": [2, 1], "f32le": "AAAA=AAAAAAA"})), attribute_argv,
-         1, "model.json: layers.0 (dense) weight: 'f32le' is not valid base64"),
+         1, OLD_ENCODING),
+        (write_model(PARAMS_MODEL.replace('"model.xcam"', "[0.0]")), attribute_argv, 1,
+         "model.json: params must name a file, got [0.0]"),
+        params_row(b"[\xff]", WORDS, lambda start:
+                   "model.xcam: byte offset 10: table is not a UTF-8 JSON array"),
+        params_row([WEIGHT, BIAS], WORDS + bytes(4), lambda start:
+                   f"model.xcam: byte offset {start + 12}: 4 bytes past the last array"),
+        params_row([{**WEIGHT, "name": 3}, BIAS], WORDS, lambda start:
+                   "model.xcam: byte offset 10: table entry 0: name must be a string no other "
+                   "entry has, got 3"),
+        params_row([WEIGHT, {**BIAS, "name": WEIGHT["name"]}], WORDS, lambda start:
+                   "model.xcam: byte offset 10: table entry 1: name must be a string no other "
+                   "entry has, got 'layers.0.weight'"),
+        params_row([WEIGHT, {**BIAS, "offset": "8"}], WORDS, lambda start:
+                   "model.xcam: byte offset 10: table entry 1: offset '8' != 8, the end of the "
+                   "array before it"),
+        params_row([WEIGHT, {**BIAS, "offset": 4}], WORDS, lambda start:
+                   "model.xcam: byte offset 10: table entry 1: offset 4 != 8, the end of the "
+                   "array before it"),
+        params_row([WEIGHT, {**BIAS, "shape": [2]}], WORDS, lambda start:
+                   f"model.xcam: byte offset {start + 8}: array 'layers.0.bias' needs 8 bytes, "
+                   "the payload has 4 left"),
+        params_row([WEIGHT, BIAS, {**BIAS, "name": "layers.4.bias", "offset": 12}],
+                   WORDS + bytes(4), lambda start:
+                   "model.json: parameter array 'layers.4.bias' belongs to no layer"),
+        params_row([WEIGHT, BIAS], WORDS, lambda start:
+                   "model.xcam: byte offset 4: version 1, reader supports 2", version=1),
+        (version_1_xcam(first_pseudo), attribute_argv, 1,
+         "000000.xcam: byte offset 4: version 1, reader supports 2"),
+        (version_1_xcam(first_map), xc_argv, 1,
+         "000000_000.xcam: byte offset 4: version 1, reader supports 2"),
+        (replace_xcam(first_pseudo, np.zeros((40, 40, 4))), attribute_argv, 1,
+         "000000.xcam: byte offset 10: table holds arrays ['map'], expected ['pseudo_image']"),
     ],
     ids=["non-numeric-score", "string-anchor-index", "xcam-metadata-not-utf8",
          "unknown-label", "config-value-wrong-type", "detection-not-object",
@@ -418,7 +508,13 @@ def scene_rows(fields, needle):
          "features-n-points-400-digits-eval", "features-n-points-negative-train-meta",
          "prediction-frame-id-integer", "prediction-frame-id-nested-list",
          "ground-truth-frame-id-object", "prediction-frame-id-985-deep",
-         "model-weight-f32le-non-ascii", "model-weight-f32le-misplaced-padding"],
+         "model-weight-f32le-non-ascii", "model-weight-f32le-misplaced-padding",
+         "model-params-not-a-string", "model-params-table-not-utf8",
+         "model-params-trailing-bytes", "model-params-bad-name", "model-params-duplicate-names",
+         "model-params-offset-not-integer", "model-params-overlap",
+         "model-params-run-past-payload", "model-params-array-of-no-layer",
+         "model-params-version-1", "xcam-pseudo-version-1", "xcam-map-version-1",
+         "xcam-pseudo-holds-a-map"],
 )
 def test_malformed_input_exits_cleanly(tmp_path, monkeypatch, mutate, argv, code, needle):
     store = make_store(tmp_path, frames=1)
@@ -570,6 +666,36 @@ class TestAttribute:
             written.append({name: open(os.path.join(out, name), "rb").read()
                             for name in sorted(os.listdir(out))})
         assert written[0] and written[0] == written[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_jobs_bound_the_maps_held(self, tmp_path, monkeypatch, jobs):
+        # a slow writer must not let the threads run ahead: besides the frame being
+        # written, at most --jobs frames' maps are computed and not yet written
+        store = make_store(tmp_path, frames=8)
+        attribute, write = xckit.cli.frame_attributions, xckit.cli.write_xcam
+        held, most, lock = [0], [0], threading.Lock()
+
+        def attributions(*args, **kwargs):
+            maps = attribute(*args, **kwargs)
+            with lock:
+                held[0] += len(maps)
+                most[0] = max(most[0], held[0])
+            return maps
+
+        def slow_write(*args):
+            time.sleep(0.002)
+            write(*args)
+            with lock:
+                held[0] -= 1
+
+        monkeypatch.setattr(xckit.cli, "frame_attributions", attributions)
+        monkeypatch.setattr(xckit.cli, "write_xcam", slow_write)
+        out = str(tmp_path / "attribs")
+        assert run(["attribute", "--frames", store, "--out", out, "--jobs", str(jobs)]) == 0
+        per_frame = max(collections.Counter(
+            json.loads(line)["frame_id"] for line in open(os.path.join(store, "preds.jsonl"))
+        ).values())
+        assert held[0] == 0 and 0 < most[0] <= (jobs + 1) * per_frame, (most, per_frame)
 
     def test_missing_store_is_data_error(self, tmp_path):
         assert run(["attribute", "--frames", str(tmp_path / "nope"), "--out", "x"]) == 1

@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 import re
@@ -22,11 +21,13 @@ from xckit.io_formats import (
     FEATURE_CSV_COLUMNS,
     FeatureRow,
     load_model,
+    read_arrays,
     read_detections,
     read_feature_csv,
     read_ground_truths,
     read_xcam,
     save_model,
+    write_arrays,
     write_detections,
     write_feature_csv,
     write_ground_truths,
@@ -56,6 +57,17 @@ def f32_map(rng, shape):
     )
 
 
+def payload_start(raw):
+    """The byte offset of an XCAM container's payload: the header, then the table."""
+    return 10 + struct.unpack_from("<I", raw, 6)[0]
+
+
+def xcam_bytes(table, payload, version=2):
+    """An XCAM container's bytes: ``table`` (JSON-dumped unless bytes), then ``payload``."""
+    blob = table if isinstance(table, bytes) else json.dumps(table).encode()
+    return b"XCAM" + struct.pack("<HI", version, len(blob)) + blob + payload
+
+
 class TestXcam:
     def test_single_value_payload_bytes(self, tmp_path):
         p = tmp_path / "m.xcam"
@@ -63,9 +75,11 @@ class TestXcam:
         write_xcam(p, m)
         raw = p.read_bytes()
         assert raw[:4] == b"XCAM"
-        version, h, w, c = struct.unpack_from("<HIII", raw, 4)
-        assert (version, h, w, c) == (1, 1, 1, 1)
-        assert raw[18:22] == bytes([0x00, 0x00, 0x00, 0x3F])
+        version, n = struct.unpack_from("<HI", raw, 4)
+        assert version == 2 and (10 + n) % 8 == 0  # the payload starts 8-byte aligned
+        assert json.loads(raw[10 : 10 + n]) == [
+            {"name": "map", "shape": [1, 1, 1], "offset": 0, "meta": {"method": "saliency"}}]
+        assert raw[10 + n :] == bytes([0x00, 0x00, 0x00, 0x3F])
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -105,22 +119,34 @@ class TestXcam:
         with pytest.raises(VersionUnsupported):
             read_xcam(p)
 
+    def test_version_1_refused(self, tmp_path):
+        p = tmp_path / "m.xcam"
+        meta = b'{"method": "saliency"}'  # one float, then its metadata
+        p.write_bytes(struct.pack("<4sHIIIfI", b"XCAM", 1, 1, 1, 1, 0.5, len(meta)) + meta)
+        for read in (read_xcam, read_arrays):
+            with pytest.raises(VersionUnsupported, match=re.escape(
+                    f"{p}: byte offset 4: version 1, reader supports 2")):
+                read(p)
+
     def test_payload_one_float_short(self, tmp_path):
         p = tmp_path / "m.xcam"
         m = f32_map(np.random.default_rng(2), (3, 3, 2))
         write_xcam(p, m)
         raw = p.read_bytes()
-        # drop the metadata block and the last payload float entirely
-        p.write_bytes(raw[: 18 + 4 * (3 * 3 * 2 - 1)])
-        with pytest.raises(TruncatedPayload):
+        p.write_bytes(raw[:-4])  # the last payload float
+        with pytest.raises(TruncatedPayload, match=re.escape(
+                f"m.xcam: byte offset {payload_start(raw)}: array 'map' needs 72 bytes, "
+                "the payload has 68 left")):
             read_xcam(p)
 
     def test_truncated_metadata(self, tmp_path):
         p = tmp_path / "m.xcam"
         write_xcam(p, f32_map(np.random.default_rng(3), (2, 2, 1)))
         raw = p.read_bytes()
-        p.write_bytes(raw[:-3])
-        with pytest.raises(TruncatedPayload):
+        n = payload_start(raw) - 10
+        p.write_bytes(raw[: 10 + n - 3])  # cut inside the table, which holds the metadata
+        with pytest.raises(TruncatedPayload, match=f"m.xcam: byte offset 10: table needs {n} "
+                                                   f"bytes, has {n - 3}"):
             read_xcam(p)
 
     def test_empty_file(self, tmp_path):
@@ -137,18 +163,99 @@ class TestXcam:
         p = tmp_path / "m.xcam"
         write_xcam(p, AttributionMap(values=np.zeros((2, 3, 4)), method="s"))
         assert read_xcam(p, (2, 3, 4)).values.shape == (2, 3, 4)
-        with pytest.raises(ShapeMismatch, match=r"m.xcam: byte offset 6: shape \(2, 3, 4\) != "
-                                                r"expected \(3, 2, 4\)"):
+        with pytest.raises(ShapeMismatch, match=r"m.xcam: byte offset 10: table entry 0: shape "
+                                                r"\(2, 3, 4\) != expected \(3, 2, 4\)"):
             read_xcam(p, (3, 2, 4))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_names_offset(self, tmp_path, value):
         values = np.zeros((2, 3, 4))
-        values[1, 0, 2] = value  # the 15th float: 18 header bytes + 4 * 14
+        values[1, 0, 2] = value  # the 15th float: 4 * 14 bytes into the payload
         p = tmp_path / "m.xcam"
         write_xcam(p, AttributionMap(values=values, method="s"))
-        with pytest.raises(XckitError, match="m.xcam: byte offset 74: value is not finite"):
+        offset = payload_start(p.read_bytes()) + 4 * 14
+        with pytest.raises(XckitError, match=f"m.xcam: byte offset {offset}: value is not finite"):
             read_xcam(p)
+
+
+ENTRY = {"name": "a", "shape": [2], "offset": 0, "meta": {}}
+TWO_FLOATS = struct.pack("<2f", 1.0, 2.0)
+
+
+class TestContainer:
+    def test_round_trip_several_arrays(self, tmp_path):
+        rng = np.random.default_rng(4)
+        arrays = {"w": rng.standard_normal((3, 2)).astype(np.float32),
+                  "empty": np.zeros((0, 5), np.float32), "scalar": np.float32(-0.0),
+                  "b": np.array([np.finfo(np.float32).smallest_subnormal, 1e38], np.float32)}
+        p = tmp_path / "c.xcam"
+        write_arrays(p, arrays, {"w": {"note": "kept"}})
+        back, meta = read_arrays(p)
+        assert list(back) == list(arrays)
+        for name, want in arrays.items():
+            got = back[name]
+            assert got.dtype == np.float32 and got.shape == np.shape(want)
+            assert got.tobytes() == np.asarray(want).tobytes() and not got.flags.writeable
+        assert meta == {"w": {"note": "kept"}, "empty": {}, "scalar": {}, "b": {}}
+        assert payload_start(p.read_bytes()) % 8 == 0
+
+    def test_expected_arrays_checked(self, tmp_path):
+        p = tmp_path / "c.xcam"
+        write_arrays(p, {"a": np.zeros(2)})
+        assert read_arrays(p, {"a": (2,)})[0]["a"].shape == (2,)
+        for expect in ({"b": None}, {"a": None, "b": None}):
+            with pytest.raises(XckitError, match=re.escape(
+                    f"byte offset 10: table holds arrays ['a'], expected {sorted(expect)}")):
+                read_arrays(p, expect)
+
+    @pytest.mark.parametrize("table, payload, error, needle", [
+        (b"[\xff]", b"", XckitError, "byte offset 10: table is not a UTF-8 JSON array"),
+        ({"a": ENTRY}, b"", XckitError, "byte offset 10: table is not a UTF-8 JSON array"),
+        ([5], b"", XckitError, "byte offset 10: table entry 0 is not an object"),
+        ([{**ENTRY, "name": None}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: name must be a string no other entry has, got None"),
+        ([ENTRY, {**ENTRY, "offset": 8}], TWO_FLOATS * 2, XckitError,
+         "byte offset 10: table entry 1: name must be a string no other entry has, got 'a'"),
+        ([{**ENTRY, "shape": "2"}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: shape must be a list of non-negative integers, got '2'"),
+        ([{**ENTRY, "shape": [2, True]}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: shape must be a list of non-negative integers, "
+         "got [2, True]"),
+        ([{**ENTRY, "shape": [2.0]}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: shape must be a list of non-negative integers, got [2.0]"),
+        ([{**ENTRY, "shape": [-1]}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: shape must be a list of non-negative integers, got [-1]"),
+        ([{**ENTRY, "offset": 4}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: offset 4 != 0, the end of the array before it"),
+        ([{**ENTRY, "offset": None}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: offset None != 0, the end of the array before it"),
+        ([ENTRY, {**ENTRY, "name": "b", "offset": 4}], TWO_FLOATS * 2, XckitError,
+         "byte offset 10: table entry 1: offset 4 != 8, the end of the array before it"),
+        ([{**ENTRY, "meta": []}], TWO_FLOATS, XckitError,
+         "byte offset 10: table entry 0: meta must be an object"),
+        ([{**ENTRY, "shape": [3]}], TWO_FLOATS, TruncatedPayload,
+         "byte offset {start}: array 'a' needs 12 bytes, the payload has 8 left"),
+        ([{**ENTRY, "shape": [2**40, 2**40]}], TWO_FLOATS, TruncatedPayload,
+         "byte offset {start}: array 'a' needs 4835703278458516698824704 bytes"),
+        ([{**ENTRY, "shape": [1]}], TWO_FLOATS, XckitError,
+         "byte offset {end}: 4 bytes past the last array"),
+    ], ids=["not-utf8", "not-an-array", "entry-not-object", "name-missing", "duplicate-names",
+            "shape-string", "shape-boolean", "shape-float", "shape-negative", "offset-gap",
+            "offset-missing", "overlap", "meta-not-object", "run-past-payload",
+            "run-far-past-payload", "bytes-after-last-array"])
+    def test_bad_table_refused_by_position(self, tmp_path, table, payload, error, needle):
+        p = tmp_path / "c.xcam"
+        p.write_bytes(xcam_bytes(table, payload))
+        start = len(p.read_bytes()) - len(payload)
+        with pytest.raises(error, match=re.escape(
+                f"c.xcam: {needle.format(start=start, end=start + 4)}")):
+            read_arrays(p)
+
+    def test_table_past_the_file_is_truncated(self, tmp_path):
+        p = tmp_path / "c.xcam"
+        p.write_bytes(b"XCAM" + struct.pack("<HI", 2, 1000) + b"[]")
+        with pytest.raises(TruncatedPayload, match="byte offset 10: table needs 1000 bytes, has 2"):
+            read_arrays(p)
 
 
 def make_detection(rng, label="car"):
@@ -398,24 +505,28 @@ class TestModelJson:
         model = build_toy_model(SceneSpec().grid)
         p = tmp_path / "model.json"
         save_model(p, model)
-        back = load_model(p)
-        assert model_to_spec(back) == model_to_spec(model)
+        (spec, params), (want_spec, want) = model_to_spec(load_model(p)), model_to_spec(model)
+        assert spec == want_spec and list(params) == list(want)
+        assert all(params[name].tobytes() == want[name].tobytes() for name in want)
 
     def test_saved_bytes_are_one_json_document(self, tmp_path):
         model = build_toy_model(SceneSpec().grid)
         p = tmp_path / "model.json"
         save_model(p, model)
-        assert p.read_bytes() == json.dumps(model_to_spec(model)).encode()
+        spec = {**model_to_spec(model)[0], "params": "model.xcam"}
+        assert p.read_bytes() == json.dumps(spec).encode()
 
-    def test_parameters_are_encoded_f32le(self, tmp_path):
+    def test_parameters_are_float32_in_the_container(self, tmp_path):
         model = build_toy_model(SceneSpec().grid)
         save_model(tmp_path / "model.json", model)
-        entries = json.loads((tmp_path / "model.json").read_text())["layers"]
-        for entry, layer in zip(entries, model.layers):
-            for key in ("weight", "bias") if "weight" in entry else ():
-                arr = getattr(layer, key)
-                assert entry[key]["shape"] == list(arr.shape)
-                assert base64.b64decode(entry[key]["f32le"]) == arr.astype("<f4").tobytes()
+        raw = (tmp_path / "model.xcam").read_bytes()
+        layers = [(i, layer) for i, layer in enumerate(model.layers) if hasattr(layer, "weight")]
+        arrays = [(f"layers.{i}.{key}", getattr(layer, key))
+                  for i, layer in layers for key in ("weight", "bias")]
+        # the payload is every weight and bias, in layer order, as little-endian float32
+        assert raw[payload_start(raw):] == b"".join(a.astype("<f4").tobytes() for _, a in arrays)
+        assert [(e["name"], e["shape"]) for e in json.loads(raw[10 : payload_start(raw)])] == [
+            (name, list(a.shape)) for name, a in arrays]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(conv_dense_params())
@@ -439,9 +550,9 @@ class TestModelJson:
 
     def test_inline_list_model_loads_bit_equal(self, tmp_path):
         model = build_toy_model(SceneSpec().grid)
-        spec = model_to_spec(model)
+        spec, _ = model_to_spec(model)
         for entry, layer in zip(spec["layers"], model.layers):
-            if "weight" in entry:  # the nested-list form written before the encoding
+            if hasattr(layer, "weight"):  # the nested-list form of a hand-written spec
                 entry.update(weight=layer.weight.tolist(), bias=layer.bias.tolist())
         p = tmp_path / "model.json"
         p.write_text(json.dumps(spec))
@@ -455,7 +566,7 @@ class TestModelJson:
     def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch, fail):
         p = tmp_path / "model.json"
         save_model(p, build_toy_model(SceneSpec().grid))
-        before = p.read_bytes()
+        before = {name: (tmp_path / name).read_bytes() for name in ("model.json", "model.xcam")}
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
@@ -468,8 +579,8 @@ class TestModelJson:
                              "layers": [{"kind": "dense", "in_features": 2, "out_features": 1}]})
         with pytest.raises(OSError, match="disk full"):
             save_model(p, small)
-        assert p.read_bytes() == before
-        assert os.listdir(tmp_path) == ["model.json"]
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert sorted(os.listdir(tmp_path)) == ["model.json", "model.xcam"]
 
 
 class TestSceneSpecJson:

@@ -1,4 +1,5 @@
 """Layering, read from the source: format code depends only on data types, only
+``io_formats`` turns file bytes into arrays or back, only
 ``io_formats.atomic_write`` opens a file for writing, no module reads the
 environment, only ``pipeline`` reads a config file, so each input has one source,
 and only ``cli.main`` turns an error into an exit code.
@@ -37,6 +38,29 @@ def relative_imports(module):
 def test_io_formats_imports_only_data_type_modules():
     imports = relative_imports("io_formats")
     assert imports and imports <= DATA_TYPE_MODULES, imports - DATA_TYPE_MODULES
+
+
+def byte_conversions(module):
+    """Line numbers in ``module`` that use ``np.frombuffer``, ``np.fromfile``, ``.tobytes()``
+    or the ``struct`` module."""
+    lines = []
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names = {node.module}
+        else:
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+        if names & {"frombuffer", "fromfile", "tobytes", "struct"}:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_io_formats_converts_bytes_and_arrays():
+    # one container format, read and written in one module
+    found = {module: byte_conversions(module) for module in MODULES if module != "io_formats"}
+    assert {m: lines for m, lines in found.items() if lines} == {}
+    assert byte_conversions("io_formats")
 
 
 def test_synth_does_not_import_meta():

@@ -123,3 +123,17 @@ def test_xc_and_match_record_geometry_spans(tmp_path):
             assert boxes
             assert all(len(children(b, "geometry.mask")) == 1 for b in boxes)
             assert all(len(children(b, "xc.aggregate")) == 1 for b in boxes)
+
+
+def test_ig_completeness_check_reads_the_store_and_maps(tmp_path):
+    # the benchmark's own check reads pseudo images, the model and the maps through
+    # xckit's readers, so a reader change that breaks it fails here too
+    import checks
+    from xckit.cli import main
+
+    store, attribs = str(tmp_path / "store"), str(tmp_path / "attribs")
+    assert main(["synth", "--out", store, "--frames", "2", "--seed", "0"]) == 0
+    assert main(["attribute", "--frames", store, "--out", attribs, "--method", "ig",
+                 "--steps", "32", "--jobs", "1"]) == 0
+    name, ok, detail = checks.check_ig_completeness(store, attribs)
+    assert name == "ig_completeness" and ok, detail

@@ -1,5 +1,4 @@
 import hashlib
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -210,7 +209,9 @@ class TestToyModel:
     def test_deterministic_build(self):
         grid = SceneSpec().grid
         a, b = build_toy_model(grid), build_toy_model(grid)
-        assert model_to_spec(a) == model_to_spec(b)
+        (spec_a, params_a), (spec_b, params_b) = model_to_spec(a), model_to_spec(b)
+        assert spec_a == spec_b and list(params_a) == list(params_b)
+        assert all(params_a[k].tobytes() == params_b[k].tobytes() for k in params_a)
 
     def test_output_count(self):
         grid = SceneSpec().grid
@@ -224,16 +225,18 @@ class TestToyModel:
         y = forward_array(model, np.zeros((grid.height, grid.width, 4), np.float32))
         assert (y < 0.5).all()
 
-    # sha256 of json.dumps(model_to_spec(build_toy_model(grid))), model.json's bytes,
-    # recorded from the per-anchor, per-class loop that built the head before
+    # sha256 of the toy model's parameters as little-endian float32, each weight then its
+    # bias in layer order (model.xcam's payload); the values are those the per-anchor,
+    # per-class loop that built the head before gave, and model.json held as base64
     @pytest.mark.parametrize("height, width, digest", [
-        (40, 40, "f2452450798ebab3cb578dc8900394cd2cfcf63978b0374a0d9bd29300b4afbc"),
-        (80, 60, "bf5f9ce4656f67587a3c6041a992ce3b9a400245fb177783464c02c39148f1c2"),
+        (40, 40, "5d5f62f743427fbd3a6004e91c66dd8554c88970fe342a2ed4f3249e1d04dcbe"),
+        (80, 60, "10a2ebd2e11e3b6d47ac65e3b839ae4d86bfd84eff566c76f7926f4c6788137d"),
     ], ids=["40x40", "80x60"])
     def test_model_bytes_pinned(self, height, width, digest):
         grid = replace(SceneSpec().grid, height=height, width=width)
-        spec = json.dumps(model_to_spec(build_toy_model(grid)))
-        assert hashlib.sha256(spec.encode()).hexdigest() == digest
+        _, params = model_to_spec(build_toy_model(grid))
+        payload = b"".join(arr.astype("<f4").tobytes() for arr in params.values())
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestAttributionConcentration:

@@ -64,10 +64,10 @@ def test_cascading_randomization_falls_to_chance(seed):
     model = frames[0].model
     aurocs = [xc_aurocs(frames, spec.grid, model)]
     for top in (1, 2, 3):  # the head, then conv2, then conv1
-        redrawn = model_to_spec(model)
-        affine = [entry for entry in redrawn["layers"] if "weight" in entry]
-        del affine[-top]["weight"], affine[-top]["bias"]
-        model = build_model({**redrawn, "seed": seed})  # draws only the deleted arrays
+        layer_list, params = model_to_spec(model)
+        affine = [i for i, layer in enumerate(model.layers) if hasattr(layer, "weight")]
+        del params[f"layers.{affine[-top]}.weight"], params[f"layers.{affine[-top]}.bias"]
+        model = build_model({**layer_list, "seed": seed}, params)  # draws only the deleted arrays
         aurocs.append(xc_aurocs(frames, spec.grid, model))
     lo, hi = CASCADE_BAND
     for name, (trained, head, conv2, last) in zip(XC_RATIOS, zip(*aurocs)):
